@@ -23,8 +23,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import TalkmetricsError
-from .reliability import ConfusionMatrix, levenshtein
-from .transcript import RecordingMeta, SpeakerRole, Transcript, Utterance
+from .transcript import RecordingMeta, Transcript, Utterance, levenshtein
 
 
 class NotLinked(TalkmetricsError):
@@ -88,16 +87,22 @@ def pair_score(machine: Utterance, expert: Utterance, config: AlignConfig) -> fl
 
 @dataclass(frozen=True)
 class AlignedPair:
-    """One matched machine/expert utterance pair with its affinity scores.
+    """One matched machine/expert utterance pair.
 
-    Both scores are recomputable from the utterances; they are stored so
-    audits need no recomputation.
+    Its affinity scores are computed from the two utterances when read, so
+    building a matching does not pay for scores that only audits use.
     """
 
     machine_utt: Utterance
     expert_utt: Utterance
-    time_iou: float
-    text_similarity: float
+
+    @property
+    def time_iou(self) -> float:
+        return time_iou(self.machine_utt, self.expert_utt)
+
+    @property
+    def text_similarity(self) -> float:
+        return text_similarity(self.machine_utt, self.expert_utt)
 
     def to_dict(self) -> dict:
         return {
@@ -146,15 +151,7 @@ def _assemble(
     matched = sorted(matched)
     used_machine = {i for i, _ in matched}
     used_expert = {j for _, j in matched}
-    pairs = tuple(
-        AlignedPair(
-            machine_utt=machine[i],
-            expert_utt=expert[j],
-            time_iou=time_iou(machine[i], expert[j]),
-            text_similarity=text_similarity(machine[i], expert[j]),
-        )
-        for i, j in matched
-    )
+    pairs = tuple(AlignedPair(machine_utt=machine[i], expert_utt=expert[j]) for i, j in matched)
     return AlignedCorpus(
         meta=meta,
         pairs=pairs,
@@ -308,31 +305,6 @@ def align(
     if expert.linked:
         return align_by_index(machine, expert)
     return align_by_time(machine, expert, config)
-
-
-def cross_classify(corpus: AlignedCorpus) -> ConfusionMatrix:
-    """Tally matched pairs into the teacher/child confusion matrix.
-
-    Rows are the expert label, columns the machine label. Pairs where
-    either side is OTHER are excluded but counted; residue is counted per
-    side.
-    """
-    order = (SpeakerRole.TEACHER, SpeakerRole.CHILD)
-    cells = [[0, 0], [0, 0]]
-    excluded = 0
-    for pair in corpus.pairs:
-        expert_role = pair.expert_utt.role
-        machine_role = pair.machine_utt.role
-        if expert_role not in order or machine_role not in order:
-            excluded += 1
-            continue
-        cells[order.index(expert_role)][order.index(machine_role)] += 1
-    return ConfusionMatrix(
-        counts=((cells[0][0], cells[0][1]), (cells[1][0], cells[1][1])),
-        excluded_other=excluded,
-        residue_machine=len(corpus.machine_only),
-        residue_expert=len(corpus.expert_only),
-    )
 
 
 def write_alignment_jsonl(corpus: AlignedCorpus, path: Path | str) -> None:

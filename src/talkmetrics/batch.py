@@ -20,26 +20,27 @@ import csv
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .align import AlignConfig, align
+from .codec import Codec
 from .errors import TalkmetricsError
 from .features import (
     DEFAULT_LD_WINDOW,
     DEFAULT_RESPONSE_WINDOW,
     FEATURE_COLUMNS,
-    ICC_FEATURES,
     FeatureSummary,
     detect_responses,
     icc_feature_values,
     response_proportion,
     summarize,
 )
-from .ingest import load_meta, parse_expert, parse_machine, validate
+from .ingest import load_meta, parse_expert, parse_machine
 from .reliability import (
+    MetricSet,
     RecordingReliability,
     ReliabilityReport,
     build_report,
@@ -103,15 +104,13 @@ class CorpusManifest:
 class RunConfig:
     """Everything a pipeline run needs beyond the manifest.
 
-    ``output_dir`` and ``parallelism`` steer execution only; they never
-    reach the result payload, keeping outputs identical across machines
-    and worker counts.
+    ``parallelism`` steers execution only; it never reaches the result
+    payload, keeping outputs identical across machines and worker counts.
     """
 
     align: AlignConfig = field(default_factory=AlignConfig)
     response_window: float = DEFAULT_RESPONSE_WINDOW
     ld_window: float = DEFAULT_LD_WINDOW
-    output_dir: Path | None = None
     parallelism: int = 1
     wer_wearer_match: bool = True
 
@@ -125,17 +124,9 @@ class RunConfig:
 
     def semantic_dict(self) -> dict:
         """The analysis parameters, without execution plumbing."""
-        return {
-            "align": {
-                "similarity_weight": self.align.similarity_weight,
-                "gap_penalty": self.align.gap_penalty,
-                "min_iou": self.align.min_iou,
-                "min_text_similarity": self.align.min_text_similarity,
-            },
-            "response_window": self.response_window,
-            "ld_window": self.ld_window,
-            "wer_wearer_match": self.wer_wearer_match,
-        }
+        data = asdict(self)
+        del data["parallelism"]
+        return data
 
     @classmethod
     def from_mapping(cls, data: Mapping, **overrides) -> "RunConfig":
@@ -228,136 +219,131 @@ def discover(
     return CorpusManifest(entries=tuple(entries))
 
 
+
+
 @dataclass(frozen=True)
-class EntryError:
+class EntryError(Codec):
     """One recording's failure: which stage broke and how."""
 
     recording_id: str
     stage: str
     message: str
 
-    def to_dict(self) -> dict:
-        return {"recording_id": self.recording_id, "stage": self.stage, "message": self.message}
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "EntryError":
-        return cls(
-            recording_id=data["recording_id"], stage=data["stage"], message=data["message"]
-        )
+@dataclass(frozen=True)
+class RecordingOutcome:
+    """What one worker hands back for its recording.
 
-
-def _aggregate_units(transcript: Transcript, summaries: Sequence[FeatureSummary]) -> dict:
-    """Raw per-recording tallies that pool exactly across the corpus."""
-    units = {}
-    for summary in summaries:
-        units[summary.role.value] = {
-            "n_utterances": summary.n_utterances,
-            "n_questions": summary.n_questions,
-            "n_non_questions": summary.n_non_questions,
-            "n_responded_questions": summary.n_responded_questions,
-            "n_responded_non_questions": summary.n_responded_non_questions,
-            "n_responses_given": summary.n_responses_given,
-            "total_words": transcript.word_count(summary.role),
-            "pct_questions": summary.pct_questions,
-            "lexical_diversity_per_minute": summary.lexical_diversity_per_minute,
-            "duration_minutes": transcript.meta.duration_minutes,
-        }
-    return units
-
-
-def _process_entry(entry: ManifestEntry, cfg: RunConfig) -> dict:
-    """Run one recording end to end; return a JSON-ready payload.
-
-    A failure before the machine transcript exists voids the whole entry;
-    a failure on the expert side keeps the machine features and drops only
-    the agreement statistics.
+    ``features`` is empty when the machine side failed. ``total_words``
+    holds each feature row's role word count, for exact pooling, and
+    ``icc`` maps each grid feature to its (machine, expert) values.
     """
-    payload: dict = {"recording_id": entry.recording_id, "errors": []}
+
+    recording_id: str
+    duration_minutes: float = 0.0
+    n_machine_utterances: int = 0
+    n_expert_utterances: int = 0
+    features: tuple[FeatureSummary, ...] = ()
+    total_words: tuple[int, ...] = ()
+    reliability: RecordingReliability | None = None
+    icc: dict[str, tuple[float | None, float | None]] = field(default_factory=dict)
+    errors: tuple[EntryError, ...] = ()
+
+
+def _source_features(
+    transcript: Transcript, cfg: RunConfig
+) -> tuple[tuple[FeatureSummary, ...], tuple[int, ...]]:
+    """Both roles' feature rows for one transcript, and each role's word total."""
+    links = detect_responses(transcript, cfg.response_window)
+    summaries = tuple(
+        summarize(transcript, role, links, cfg.response_window, cfg.ld_window)
+        for role in iter_roles()
+    )
+    return summaries, tuple(transcript.word_count(summary.role) for summary in summaries)
+
+
+def _icc_grid(summaries: Sequence[FeatureSummary], minutes: float) -> dict[str, float | None]:
+    return {
+        f"{summary.role.value}_{feature}": value
+        for summary in summaries
+        for feature, value in icc_feature_values(summary, minutes).items()
+    }
+
+
+def _process_entry(entry: ManifestEntry, cfg: RunConfig) -> RecordingOutcome:
+    """Run one recording end to end.
+
+    Any exception is recorded against the stage that raised it. A failure
+    before the machine features exist (``ingest``) voids the whole entry; a
+    failure on the expert side (``expert``) keeps the machine features and
+    drops only the agreement statistics.
+    """
+    outcome = RecordingOutcome(entry.recording_id)
+    stage = "ingest"
     try:
         meta = load_meta(entry.meta_path)
         machine = parse_machine(entry.machine_path, meta)
-    except TalkmetricsError as exc:
-        payload["errors"].append(
-            {"recording_id": entry.recording_id, "stage": "ingest", "message": str(exc)}
+        machine_features, machine_words = _source_features(machine, cfg)
+        outcome = replace(
+            outcome,
+            duration_minutes=meta.duration_minutes,
+            n_machine_utterances=len(machine),
+            features=machine_features,
+            total_words=machine_words,
         )
-        return payload
-    except OSError as exc:
-        payload["errors"].append(
-            {"recording_id": entry.recording_id, "stage": "ingest", "message": str(exc)}
-        )
-        return payload
-
-    machine_links = detect_responses(machine, cfg.response_window)
-    machine_summaries = [
-        summarize(machine, role, machine_links, cfg.response_window, cfg.ld_window)
-        for role in iter_roles()
-    ]
-    payload["duration_minutes"] = meta.duration_minutes
-    payload["n_machine_utterances"] = len(machine)
-    payload["features"] = [summary.to_dict() for summary in machine_summaries]
-    payload["units"] = {"machine": _aggregate_units(machine, machine_summaries)}
-
-    if entry.expert_path is None:
-        return payload
-    try:
+        if entry.expert_path is None:
+            return outcome
+        stage = "expert"
         expert = parse_expert(entry.expert_path, meta)
         corpus = align(machine, expert, cfg.align)
         row = recording_reliability(corpus, cfg.wer_wearer_match)
-        expert_links = detect_responses(expert, cfg.response_window)
-        expert_summaries = [
-            summarize(expert, role, expert_links, cfg.response_window, cfg.ld_window)
-            for role in iter_roles()
-        ]
-    except TalkmetricsError as exc:
-        payload["errors"].append(
-            {"recording_id": entry.recording_id, "stage": "expert", "message": str(exc)}
+        expert_features, expert_words = _source_features(expert, cfg)
+        expert_grid = _icc_grid(expert_features, meta.duration_minutes)
+        return replace(
+            outcome,
+            n_expert_utterances=len(expert),
+            features=machine_features + expert_features,
+            total_words=machine_words + expert_words,
+            reliability=row,
+            icc={
+                key: (value, expert_grid[key])
+                for key, value in _icc_grid(machine_features, meta.duration_minutes).items()
+            },
         )
-        return payload
-    except OSError as exc:
-        payload["errors"].append(
-            {"recording_id": entry.recording_id, "stage": "expert", "message": str(exc)}
-        )
-        return payload
-
-    payload["n_expert_utterances"] = len(expert)
-    payload["features"].extend(summary.to_dict() for summary in expert_summaries)
-    payload["units"]["expert"] = _aggregate_units(expert, expert_summaries)
-    payload["reliability_row"] = row.to_dict()
-    icc_values: dict[str, dict[str, float | None]] = {"machine": {}, "expert": {}}
-    for source_name, summaries in (
-        ("machine", machine_summaries),
-        ("expert", expert_summaries),
-    ):
-        for summary in summaries:
-            values = icc_feature_values(summary, meta.duration_minutes)
-            for feature, value in values.items():
-                icc_values[source_name][f"{summary.role.value}_{feature}"] = value
-    payload["icc"] = icc_values
-    return payload
+    except Exception as exc:
+        log.debug("%s: %s stage failed", entry.recording_id, stage, exc_info=True)
+        if isinstance(exc, (TalkmetricsError, OSError)):
+            message = str(exc)
+        else:
+            message = f"{type(exc).__name__}: {exc}"
+        return replace(outcome, errors=(EntryError(entry.recording_id, stage, message),))
 
 
-def _pool_source(units_list: list[dict], durations_hint: str = "") -> dict:
-    """Pool one source's per-recording tallies into corpus-level features."""
+_POOLED_COUNTS = (
+    "n_utterances",
+    "n_questions",
+    "n_non_questions",
+    "n_responded_questions",
+    "n_responded_non_questions",
+    "n_responses_given",
+)
+
+
+def _pool_source(rows: Sequence[tuple[FeatureSummary, int, float]]) -> dict:
+    """Pool one source's per-recording feature rows into corpus-level features.
+
+    Each row comes with its role's word total and its recording's minutes.
+    """
     pooled: dict = {}
     for role in iter_roles():
-        rows = [units[role.value] for units in units_list if role.value in units]
-        counts = {
-            key: sum(row[key] for row in rows)
-            for key in (
-                "n_utterances",
-                "n_questions",
-                "n_non_questions",
-                "n_responded_questions",
-                "n_responded_non_questions",
-                "n_responses_given",
-                "total_words",
-            )
-        }
-        minutes = sum(row["duration_minutes"] for row in rows)
-        pct_values = [row["pct_questions"] for row in rows if row["pct_questions"] is not None]
-        ld_values = [row["lexical_diversity_per_minute"] for row in rows]
+        mine = [row for row in rows if row[0].role is role]
+        counts = {key: sum(getattr(s, key) for s, _, _ in mine) for key in _POOLED_COUNTS}
+        counts["total_words"] = sum(words for _, words, _ in mine)
+        minutes = sum(row_minutes for _, _, row_minutes in mine)
+        pct_values = [s.pct_questions for s, _, _ in mine if s.pct_questions is not None]
+        ld_values = [s.lexical_diversity_per_minute for s, _, _ in mine]
         pooled[role.value] = {
-            "n_recordings": len(rows),
+            "n_recordings": len(mine),
             **counts,
             "mlu_pooled": (
                 counts["total_words"] / counts["n_utterances"]
@@ -388,7 +374,7 @@ def _pool_source(units_list: list[dict], durations_hint: str = "") -> dict:
 
 
 @dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(Codec):
     """Everything a run produced, ready to serialize.
 
     Carries only analysis parameters in ``config``; worker counts and
@@ -403,94 +389,46 @@ class PipelineResult:
     aggregate: dict
     errors: tuple[EntryError, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "corpus": self.corpus,
-            "features": [summary.to_dict() for summary in self.features],
-            "reliability": self.reliability.to_dict() if self.reliability else None,
-            "aggregate": self.aggregate,
-            "errors": [error.to_dict() for error in self.errors],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PipelineResult":
-        return cls(
-            config=dict(data["config"]),
-            corpus=dict(data["corpus"]),
-            features=tuple(FeatureSummary.from_dict(f) for f in data["features"]),
-            reliability=(
-                ReliabilityReport.from_dict(data["reliability"])
-                if data.get("reliability")
-                else None
-            ),
-            aggregate=data["aggregate"],
-            errors=tuple(EntryError.from_dict(e) for e in data["errors"]),
-        )
-
 
 def run_pipeline(manifest: CorpusManifest, cfg: RunConfig) -> PipelineResult:
     """Process every manifest entry and merge in manifest order."""
     if not manifest.entries:
         raise EmptyCorpus("manifest has no entries")
     if cfg.parallelism == 1 or len(manifest.entries) == 1:
-        payloads = [_process_entry(entry, cfg) for entry in manifest.entries]
+        outcomes = [_process_entry(entry, cfg) for entry in manifest.entries]
     else:
         chunk = max(1, len(manifest.entries) // (cfg.parallelism * 4))
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            payloads = list(
+            outcomes = list(
                 pool.map(_process_entry, manifest.entries, repeat(cfg), chunksize=chunk)
             )
 
-    features: list[FeatureSummary] = []
-    rows: list[RecordingReliability] = []
-    errors: list[EntryError] = []
+    done = [outcome for outcome in outcomes if outcome.features]
+    errors = tuple(error for outcome in outcomes for error in outcome.errors)
+    rows = [outcome.reliability for outcome in done if outcome.reliability is not None]
     feature_pairs: dict[str, list[tuple[float | None, float | None]]] = {}
-    machine_units: list[dict] = []
-    expert_units: list[dict] = []
-    n_machine = 0
-    n_expert = 0
-    hours = 0.0
-    n_success = 0
-    for payload in payloads:
-        for error in payload["errors"]:
-            errors.append(EntryError.from_dict(error))
-        if "features" not in payload:
-            continue
-        n_success += 1
-        hours += payload["duration_minutes"] / 60.0
-        n_machine += payload["n_machine_utterances"]
-        n_expert += payload.get("n_expert_utterances", 0)
-        features.extend(FeatureSummary.from_dict(f) for f in payload["features"])
-        machine_units.append(payload["units"]["machine"])
-        if "expert" in payload.get("units", {}):
-            expert_units.append(payload["units"]["expert"])
-        if "reliability_row" in payload:
-            rows.append(RecordingReliability.from_dict(payload["reliability_row"]))
-        if "icc" in payload:
-            for key in payload["icc"]["machine"]:
-                feature_pairs.setdefault(key, []).append(
-                    (payload["icc"]["machine"][key], payload["icc"]["expert"].get(key))
-                )
-
-    reliability = build_report(rows, feature_pairs) if rows else None
-    aggregate = {"machine": _pool_source(machine_units)}
-    if expert_units:
-        aggregate["expert"] = _pool_source(expert_units)
+    pooled: dict[str, list[tuple[FeatureSummary, int, float]]] = {"machine": []}
+    for outcome in done:
+        for key, pair in outcome.icc.items():
+            feature_pairs.setdefault(key, []).append(pair)
+        for summary, words in zip(outcome.features, outcome.total_words):
+            pooled.setdefault(summary.source, []).append(
+                (summary, words, outcome.duration_minutes)
+            )
     corpus = {
-        "n_recordings": n_success,
-        "n_failed": len({e.recording_id for e in errors}),
-        "hours": hours,
-        "n_machine_utterances": n_machine,
-        "n_expert_utterances": n_expert,
+        "n_recordings": len(done),
+        "n_failed": len({error.recording_id for error in errors}),
+        "hours": sum(outcome.duration_minutes / 60.0 for outcome in done),
+        "n_machine_utterances": sum(outcome.n_machine_utterances for outcome in done),
+        "n_expert_utterances": sum(outcome.n_expert_utterances for outcome in done),
     }
     return PipelineResult(
         config=cfg.semantic_dict(),
         corpus=corpus,
-        features=tuple(features),
-        reliability=reliability,
-        aggregate=aggregate,
-        errors=tuple(errors),
+        features=tuple(summary for outcome in done for summary in outcome.features),
+        reliability=build_report(rows, feature_pairs) if rows else None,
+        aggregate={source: _pool_source(source_rows) for source, source_rows in pooled.items()},
+        errors=errors,
     )
 
 
@@ -505,12 +443,21 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> Path:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(cell) for cell in row])
+    return path
+
+
+def write_json(path: Path, data: object) -> Path:
+    """Write ``data`` as indented JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle, indent=2)
+        handle.write("\n")
+    return path
 
 
 RELIABILITY_COLUMNS = (
@@ -547,47 +494,91 @@ AGGREGATE_COLUMNS = (
 ICC_COLUMNS = ("feature", "icc", "n_used", "n_dropped", "zero_variance")
 
 
-def reliability_table(report: ReliabilityReport) -> list[list[object]]:
-    """Per-recording metric rows plus the two summary rows."""
-    rows: list[list[object]] = []
-    for row in report.rows:
-        m = row.metrics
-        rows.append(
-            [
-                row.recording_id,
-                row.duration_minutes,
-                m.f1_weighted,
-                m.accuracy,
-                m.kappa,
-                m.wer_teacher,
-                m.wer_child,
-            ]
-        )
+def feature_table(features: Sequence[FeatureSummary]) -> list[list[object]]:
+    """One row per (recording, source, role), in ``FEATURE_COLUMNS`` order."""
+    return [list(summary.to_dict().values()) for summary in features]
+
+
+def reliability_table(report: ReliabilityReport | None) -> list[list[object]]:
+    """Per-recording metric rows plus the two summary rows; none without a
+    report."""
+    if report is None:
+        return []
+
+    def row(label: str, minutes: float | None, metrics: MetricSet) -> list[object]:
+        return [label, minutes, *(getattr(metrics, name) for name in RELIABILITY_COLUMNS[2:])]
+
+    rows = [row(r.recording_id, r.duration_minutes, r.metrics) for r in report.rows]
     total_minutes = sum(r.duration_minutes for r in report.rows)
-    for label, metrics, minutes in (
-        ("Time-Weighted Mean", report.time_weighted, total_minutes),
-        ("Overall", report.overall, None),
-    ):
-        rows.append(
-            [
-                label,
-                minutes,
-                metrics.f1_weighted,
-                metrics.accuracy,
-                metrics.kappa,
-                metrics.wer_teacher,
-                metrics.wer_child,
-            ]
-        )
+    rows.append(row("Time-Weighted Mean", total_minutes, report.time_weighted))
+    rows.append(row("Overall", None, report.overall))
     return rows
 
 
-def icc_table(report: ReliabilityReport) -> list[list[object]]:
-    """One row per feature in the rater-agreement grid."""
+def icc_table(report: ReliabilityReport | None) -> list[list[object]]:
+    """One row per feature in the rater-agreement grid; none without a report."""
+    if report is None:
+        return []
     return [
         [name, entry.value, entry.n_used, entry.n_dropped, entry.zero_variance]
-        for name, entry in sorted(report.iccs.items())
+        for name, entry in report.iccs.items()
     ]
+
+
+def aggregate_table(aggregate: Mapping[str, dict]) -> list[list[object]]:
+    """One row per pooled (source, role)."""
+    rows: list[list[object]] = []
+    for source in ("machine", "expert"):
+        pooled = aggregate.get(source)
+        if pooled is None:
+            continue
+        for role in iter_roles():
+            stats = pooled[role.value]
+            rows.append(
+                [source, role.value]
+                + [stats[col] for col in AGGREGATE_COLUMNS[2:-1]]
+                + [pooled["teacher_child_utterance_ratio"]]
+            )
+    return rows
+
+
+# Every CSV report: file name -> (header, rows of a result)
+TABLES: dict[str, tuple[Sequence[str], Callable[[PipelineResult], list[list[object]]]]] = {
+    "features.csv": (FEATURE_COLUMNS, lambda result: feature_table(result.features)),
+    "reliability_per_recording.csv": (
+        RELIABILITY_COLUMNS,
+        lambda result: reliability_table(result.reliability),
+    ),
+    "icc.csv": (ICC_COLUMNS, lambda result: icc_table(result.reliability)),
+    "aggregate_features.csv": (
+        AGGREGATE_COLUMNS,
+        lambda result: aggregate_table(result.aggregate),
+    ),
+}
+
+
+def write_report(
+    result: PipelineResult,
+    out_dir: Path | str,
+    documents: Mapping[str, object],
+    tables: Sequence[str],
+) -> list[Path]:
+    """Write ``documents`` (file name -> JSON data), ``errors.json`` when the
+    run had failures, and the named ``TABLES`` to ``out_dir``; returns the
+    files written."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        written = [write_json(out / name, data) for name, data in documents.items()]
+        if result.errors:
+            errors = [error.to_dict() for error in result.errors]
+            written.append(write_json(out / "errors.json", errors))
+        for name in tables:
+            header, rows = TABLES[name]
+            written.append(_write_csv(out / name, header, rows(result)))
+        return written
+    except OSError as exc:
+        raise IoError(f"cannot write report to {out}: {exc}") from None
 
 
 def emit_report(result: PipelineResult, out_dir: Path | str, format: str = "csv") -> list[Path]:
@@ -600,59 +591,5 @@ def emit_report(result: PipelineResult, out_dir: Path | str, format: str = "csv"
     """
     if format not in ("csv", "json"):
         raise ValueError(f"format must be csv or json: {format!r}")
-    out = Path(out_dir)
-    written: list[Path] = []
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        results_path = out / "results.json"
-        with open(results_path, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
-            handle.write("\n")
-        written.append(results_path)
-        if result.errors:
-            errors_path = out / "errors.json"
-            with open(errors_path, "w", encoding="utf-8") as handle:
-                json.dump([e.to_dict() for e in result.errors], handle, indent=2)
-                handle.write("\n")
-            written.append(errors_path)
-        if format == "json":
-            return written
-
-        features_path = out / "features.csv"
-        _write_csv(
-            features_path,
-            FEATURE_COLUMNS,
-            [[summary.to_dict()[col] for col in FEATURE_COLUMNS] for summary in result.features],
-        )
-        written.append(features_path)
-
-        reliability_path = out / "reliability_per_recording.csv"
-        reliability_rows = (
-            reliability_table(result.reliability) if result.reliability is not None else []
-        )
-        _write_csv(reliability_path, RELIABILITY_COLUMNS, reliability_rows)
-        written.append(reliability_path)
-
-        icc_path = out / "icc.csv"
-        icc_rows = icc_table(result.reliability) if result.reliability is not None else []
-        _write_csv(icc_path, ICC_COLUMNS, icc_rows)
-        written.append(icc_path)
-
-        aggregate_path = out / "aggregate_features.csv"
-        aggregate_rows: list[list[object]] = []
-        for source in ("machine", "expert"):
-            pooled = result.aggregate.get(source)
-            if pooled is None:
-                continue
-            for role in iter_roles():
-                stats = pooled[role.value]
-                aggregate_rows.append(
-                    [source, role.value]
-                    + [stats[col] for col in AGGREGATE_COLUMNS[2:-1]]
-                    + [pooled["teacher_child_utterance_ratio"]]
-                )
-        _write_csv(aggregate_path, AGGREGATE_COLUMNS, aggregate_rows)
-        written.append(aggregate_path)
-        return written
-    except OSError as exc:
-        raise IoError(f"cannot write report to {out}: {exc}") from None
+    tables = tuple(TABLES) if format == "csv" else ()
+    return write_report(result, out_dir, {"results.json": result.to_dict()}, tables)

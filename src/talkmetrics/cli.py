@@ -19,22 +19,17 @@ import os
 import sys
 from pathlib import Path
 
-from . import batch as batch_mod
-from .align import align
+from .align import align, write_alignment_jsonl
 from .batch import (
-    FEATURE_COLUMNS,
-    ICC_COLUMNS,
-    RELIABILITY_COLUMNS,
     CorpusManifest,
     PipelineResult,
     RunConfig,
     discover,
     emit_report,
-    icc_table,
-    reliability_table,
     run_pipeline,
+    write_json,
+    write_report,
 )
-from .align import write_alignment_jsonl
 from .errors import TalkmetricsError
 from .ingest import load_meta, parse_expert, parse_machine, validate
 
@@ -182,7 +177,6 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         response_window=getattr(args, "response_window", None),
         ld_window=getattr(args, "ld_window", None),
         parallelism=getattr(args, "workers", None),
-        output_dir=getattr(args, "out", None),
     )
 
 
@@ -232,9 +226,7 @@ def _cmd_ingest_check(args: argparse.Namespace, parser: _Parser) -> int:
         print(json.dumps(report, indent=2))
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-        with open(args.out / "ingest_report.json", "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
+        write_json(args.out / "ingest_report.json", report)
     return EXIT_PARTIAL if n_failed else EXIT_OK
 
 
@@ -270,30 +262,15 @@ def _cmd_align(args: argparse.Namespace, parser: _Parser) -> int:
     return EXIT_PARTIAL if n_failed else EXIT_OK
 
 
-def _write_errors(result: PipelineResult, out: Path) -> None:
-    if not result.errors:
-        return
-    with open(out / "errors.json", "w", encoding="utf-8") as handle:
-        json.dump([e.to_dict() for e in result.errors], handle, indent=2)
-        handle.write("\n")
-
-
 def _cmd_features(args: argparse.Namespace, parser: _Parser) -> int:
     manifest = _load_manifest(args, parser)
     cfg = _load_run_config(args)
     result = run_pipeline(manifest, cfg)
-    args.out.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
-        with open(args.out / "features.json", "w", encoding="utf-8") as handle:
-            json.dump({"features": [s.to_dict() for s in result.features]}, handle, indent=2)
-            handle.write("\n")
+        features = {"features": [summary.to_dict() for summary in result.features]}
+        write_report(result, args.out, {"features.json": features}, ())
     else:
-        batch_mod._write_csv(
-            args.out / "features.csv",
-            FEATURE_COLUMNS,
-            [[s.to_dict()[col] for col in FEATURE_COLUMNS] for s in result.features],
-        )
-    _write_errors(result, args.out)
+        write_report(result, args.out, {}, ("features.csv",))
     print(f"wrote features for {result.corpus['n_recordings']} recordings to {args.out}")
     return EXIT_PARTIAL if result.errors else EXIT_OK
 
@@ -305,19 +282,11 @@ def _cmd_reliability(args: argparse.Namespace, parser: _Parser) -> int:
     if result.reliability is None:
         print("talkmetrics: no recording has an expert transcript", file=sys.stderr)
         return EXIT_FATAL
-    args.out.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
-        with open(args.out / "reliability.json", "w", encoding="utf-8") as handle:
-            json.dump({"reliability": result.reliability.to_dict()}, handle, indent=2)
-            handle.write("\n")
+        reliability = {"reliability": result.reliability.to_dict()}
+        write_report(result, args.out, {"reliability.json": reliability}, ())
     else:
-        batch_mod._write_csv(
-            args.out / "reliability_per_recording.csv",
-            RELIABILITY_COLUMNS,
-            reliability_table(result.reliability),
-        )
-        batch_mod._write_csv(args.out / "icc.csv", ICC_COLUMNS, icc_table(result.reliability))
-    _write_errors(result, args.out)
+        write_report(result, args.out, {}, ("reliability_per_recording.csv", "icc.csv"))
     print(
         f"wrote reliability for {len(result.reliability.rows)} recordings to {args.out}"
     )
@@ -347,7 +316,7 @@ def _cmd_report(args: argparse.Namespace, parser: _Parser) -> int:
         raise TalkmetricsError(f"{args.results}: invalid JSON: {exc.msg}") from None
     try:
         result = PipelineResult.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise TalkmetricsError(f"{args.results}: not a results file: {exc}") from None
     written = emit_report(result, args.out, args.format)
     print(f"wrote {len(written)} files to {args.out}")

@@ -14,9 +14,10 @@ not speech. Response links, however, are computed over all utterances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, Sequence
 
+from .codec import Codec
 from .errors import TalkmetricsError
 from .transcript import SpeakerRole, Transcript, Utterance
 
@@ -167,7 +168,7 @@ def lexical_diversity_pooled(transcript: Transcript, role: SpeakerRole) -> float
 
 
 @dataclass(frozen=True)
-class FeatureSummary:
+class FeatureSummary(Codec):
     """The language-feature battery for one (recording, role, source).
 
     Counts cover word-bearing utterances only; every proportion is None
@@ -194,38 +195,8 @@ class FeatureSummary:
     lexical_diversity_per_minute: float
     lexical_diversity_pooled: float
 
-    def to_dict(self) -> dict:
-        data = {name: getattr(self, name) for name in FEATURE_COLUMNS}
-        data["role"] = self.role.value
-        return data
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FeatureSummary":
-        kwargs = {name: data[name] for name in FEATURE_COLUMNS}
-        kwargs["role"] = SpeakerRole(data["role"])
-        return cls(**kwargs)
-
-
-FEATURE_COLUMNS = (
-    "recording_id",
-    "source",
-    "role",
-    "n_utterances",
-    "n_questions",
-    "n_non_questions",
-    "mlu_overall",
-    "mlu_question",
-    "mlu_non_question",
-    "words_per_minute",
-    "n_responded_questions",
-    "n_responded_non_questions",
-    "prop_responded_questions",
-    "prop_responded_non_questions",
-    "pct_questions",
-    "n_responses_given",
-    "lexical_diversity_per_minute",
-    "lexical_diversity_pooled",
-)
+FEATURE_COLUMNS = tuple(f.name for f in fields(FeatureSummary))
 
 
 def summarize(
@@ -253,7 +224,7 @@ def summarize(
     n_responded_non_questions = sum(1 for utt in non_questions if utt.id in responded_ids)
     return FeatureSummary(
         recording_id=transcript.meta.recording_id,
-        source=transcript.utterances[0].source.value if transcript.utterances else "machine",
+        source=transcript.source.value,
         role=role,
         n_utterances=len(spoken),
         n_questions=n_questions,

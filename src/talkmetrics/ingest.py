@@ -132,19 +132,20 @@ def parse_machine(path: Path | str, meta: RecordingMeta) -> Transcript:
                     confidence=confidence,
                 )
             )
-    return Transcript(meta=meta, utterances=tuple(utterances))
+    return Transcript(meta=meta, utterances=tuple(utterances), source=Source.MACHINE)
 
 
 def parse_expert(path: Path | str, meta: RecordingMeta, delimiter: str = "\t") -> Transcript:
     """Read an expert transcript from a delimiter-separated table.
 
-    The header must contain start/end/speaker/text in any order; a
-    machine_id column is optional and, when filled on at least 90% of
-    rows, marks the transcript linked.
+    The header must contain start/end/speaker/text in any order, after an
+    optional UTF-8 byte-order mark (spreadsheet exports carry one); a
+    machine_id column is optional and, when filled on at least 90% of rows,
+    marks the transcript linked.
     """
     utterances = []
     link_count = 0
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         header_line = handle.readline()
         if not header_line:
             raise MissingHeader(path, 1, "empty file, expected a header row")
@@ -188,7 +189,9 @@ def parse_expert(path: Path | str, meta: RecordingMeta, delimiter: str = "\t") -
                 )
             )
     linked = bool(utterances) and link_count / len(utterances) >= LINKED_THRESHOLD
-    return Transcript(meta=meta, utterances=tuple(utterances), linked=linked)
+    return Transcript(
+        meta=meta, utterances=tuple(utterances), linked=linked, source=Source.EXPERT
+    )
 
 
 def load_meta(path: Path | str) -> RecordingMeta:

@@ -1,10 +1,11 @@
 """Agreement statistics between machine and expert transcripts.
 
-Covers word-level Levenshtein distance and word error rate, 2x2 confusion
-matrix metrics (accuracy, support-weighted F1, Cohen's kappa), time-weighted
-aggregation across recordings, and the two-way absolute-agreement
-single-measure intraclass correlation (ICC) with recordings as units and
-machine/expert as the two raters.
+Covers word error rate (over :func:`transcript.levenshtein`), the 2x2
+teacher/child cross-classification of aligned pairs and its metrics
+(accuracy, support-weighted F1, Cohen's kappa), time-weighted aggregation
+across recordings, and the two-way absolute-agreement single-measure
+intraclass correlation (ICC) with recordings as units and machine/expert as
+the two raters.
 
 Conventions, fixed once here so every report uses the same rules:
 
@@ -22,15 +23,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .align import AlignedCorpus
+from .codec import Codec
 from .errors import TalkmetricsError
-from .transcript import SpeakerRole, Utterance
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .align import AlignedCorpus
+from .transcript import SpeakerRole, Utterance, levenshtein
 
 
 class BothAbsent(TalkmetricsError):
@@ -66,37 +66,6 @@ class ZeroVarianceWarning(UserWarning):
     """All ratings identical: ICC is returned as 1.0 by convention."""
 
 
-def levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
-    """Minimum insertions + deletions + substitutions (unit costs) turning
-    token list ``a`` into ``b``. Symmetric; 0 iff the lists are equal."""
-    if a == b or list(a) == list(b):
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, word_a in enumerate(a, 1):
-        current = [i]
-        append = current.append
-        prev_diag = previous[0]
-        for j, word_b in enumerate(b, 1):
-            prev_j = previous[j]
-            cost = prev_diag if word_a == word_b else prev_diag + 1
-            up = prev_j + 1
-            if up < cost:
-                cost = up
-            left = current[j - 1] + 1
-            if left < cost:
-                cost = left
-            append(cost)
-            prev_diag = prev_j
-        previous = current
-    return previous[-1]
-
-
 def utterance_wer(hyp: Utterance | None, ref: Utterance | None) -> float:
     """Word error rate for one aligned slot.
 
@@ -116,7 +85,7 @@ def utterance_wer(hyp: Utterance | None, ref: Utterance | None) -> float:
 
 
 def wer_units(
-    corpus: "AlignedCorpus", role: SpeakerRole, wearer_match: bool = False
+    corpus: AlignedCorpus, role: SpeakerRole, wearer_match: bool = False
 ) -> tuple[float, int]:
     """(sum of per-utterance WERs, unit count) for one recording and role.
 
@@ -145,7 +114,7 @@ def wer_units(
 
 
 def corpus_wer(
-    corpus: "AlignedCorpus", role: SpeakerRole, wearer_match: bool = False
+    corpus: AlignedCorpus, role: SpeakerRole, wearer_match: bool = False
 ) -> float:
     """Mean utterance WER over one aligned recording for ``role``."""
     total, count = wer_units(corpus, role, wearer_match)
@@ -158,7 +127,7 @@ def corpus_wer(
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(Codec):
     """2x2 teacher/child cross-classification counts.
 
     Rows are the expert (truth), columns the machine, ordered
@@ -202,23 +171,30 @@ class ConfusionMatrix:
             residue_expert=self.residue_expert + other.residue_expert,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "counts": [list(row) for row in self.counts],
-            "excluded_other": self.excluded_other,
-            "residue_machine": self.residue_machine,
-            "residue_expert": self.residue_expert,
-        }
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ConfusionMatrix":
-        rows = data["counts"]
-        return cls(
-            counts=((int(rows[0][0]), int(rows[0][1])), (int(rows[1][0]), int(rows[1][1]))),
-            excluded_other=int(data.get("excluded_other", 0)),
-            residue_machine=int(data.get("residue_machine", 0)),
-            residue_expert=int(data.get("residue_expert", 0)),
-        )
+def cross_classify(corpus: AlignedCorpus) -> ConfusionMatrix:
+    """Tally matched pairs into the teacher/child confusion matrix.
+
+    Rows are the expert label, columns the machine label. Pairs where
+    either side is OTHER are excluded but counted; residue is counted per
+    side.
+    """
+    order = (SpeakerRole.TEACHER, SpeakerRole.CHILD)
+    cells = [[0, 0], [0, 0]]
+    excluded = 0
+    for pair in corpus.pairs:
+        expert_role = pair.expert_utt.role
+        machine_role = pair.machine_utt.role
+        if expert_role not in order or machine_role not in order:
+            excluded += 1
+            continue
+        cells[order.index(expert_role)][order.index(machine_role)] += 1
+    return ConfusionMatrix(
+        counts=((cells[0][0], cells[0][1]), (cells[1][0], cells[1][1])),
+        excluded_other=excluded,
+        residue_machine=len(corpus.machine_only),
+        residue_expert=len(corpus.expert_only),
+    )
 
 
 def accuracy(m: ConfusionMatrix) -> float:
@@ -352,7 +328,7 @@ def icc_absolute(ratings: Sequence[Sequence[float]] | np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class MetricSet:
+class MetricSet(Codec):
     """The Table-style metric bundle for one row of a reliability report."""
 
     f1_weighted: float | None
@@ -361,28 +337,9 @@ class MetricSet:
     wer_teacher: float | None
     wer_child: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "f1_weighted": self.f1_weighted,
-            "accuracy": self.accuracy,
-            "kappa": self.kappa,
-            "wer_teacher": self.wer_teacher,
-            "wer_child": self.wer_child,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "MetricSet":
-        return cls(
-            f1_weighted=data.get("f1_weighted"),
-            accuracy=data.get("accuracy"),
-            kappa=data.get("kappa"),
-            wer_teacher=data.get("wer_teacher"),
-            wer_child=data.get("wer_child"),
-        )
-
 
 @dataclass(frozen=True)
-class RecordingReliability:
+class RecordingReliability(Codec):
     """Per-recording agreement results plus the raw counts needed to pool."""
 
     recording_id: str
@@ -397,40 +354,9 @@ class RecordingReliability:
     wer_sum_child: float
     wer_count_child: int
 
-    def to_dict(self) -> dict:
-        return {
-            "recording_id": self.recording_id,
-            "classroom_id": self.classroom_id,
-            "academic_year": self.academic_year,
-            "wearer_role": self.wearer_role.value,
-            "duration_minutes": self.duration_minutes,
-            "confusion": self.confusion.to_dict(),
-            "metrics": self.metrics.to_dict(),
-            "wer_sum_teacher": self.wer_sum_teacher,
-            "wer_count_teacher": self.wer_count_teacher,
-            "wer_sum_child": self.wer_sum_child,
-            "wer_count_child": self.wer_count_child,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RecordingReliability":
-        return cls(
-            recording_id=data["recording_id"],
-            classroom_id=data["classroom_id"],
-            academic_year=data["academic_year"],
-            wearer_role=SpeakerRole(data["wearer_role"]),
-            duration_minutes=data["duration_minutes"],
-            confusion=ConfusionMatrix.from_dict(data["confusion"]),
-            metrics=MetricSet.from_dict(data["metrics"]),
-            wer_sum_teacher=data["wer_sum_teacher"],
-            wer_count_teacher=data["wer_count_teacher"],
-            wer_sum_child=data["wer_sum_child"],
-            wer_count_child=data["wer_count_child"],
-        )
-
 
 @dataclass(frozen=True)
-class IccEntry:
+class IccEntry(Codec):
     """One feature's ICC with the sample actually used."""
 
     value: float | None
@@ -438,32 +364,15 @@ class IccEntry:
     n_dropped: int
     zero_variance: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "n_used": self.n_used,
-            "n_dropped": self.n_dropped,
-            "zero_variance": self.zero_variance,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "IccEntry":
-        return cls(
-            value=data.get("value"),
-            n_used=int(data.get("n_used", 0)),
-            n_dropped=int(data.get("n_dropped", 0)),
-            zero_variance=bool(data.get("zero_variance", False)),
-        )
-
 
 @dataclass(frozen=True)
-class ReliabilityReport:
+class ReliabilityReport(Codec):
     """Agreement statistics for a set of recordings.
 
     ``rows`` hold per-recording results in recording-id order; ``overall``
     pools counts across recordings, ``time_weighted`` weights per-recording
-    metric values by duration, and ``iccs`` maps feature names to
-    absolute-agreement ICC entries.
+    metric values by duration, and ``iccs`` maps feature names, in name
+    order, to absolute-agreement ICC entries.
     """
 
     rows: tuple[RecordingReliability, ...]
@@ -471,29 +380,12 @@ class ReliabilityReport:
     time_weighted: MetricSet
     iccs: dict[str, IccEntry] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "iccs", dict(sorted(self.iccs.items())))
+
     @property
     def per_recording(self) -> dict[str, MetricSet]:
         return {row.recording_id: row.metrics for row in self.rows}
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [row.to_dict() for row in self.rows],
-            "overall": self.overall.to_dict(),
-            "time_weighted": self.time_weighted.to_dict(),
-            "iccs": {name: entry.to_dict() for name, entry in sorted(self.iccs.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ReliabilityReport":
-        return cls(
-            rows=tuple(RecordingReliability.from_dict(r) for r in data["rows"]),
-            overall=MetricSet.from_dict(data["overall"]),
-            time_weighted=MetricSet.from_dict(data["time_weighted"]),
-            iccs={
-                name: IccEntry.from_dict(entry)
-                for name, entry in data.get("iccs", {}).items()
-            },
-        )
 
 
 def confusion_metrics(m: ConfusionMatrix) -> tuple[float | None, float | None, float | None]:
@@ -577,11 +469,9 @@ def build_report(
 
 
 def recording_reliability(
-    corpus: "AlignedCorpus", wearer_match: bool = True
+    corpus: AlignedCorpus, wearer_match: bool = True
 ) -> RecordingReliability:
     """Compute one recording's agreement row from its aligned corpus."""
-    from .align import cross_classify  # local import to avoid module cycle
-
     confusion = cross_classify(corpus)
     f1, acc, kappa = confusion_metrics(confusion)
     sums: dict[SpeakerRole, tuple[float, int]] = {}

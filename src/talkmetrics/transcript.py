@@ -11,6 +11,8 @@ word counts are reproducible:
   ``len(tokenize(normalize(text)))``.
 * ``is_question`` looks at the *raw* text, before normalization removes
   question marks. Any ``?`` anywhere in the utterance marks it a question.
+* ``levenshtein`` is the word-level edit distance that alignment scores and
+  word error rates share.
 
 All types are immutable after construction and all functions are pure, so
 values can be shared freely across threads and worker processes.
@@ -18,6 +20,7 @@ values can be shared freely across threads and worker processes.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -107,6 +110,37 @@ def is_question(raw_text: str) -> bool:
     return "?" in raw_text
 
 
+def levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
+    """Minimum insertions + deletions + substitutions (unit costs) turning
+    token list ``a`` into ``b``. Symmetric; 0 iff the lists are equal."""
+    if a == b or list(a) == list(b):
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, word_a in enumerate(a, 1):
+        current = [i]
+        append = current.append
+        prev_diag = previous[0]
+        for j, word_b in enumerate(b, 1):
+            prev_j = previous[j]
+            cost = prev_diag if word_a == word_b else prev_diag + 1
+            up = prev_j + 1
+            if up < cost:
+                cost = up
+            left = current[j - 1] + 1
+            if left < cost:
+                cost = left
+            append(cost)
+            prev_diag = prev_j
+        previous = current
+    return previous[-1]
+
+
 @dataclass(frozen=True, slots=True)
 class Utterance:
     """One timestamped, speaker-labeled, tokenized segment of speech.
@@ -158,9 +192,9 @@ class RecordingMeta:
     duration_minutes: float
 
     def __post_init__(self) -> None:
-        if self.duration_minutes <= 0:
+        if not 0 < self.duration_minutes < math.inf:
             raise ValueError(
-                f"recording {self.recording_id}: duration must be positive, "
+                f"recording {self.recording_id}: duration must be positive and finite, "
                 f"got {self.duration_minutes}"
             )
 
@@ -180,16 +214,21 @@ class Transcript:
     Utterances are stored sorted by (onset, offset, id); the order is total,
     so identical inputs always produce identical transcripts. ``linked`` is
     set by the expert parser when enough rows reference machine segment ids
-    to allow index alignment.
+    to allow index alignment. ``source`` is set by the parsers; left unset,
+    it is taken from the utterances (machine when there are none).
     """
 
     meta: RecordingMeta
     utterances: tuple[Utterance, ...]
     linked: bool = False
+    source: Source | None = None
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.utterances, key=_sort_key))
         object.__setattr__(self, "utterances", ordered)
+        if self.source is None:
+            source = ordered[0].source if ordered else Source.MACHINE
+            object.__setattr__(self, "source", source)
 
     def __len__(self) -> int:
         return len(self.utterances)

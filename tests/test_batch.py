@@ -189,9 +189,9 @@ class TestRunConfig:
             RunConfig(parallelism=0)
 
     def test_semantic_dict_excludes_execution_fields(self):
-        cfg = RunConfig(parallelism=8, output_dir="somewhere")
+        cfg = RunConfig(parallelism=8)
         data = cfg.semantic_dict()
-        assert "parallelism" not in data and "output_dir" not in data
+        assert "parallelism" not in data
         assert data["response_window"] == 2.5
 
     def test_from_mapping_with_overrides(self):
@@ -260,6 +260,16 @@ class TestRunPipeline:
         assert result.corpus["n_recordings"] == 1
         assert len(result.features) == 2  # machine side only
         assert result.reliability is None
+
+    def test_header_only_expert_rows_labelled_expert(self, tmp_path):
+        root = corpus_dir(tmp_path, n=2)
+        (root / "rec00.expert.tsv").write_text("start\tend\tspeaker\ttext\n", encoding="utf-8")
+        result = run_pipeline(discover(root_dir=root), RunConfig())
+        emit_report(result, tmp_path / "out", format="csv")
+        lines = (tmp_path / "out" / "features.csv").read_text().splitlines()[1:]
+        keys = [tuple(line.split(",")[:3]) for line in lines]
+        assert len(keys) == len(set(keys)) == 8
+        assert ("rec00", "expert", "teacher") in keys
 
     def test_repeat_runs_identical(self, tmp_path):
         root = corpus_dir(tmp_path, n=3, seed=9)

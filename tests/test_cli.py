@@ -86,6 +86,17 @@ class TestFatalErrors:
         assert code == EXIT_FATAL
         assert "not a results file" in capsys.readouterr().err
 
+    def test_report_wrong_shape_inside(self, weather_dir, tmp_path, capsys):
+        code = main(["batch", "--root", str(weather_dir), "--out", str(tmp_path / "a")])
+        assert code == EXIT_OK
+        data = json.loads((tmp_path / "a" / "results.json").read_text())
+        data["reliability"]["iccs"] = []
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["report", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_FATAL
+        assert "not a results file" in capsys.readouterr().err
+
 
 class TestIngestCheck:
     def test_clean_corpus(self, weather_dir, capsys):
@@ -224,6 +235,31 @@ class TestBatch:
         assert code == EXIT_PARTIAL
         errors = json.loads((out / "errors.json").read_text())
         assert errors[0]["recording_id"] == "bad"
+
+    def test_undecodable_machine_file_is_partial(self, tmp_path, capsys):
+        syn.write_weather_recording(tmp_path / "data", "good")
+        syn.write_weather_recording(tmp_path / "data", "bad")
+        path = tmp_path / "data" / "bad.machine.jsonl"
+        path.write_bytes(path.read_bytes().replace(b"sunny", b"sunn\xff", 1))
+        out = tmp_path / "out"
+        code = main(["batch", "--root", str(tmp_path / "data"), "--out", str(out)])
+        assert code == EXIT_PARTIAL
+        errors = json.loads((out / "errors.json").read_text())
+        assert [(e["recording_id"], e["stage"]) for e in errors] == [("bad", "ingest")]
+        assert "UnicodeDecodeError" in errors[0]["message"]
+
+    def test_non_finite_duration_is_partial(self, tmp_path, capsys):
+        syn.write_weather_recording(tmp_path / "data", "good")
+        syn.write_weather_recording(tmp_path / "data", "bad")
+        path = tmp_path / "data" / "bad.meta.json"
+        meta = json.loads(path.read_text())
+        meta["duration_minutes"] = float("nan")
+        path.write_text(json.dumps(meta), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["batch", "--root", str(tmp_path / "data"), "--out", str(out)])
+        assert code == EXIT_PARTIAL
+        errors = json.loads((out / "errors.json").read_text())
+        assert [(e["recording_id"], e["stage"]) for e in errors] == [("bad", "ingest")]
 
     def test_manifest_input(self, weather_dir, tmp_path):
         manifest = tmp_path / "manifest.json"

@@ -194,6 +194,15 @@ class TestParseExpert:
         transcript = parse_expert(path, META, delimiter=",")
         assert transcript.utterances[0].raw_text == "hi there"
 
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "rec.expert.tsv"
+        path.write_bytes(
+            "\ufeffstart\tend\tspeaker\ttext\n0\t1\tteacher\thello\n".encode("utf-8")
+        )
+        transcript = parse_expert(path, META)
+        assert [u.raw_text for u in transcript.utterances] == ["hello"]
+        assert transcript.utterances[0].onset == 0.0
+
     def test_blank_rows_skipped(self, tmp_path):
         path = tmp_path / "rec.expert.tsv"
         path.write_text(
@@ -234,6 +243,16 @@ class TestMeta:
         data = json.loads(path.read_text())
         data["duration_minutes"] = 0
         path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(MetaError):
+            load_meta(path)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration(self, tmp_path, duration):
+        path = tmp_path / "rec.meta.json"
+        dump_meta(syn.make_meta(), path)
+        data = json.loads(path.read_text())
+        data["duration_minutes"] = duration
+        path.write_text(json.dumps(data), encoding="utf-8")  # writes NaN / Infinity
         with pytest.raises(MetaError):
             load_meta(path)
 

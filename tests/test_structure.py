@@ -1,0 +1,85 @@
+"""Module structure: the package's import graph stays a plain, acyclic layering.
+
+Every package module is parsed, not imported, so a cycle shows here even
+where the import system would tolerate it through a local import or a
+typing-only guard.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "talkmetrics"
+
+
+def parsed_modules() -> dict[str, ast.Module]:
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
+def package_imports(node: ast.AST) -> list[str]:
+    """Package modules named by one import statement (empty for others)."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0 and (node.module or "").split(".")[0] == "talkmetrics":
+            module = node.module.partition(".")[2]
+        elif node.level == 1:
+            module = node.module or ""
+        else:
+            return []
+        if module:
+            return [module.split(".")[0]]
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.Import):
+        return [
+            alias.name.split(".")[1]
+            for alias in node.names
+            if alias.name.startswith("talkmetrics.")
+        ]
+    return []
+
+
+def import_graph() -> dict[str, set[str]]:
+    graph = {}
+    for name, tree in parsed_modules().items():
+        graph[name] = {
+            target
+            for node in ast.walk(tree)
+            for target in package_imports(node)
+            if target != "__init__"
+        }
+    return graph
+
+
+def test_import_graph_is_acyclic():
+    graph = import_graph()
+    done: set[str] = set()
+
+    def visit(name: str, path: tuple[str, ...]) -> None:
+        assert name not in path, "import cycle: " + " -> ".join(path + (name,))
+        if name in done:
+            return
+        for target in sorted(graph[name]):
+            visit(target, path + (name,))
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name, ())
+
+
+def test_no_function_level_package_import():
+    for name, tree in parsed_modules().items():
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                assert not package_imports(node), (
+                    f"{name}.{function.name} imports {package_imports(node)} locally"
+                )
+
+
+def test_no_type_checking_guard():
+    for name, tree in parsed_modules().items():
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.Name) and node.id == "TYPE_CHECKING"), name
+            assert not (isinstance(node, ast.Attribute) and node.attr == "TYPE_CHECKING"), name
