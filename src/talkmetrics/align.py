@@ -17,10 +17,13 @@ flattened.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import TalkmetricsError
 from .transcript import RecordingMeta, Transcript, Utterance, levenshtein
@@ -166,8 +169,6 @@ def _longest_increasing_run(values: Sequence[int]) -> list[int]:
     Patience sorting with parent pointers; ties keep the earliest chain so
     the result is deterministic.
     """
-    import bisect
-
     tails: list[int] = []  # value at the end of the best run of each length
     tail_positions: list[int] = []
     parents = [-1] * len(values)
@@ -221,41 +222,146 @@ def align_by_index(machine: Transcript, expert: Transcript) -> AlignedCorpus:
     return _assemble(machine.meta, machine.utterances, expert.utterances, matched)
 
 
+# Machine rows per distance block are sized so a block holds about this
+# many (machine, expert) cells; the block's uint64 state stays cache-sized.
+# The kernel keeps to a few numpy operations (bitwise operators, addition,
+# shifts, gathers) because each further kind of numpy call maps more of
+# numpy's library into memory, which shows in a run's peak RSS.
+_BLOCK_CELLS = 4096
+_WORD_BITS = 64
+
+
+def _row_distances(
+    machine: Sequence[Utterance], expert: Sequence[Utterance]
+) -> Iterator[list[int]]:
+    """Word edit distance from each machine utterance to every expert one.
+
+    Yields one list per machine row, in expert order. Hyyrö's bit-vector
+    form of Myers' algorithm runs with each machine utterance as the
+    pattern (one bit per word) and every expert utterance as a text, all
+    cells of a row block at once. Expert utterances are visited longest
+    first, so the texts still running at word ``k`` are a column prefix.
+    Rows with no words or more than 64 take the scalar ``levenshtein``.
+    """
+    m = len(expert)
+    vocab: dict[str, int] = {}
+    for utt in expert:
+        for token in utt.tokens:
+            vocab.setdefault(token, len(vocab))
+    order = sorted(range(m), key=lambda j: -expert[j].word_count)
+    positions = [0] * m
+    for position, j in enumerate(order):
+        positions[j] = position
+    inverse = np.array(positions, dtype=np.intp)
+    steps = []  # token ids at word k of every text still running
+    for k in range(max((utt.word_count for utt in expert), default=0)):
+        active = [vocab[expert[j].tokens[k]] for j in order if expert[j].word_count > k]
+        steps.append(np.array(active, dtype=np.intp))
+    block = max(1, _BLOCK_CELLS // max(1, m))
+    for first in range(0, len(machine), block):
+        rows = machine[first : first + block]
+        # A pattern of n words fills the top n bits, so every row's last
+        # word sits on bit 63; the zero bits below it stay inert.
+        lengths = [min(utt.word_count, _WORD_BITS) or 1 for utt in rows]
+        peq = [[0] * len(vocab) for _ in rows]
+        for table, utt, length in zip(peq, rows, lengths):
+            for bit, token in enumerate(utt.tokens[:length], _WORD_BITS - length):
+                column = vocab.get(token)
+                if column is not None:
+                    table[column] |= 1 << bit
+        peq_array = np.array(peq, dtype=np.uint64)
+        pv = np.array(
+            [[(1 << _WORD_BITS) - (1 << (_WORD_BITS - length))] * m for length in lengths],
+            dtype=np.uint64,
+        )
+        mv = np.zeros((len(rows), m), dtype=np.uint64)
+        plus = np.zeros((len(rows), m), dtype=np.uint64)
+        minus = np.zeros((len(rows), m), dtype=np.uint64)
+        for ids in steps:
+            active = len(ids)
+            pv, mv = pv[:, :active], mv[:, :active]
+            eq = peq_array[:, ids]
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | ~(xh | pv)
+            mh = pv & xh
+            up = plus[:, :active]
+            up += ph >> 63
+            down = minus[:, :active]
+            down += mh >> 63
+            ph = (ph << 1) | 1
+            mh = mh << 1
+            pv = mh | ~(xv | ph)
+            mv = ph & xv
+        start = np.array([[length] for length in lengths], dtype=np.uint64)
+        distances = (start + plus - minus)[:, inverse].tolist()
+        for utt, row in zip(rows, distances):
+            if utt.word_count == 0:
+                yield [e.word_count for e in expert]
+            elif utt.word_count > _WORD_BITS:
+                yield [levenshtein(utt.tokens, e.tokens) for e in expert]
+            else:
+                yield row
+
+
 def _dp(
     machine: Sequence[Utterance], expert: Sequence[Utterance], config: AlignConfig
 ) -> tuple[list[tuple[int, int]], float]:
     """Best monotone matching and its score.
 
     Maximizes sum of pair scores minus gap_penalty per unmatched utterance.
-    Backpointers are packed one byte per cell (0 match, 1 skip machine,
-    2 skip expert); score rows roll. Ties prefer matching, then consuming
-    machine utterances.
+    Each cell's reward is :func:`pair_score`, spelled out inline with the
+    same float operations and fed word distances from
+    :func:`_row_distances`. Backpointers are packed one byte per cell (0
+    match, 1 skip machine, 2 skip expert); score rows roll. Ties prefer
+    matching, then consuming machine utterances.
     """
     n, m = len(machine), len(expert)
     gap = config.gap_penalty
-    moves = [bytearray(m + 1) for _ in range(n + 1)]
+    w_text = config.similarity_weight
+    w_time = 1.0 - w_text
+    spans = [(e.onset, e.offset, e.offset - e.onset, e.word_count) for e in expert]
+    moves = [bytearray([0] + [2] * m)]
     previous = [-j * gap for j in range(m + 1)]
-    row = moves[0]
-    for j in range(1, m + 1):
-        row[j] = 2
-    for i in range(1, n + 1):
+    for i, distances in enumerate(_row_distances(machine, expert), 1):
         utt_m = machine[i - 1]
-        current = [-i * gap] + [0.0] * m
-        row = moves[i]
-        row[0] = 1
-        for j in range(1, m + 1):
-            best = previous[j - 1] + pair_score(utt_m, expert[j - 1], config)
+        m_on, m_off, m_words = utt_m.onset, utt_m.offset, utt_m.word_count
+        m_len = m_off - m_on
+        left = -i * gap
+        current = [left]
+        row = bytearray(b"\x01")
+        diagonal = previous[0]
+        for (e_on, e_off, e_len, e_words), distance, up in zip(
+            spans, distances, previous[1:]
+        ):
+            # pair_score: time_iou and text_similarity with their own float steps
+            low = e_on if e_on > m_on else m_on
+            intersection = (e_off if e_off < m_off else m_off) - low
+            if intersection <= 0.0:
+                iou = 0.0
+            else:
+                union = m_len + e_len - intersection
+                iou = 0.0 if union <= 0.0 else intersection / union
+            longest = e_words if e_words > m_words else m_words
+            if longest == 0:
+                similarity = 1.0
+            else:
+                similarity = 1.0 - distance / longest
+                if similarity < 0.0:
+                    similarity = 0.0
+            best = diagonal + (w_text * similarity + w_time * iou)
             move = 0
-            skip_machine = previous[j] - gap
-            if skip_machine > best:
-                best = skip_machine
+            if up - gap > best:
+                best = up - gap
                 move = 1
-            skip_expert = current[j - 1] - gap
-            if skip_expert > best:
-                best = skip_expert
+            if left - gap > best:
+                best = left - gap
                 move = 2
-            current[j] = best
-            row[j] = move
+            current.append(best)
+            row.append(move)
+            diagonal = up
+            left = best
+        moves.append(row)
         previous = current
     matched: list[tuple[int, int]] = []
     i, j = n, m

@@ -19,6 +19,8 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
@@ -27,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 
 from .align import AlignConfig, align
 from .codec import Codec
-from .errors import TalkmetricsError
+from .errors import TalkmetricsError, describe
 from .features import (
     DEFAULT_LD_WINDOW,
     DEFAULT_RESPONSE_WINDOW,
@@ -38,7 +40,7 @@ from .features import (
     response_proportion,
     summarize,
 )
-from .ingest import load_meta, parse_expert, parse_machine
+from .ingest import MetaError, load_meta, parse_expert, parse_machine
 from .reliability import (
     MetricSet,
     RecordingReliability,
@@ -46,13 +48,42 @@ from .reliability import (
     build_report,
     recording_reliability,
 )
-from .transcript import SpeakerRole, Transcript, iter_roles
+from .transcript import RecordingMeta, SpeakerRole, Transcript, iter_roles
 
 log = logging.getLogger(__name__)
+
+# Logging verbosity: the first of these variables that is set names a level.
+LOG_VARIABLES = ("TALKMETRICS_LOG", "WSW_LOG")
+LOG_LEVELS = {
+    "error": logging.ERROR,
+    "warn": logging.WARNING,
+    "info": logging.INFO,
+    "debug": logging.DEBUG,
+}
 
 MACHINE_SUFFIX = ".machine.jsonl"
 EXPERT_SUFFIX = ".expert.tsv"
 META_SUFFIX = ".meta.json"
+
+
+def configure_logging(note_unknown: bool = False) -> None:
+    """Send log records to stderr at the level the environment names.
+
+    ``TALKMETRICS_LOG`` wins over the older ``WSW_LOG``; the default is
+    ``warn``. An unknown value falls back to ``warn``, with a note on
+    stderr when ``note_unknown`` is set. Worker processes run this too, so
+    they log the way the parent does.
+    """
+    name = next((name for name in LOG_VARIABLES if name in os.environ), None)
+    raw = os.environ[name].strip().lower() if name else "warn"
+    level = LOG_LEVELS.get(raw)
+    if level is None:
+        level = logging.WARNING
+        if note_unknown:
+            print(f"talkmetrics: unknown {name} value {raw!r}, using warn", file=sys.stderr)
+    logging.basicConfig(
+        level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
+    )
 
 
 class MissingFile(TalkmetricsError):
@@ -250,6 +281,18 @@ class RecordingOutcome:
     errors: tuple[EntryError, ...] = ()
 
 
+def load_entry_meta(entry: ManifestEntry) -> RecordingMeta:
+    """The entry's metadata sidecar, whose ``recording_id`` must be the
+    entry's own id, so no recording reports under another's name."""
+    meta = load_meta(entry.meta_path)
+    if meta.recording_id != entry.recording_id:
+        raise MetaError(
+            f"{entry.meta_path}: recording_id {meta.recording_id!r} does not match"
+            f" {entry.recording_id!r}"
+        )
+    return meta
+
+
 def _source_features(
     transcript: Transcript, cfg: RunConfig
 ) -> tuple[tuple[FeatureSummary, ...], tuple[int, ...]]:
@@ -281,7 +324,7 @@ def _process_entry(entry: ManifestEntry, cfg: RunConfig) -> RecordingOutcome:
     outcome = RecordingOutcome(entry.recording_id)
     stage = "ingest"
     try:
-        meta = load_meta(entry.meta_path)
+        meta = load_entry_meta(entry)
         machine = parse_machine(entry.machine_path, meta)
         machine_features, machine_words = _source_features(machine, cfg)
         outcome = replace(
@@ -312,11 +355,8 @@ def _process_entry(entry: ManifestEntry, cfg: RunConfig) -> RecordingOutcome:
         )
     except Exception as exc:
         log.debug("%s: %s stage failed", entry.recording_id, stage, exc_info=True)
-        if isinstance(exc, (TalkmetricsError, OSError)):
-            message = str(exc)
-        else:
-            message = f"{type(exc).__name__}: {exc}"
-        return replace(outcome, errors=(EntryError(entry.recording_id, stage, message),))
+        error = EntryError(entry.recording_id, stage, describe(exc))
+        return replace(outcome, errors=(error,))
 
 
 _POOLED_COUNTS = (
@@ -398,7 +438,9 @@ def run_pipeline(manifest: CorpusManifest, cfg: RunConfig) -> PipelineResult:
         outcomes = [_process_entry(entry, cfg) for entry in manifest.entries]
     else:
         chunk = max(1, len(manifest.entries) // (cfg.parallelism * 4))
-        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
+        with ProcessPoolExecutor(
+            max_workers=cfg.parallelism, initializer=configure_logging
+        ) as pool:
             outcomes = list(
                 pool.map(_process_entry, manifest.entries, repeat(cfg), chunksize=chunk)
             )

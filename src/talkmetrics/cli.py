@@ -7,7 +7,8 @@ and ``report`` re-renders tables from a saved results file.
 
 Exit codes: 0 success, 1 usage error, 2 completed with per-recording
 failures (an errors report is written), 3 fatal. Logging verbosity comes
-from the WSW_LOG environment variable (error, warn, info, debug).
+from the TALKMETRICS_LOG environment variable, or the older WSW_LOG (error,
+warn, info, debug).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -24,14 +24,16 @@ from .batch import (
     CorpusManifest,
     PipelineResult,
     RunConfig,
+    configure_logging,
     discover,
     emit_report,
+    load_entry_meta,
     run_pipeline,
     write_json,
     write_report,
 )
-from .errors import TalkmetricsError
-from .ingest import load_meta, parse_expert, parse_machine, validate
+from .errors import TalkmetricsError, describe
+from .ingest import parse_expert, parse_machine, validate
 
 log = logging.getLogger(__name__)
 
@@ -39,13 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 EXIT_FATAL = 3
-
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,19 +141,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _configure_logging() -> None:
-    raw = os.environ.get("WSW_LOG", "warn").strip().lower()
-    level = _LOG_LEVELS.get(raw)
-    if level is None:
-        level = logging.WARNING
-        print(
-            f"talkmetrics: unknown WSW_LOG value {raw!r}, using warn", file=sys.stderr
-        )
-    logging.basicConfig(
-        level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-    )
-
-
 def _load_manifest(args: argparse.Namespace, parser: _Parser) -> CorpusManifest:
     if (args.root is None) == (args.manifest is None):
         parser.error("exactly one of --root or --manifest is required")
@@ -187,7 +169,7 @@ def _cmd_ingest_check(args: argparse.Namespace, parser: _Parser) -> int:
     for entry in manifest.entries:
         record: dict = {"recording_id": entry.recording_id}
         try:
-            meta = load_meta(entry.meta_path)
+            meta = load_entry_meta(entry)
             machine = parse_machine(entry.machine_path, meta)
             findings = [
                 {"source": "machine", "code": w.code, "utterance_id": w.utterance_id,
@@ -215,11 +197,12 @@ def _cmd_ingest_check(args: argparse.Namespace, parser: _Parser) -> int:
                     f"{entry.recording_id}: ok ({len(machine)} machine"
                     f"{expert_note}, {len(findings)} findings)"
                 )
-        except TalkmetricsError as exc:
+        except Exception as exc:
+            log.debug("%s: check failed", entry.recording_id, exc_info=True)
             n_failed += 1
-            record.update(ok=False, error=str(exc))
+            record.update(ok=False, error=describe(exc))
             if args.format != "json":
-                print(f"{entry.recording_id}: FAIL {exc}")
+                print(f"{entry.recording_id}: FAIL {describe(exc)}")
         records.append(record)
     report = {"recordings": records, "n_checked": len(records), "n_failed": n_failed}
     if args.format == "json":
@@ -241,13 +224,14 @@ def _cmd_align(args: argparse.Namespace, parser: _Parser) -> int:
             log.info("%s: no expert transcript, skipping", entry.recording_id)
             continue
         try:
-            meta = load_meta(entry.meta_path)
+            meta = load_entry_meta(entry)
             machine = parse_machine(entry.machine_path, meta)
             expert = parse_expert(entry.expert_path, meta)
             corpus = align(machine, expert, cfg.align)
-        except TalkmetricsError as exc:
+        except Exception as exc:
+            log.debug("%s: alignment failed", entry.recording_id, exc_info=True)
             n_failed += 1
-            print(f"{entry.recording_id}: FAIL {exc}", file=sys.stderr)
+            print(f"{entry.recording_id}: FAIL {describe(exc)}", file=sys.stderr)
             continue
         write_alignment_jsonl(corpus, args.out / f"{entry.recording_id}.alignment.jsonl")
         n_aligned += 1
@@ -334,7 +318,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
+    configure_logging(note_unknown=True)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

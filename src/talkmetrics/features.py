@@ -14,6 +14,7 @@ not speech. Response links, however, are computed over all utterances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
@@ -126,8 +127,6 @@ def _window_types(
     The partition covers [0, duration); an utterance starting past the
     recorded duration extends it.
     """
-    import math
-
     duration = transcript.meta.duration_seconds
     n_windows = max(math.ceil(duration / window), 1)
     buckets: list[set[str]] = [set() for _ in range(n_windows)]

@@ -1,6 +1,7 @@
 """Command-line behavior: verbs, flags, exit codes, artifacts, logging."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -366,3 +367,139 @@ class TestConsoleEntryPoint:
             [sys.executable, "-m", "talkmetrics.cli"], capture_output=True, text=True
         )
         assert proc.returncode == EXIT_USAGE
+
+
+def write_good_and_bad(root):
+    syn.write_weather_recording(root, "good")
+    syn.write_weather_recording(root, "bad")
+
+
+def corrupt_machine_bytes(root, recording_id="bad"):
+    path = root / f"{recording_id}.machine.jsonl"
+    path.write_bytes(path.read_bytes().replace(b"sunny", b"sunn\xff", 1))
+
+
+class TestAnyBytes:
+    def test_ingest_check_survives_undecodable_machine_file(self, tmp_path, capsys):
+        write_good_and_bad(tmp_path / "data")
+        corrupt_machine_bytes(tmp_path / "data")
+        code = main(["ingest-check", "--root", str(tmp_path / "data")])
+        assert code == EXIT_PARTIAL
+        out = capsys.readouterr().out
+        assert "bad: FAIL UnicodeDecodeError:" in out
+        assert "good: ok" in out
+
+    def test_ingest_check_json_names_the_failure(self, tmp_path, capsys):
+        write_good_and_bad(tmp_path / "data")
+        corrupt_machine_bytes(tmp_path / "data")
+        code = main(["ingest-check", "--root", str(tmp_path / "data"), "--format", "json"])
+        assert code == EXIT_PARTIAL
+        report = json.loads(capsys.readouterr().out)
+        assert report["n_failed"] == 1
+        bad = next(r for r in report["recordings"] if r["recording_id"] == "bad")
+        assert bad["error"].startswith("UnicodeDecodeError:")
+
+    def test_align_survives_undecodable_machine_file(self, tmp_path, capsys):
+        write_good_and_bad(tmp_path / "data")
+        corrupt_machine_bytes(tmp_path / "data")
+        out = tmp_path / "out"
+        code = main(["align", "--root", str(tmp_path / "data"), "--out", str(out)])
+        assert code == EXIT_PARTIAL
+        captured = capsys.readouterr()
+        assert "bad: FAIL UnicodeDecodeError:" in captured.err
+        assert "good: 10 pairs" in captured.out
+        assert (out / "good.alignment.jsonl").is_file()
+        assert not (out / "bad.alignment.jsonl").exists()
+
+
+class TestMetaIdMismatch:
+    @pytest.fixture()
+    def mislabelled_dir(self, tmp_path):
+        root = tmp_path / "data"
+        syn.write_weather_recording(root, "a")
+        syn.write_weather_recording(root, "b")
+        path = root / "b.meta.json"
+        meta = json.loads(path.read_text())
+        meta["recording_id"] = "a"
+        path.write_text(json.dumps(meta), encoding="utf-8")
+        return root
+
+    def test_batch_reports_entry_once(self, mislabelled_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["batch", "--root", str(mislabelled_dir), "--out", str(out)]) == EXIT_PARTIAL
+        errors = json.loads((out / "errors.json").read_text())
+        assert [(e["recording_id"], e["stage"]) for e in errors] == [("b", "ingest")]
+        assert "does not match" in errors[0]["message"]
+        feature_lines = (out / "features.csv").read_text().splitlines()[1:]
+        keys = [tuple(line.split(",")[:3]) for line in feature_lines]
+        assert len(keys) == len(set(keys)) == 4
+        assert {key[0] for key in keys} == {"a"}
+        reliability_ids = [
+            line.split(",")[0]
+            for line in (out / "reliability_per_recording.csv").read_text().splitlines()[1:]
+        ]
+        assert reliability_ids.count("a") == 1
+
+    def test_ingest_check_rejects_entry(self, mislabelled_dir, capsys):
+        assert main(["ingest-check", "--root", str(mislabelled_dir)]) == EXIT_PARTIAL
+        out = capsys.readouterr().out
+        assert "a: ok" in out
+        assert "b: FAIL" in out and "does not match" in out
+
+    def test_align_rejects_entry(self, mislabelled_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["align", "--root", str(mislabelled_dir), "--out", str(out)])
+        assert code == EXIT_PARTIAL
+        assert "b: FAIL" in capsys.readouterr().err
+        assert sorted(path.name for path in out.iterdir()) == ["a.alignment.jsonl"]
+
+
+class TestTalkmetricsLog:
+    def test_new_name_wins(self, weather_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("WSW_LOG", "debug")
+        monkeypatch.setenv("TALKMETRICS_LOG", "shout")
+        out = tmp_path / "out"
+        assert main(["batch", "--root", str(weather_dir), "--out", str(out)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert "unknown TALKMETRICS_LOG value 'shout'" in err
+
+    def test_workers_log_tracebacks(self, tmp_path):
+        """Worker processes configure logging themselves: a parent that never
+        configured it still gets each failing recording's traceback."""
+        write_good_and_bad(tmp_path / "data")
+        corrupt_machine_bytes(tmp_path / "data")
+        script = (
+            "import sys\n"
+            "from talkmetrics.batch import RunConfig, discover, run_pipeline\n"
+            "result = run_pipeline(discover(root_dir=sys.argv[1]), RunConfig(parallelism=2))\n"
+            "print([error.recording_id for error in result.errors])\n"
+        )
+        env = dict(os.environ, TALKMETRICS_LOG="debug")
+        env.pop("WSW_LOG", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "data")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['bad']"
+        assert "bad: ingest stage failed" in proc.stderr
+        assert "Traceback" in proc.stderr and "UnicodeDecodeError" in proc.stderr
+
+    def test_workers_flag_with_debug_shows_traceback(self, tmp_path):
+        write_good_and_bad(tmp_path / "data")
+        corrupt_machine_bytes(tmp_path / "data")
+        env = dict(os.environ, TALKMETRICS_LOG="debug")
+        proc = subprocess.run(
+            [sys.executable, "-m", "talkmetrics.cli", "batch", "--workers", "2",
+             "--root", str(tmp_path / "data"), "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_PARTIAL, proc.stderr
+        assert "bad: ingest stage failed" in proc.stderr
+        assert "Traceback" in proc.stderr

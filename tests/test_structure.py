@@ -83,3 +83,15 @@ def test_no_type_checking_guard():
         for node in ast.walk(tree):
             assert not (isinstance(node, ast.Name) and node.id == "TYPE_CHECKING"), name
             assert not (isinstance(node, ast.Attribute) and node.attr == "TYPE_CHECKING"), name
+
+
+def test_no_function_level_import():
+    """Every import, standard library included, sits at module level."""
+    for name, tree in parsed_modules().items():
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
+                    f"{name}.{function.name} imports at line {node.lineno}"
+                )
