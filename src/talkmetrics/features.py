@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from .codec import Codec
 from .errors import TalkmetricsError
@@ -47,21 +47,17 @@ class ResponseLink:
     latency: float
 
 
+def _mean(total: int, count: int) -> float | None:
+    return total / count if count else None
+
+
 def mlu(utterances: Iterable[Utterance]) -> float | None:
     """Mean words per utterance, over word-bearing utterances only.
 
     None when nothing qualifies.
     """
-    total = 0
-    count = 0
-    for utt in utterances:
-        if utt.word_count == 0:
-            continue
-        total += utt.word_count
-        count += 1
-    if count == 0:
-        return None
-    return total / count
+    counts = [utt.word_count for utt in utterances if utt.word_count]
+    return _mean(sum(counts), len(counts))
 
 
 def words_per_minute(transcript: Transcript, role: SpeakerRole) -> float:
@@ -82,26 +78,18 @@ def detect_responses(
     after the target ends. One utterance may appear in many links on either
     side. Links come out ordered by target, then response.
     """
-    utterances = transcript.utterances  # already onset-sorted
-    n = len(utterances)
+    columns = transcript.columns  # onset-sorted
+    ids, onsets, offsets, roles = columns.id, columns.onset, columns.offset, columns.role
+    n = len(ids)
     links: list[ResponseLink] = []
-    for t, target in enumerate(utterances):
-        deadline = target.offset + window
+    for t, (target_id, onset, offset, role) in enumerate(zip(ids, onsets, offsets, roles)):
+        deadline = offset + window
         for v in range(t + 1, n):
-            response = utterances[v]
-            if response.onset > deadline:
+            response_onset = onsets[v]
+            if response_onset > deadline:
                 break
-            if response.onset <= target.onset:
-                continue
-            if response.role is target.role:
-                continue
-            links.append(
-                ResponseLink(
-                    target_utt_id=target.id,
-                    response_utt_id=response.id,
-                    latency=response.onset - target.offset,
-                )
-            )
+            if response_onset > onset and roles[v] is not role:
+                links.append(ResponseLink(target_id, ids[v], response_onset - offset))
     return tuple(links)
 
 
@@ -119,23 +107,88 @@ def response_proportion(responded: int, total: int) -> float | None:
     return responded / total
 
 
+class _RoleTally(NamedTuple):
+    """One role's counts and window word types, from one pass."""
+
+    n_questions: int
+    n_non_questions: int
+    question_words: int
+    non_question_words: int
+    n_responded_questions: int
+    n_responded_non_questions: int
+    n_responses_given: int
+    buckets: list[set[str]]
+
+
+def _tally(
+    transcript: Transcript,
+    role: SpeakerRole,
+    window: float,
+    responded: Container[str] = frozenset(),
+    responders: Container[str] = frozenset(),
+) -> _RoleTally:
+    """One pass over ``role``'s utterances in the transcript's columns.
+
+    The counts cover word-bearing utterances: questions and non-questions,
+    their words, those whose id is in ``responded`` (targets that drew a
+    response) and those whose id is in ``responders``. The buckets cover
+    every utterance: the distinct word types per onset-bucketed time
+    window, on a partition of [0, duration) that an utterance starting past
+    the recorded duration extends.
+    """
+    columns = transcript.columns
+    n_windows = max(math.ceil(transcript.meta.duration_seconds / window), 1)
+    buckets: list[set[str]] = [set() for _ in range(n_windows)]
+    n_questions = n_non_questions = question_words = non_question_words = 0
+    n_responded_questions = n_responded_non_questions = n_responses_given = 0
+    for utt_id, onset, utt_role, tokens, question in zip(
+        columns.id, columns.onset, columns.role, columns.tokens, columns.question
+    ):
+        if utt_role is not role:
+            continue
+        slot = int(onset // window)
+        while slot >= len(buckets):
+            buckets.append(set())
+        buckets[slot].update(tokens)
+        if not tokens:
+            continue
+        if question:
+            n_questions += 1
+            question_words += len(tokens)
+            n_responded_questions += utt_id in responded
+        else:
+            n_non_questions += 1
+            non_question_words += len(tokens)
+            n_responded_non_questions += utt_id in responded
+        n_responses_given += utt_id in responders
+    return _RoleTally(
+        n_questions,
+        n_non_questions,
+        question_words,
+        non_question_words,
+        n_responded_questions,
+        n_responded_non_questions,
+        n_responses_given,
+        buckets,
+    )
+
+
 def _window_types(
     transcript: Transcript, role: SpeakerRole, window: float
 ) -> list[set[str]]:
-    """Distinct normalized word types per onset-bucketed time window.
+    """Distinct normalized word types per onset-bucketed time window."""
+    return _tally(transcript, role, window).buckets
 
-    The partition covers [0, duration); an utterance starting past the
-    recorded duration extends it.
-    """
-    duration = transcript.meta.duration_seconds
-    n_windows = max(math.ceil(duration / window), 1)
-    buckets: list[set[str]] = [set() for _ in range(n_windows)]
-    for utt in transcript.by_role(role):
-        slot = int(utt.onset // window)
-        while slot >= len(buckets):
-            buckets.append(set())
-        buckets[slot].update(utt.tokens)
-    return buckets
+
+def _check_ld_window(transcript: Transcript, window: float) -> None:
+    if transcript.meta.duration_seconds <= 0:
+        raise ZeroDuration("duration must be positive")
+    if window <= 0:
+        raise ValueError(f"window must be positive, got {window}")
+
+
+def _mean_types(buckets: Sequence[set[str]]) -> float:
+    return sum(len(bucket) for bucket in buckets) / len(buckets)
 
 
 def lexical_diversity_per_minute(
@@ -147,23 +200,20 @@ def lexical_diversity_per_minute(
     count as zero, so quiet speakers score low even when their busy minutes
     are rich.
     """
-    if transcript.meta.duration_seconds <= 0:
+    _check_ld_window(transcript, window)
+    return _mean_types(_window_types(transcript, role, window))
+
+
+def _pooled_types(transcript: Transcript, buckets: Sequence[set[str]]) -> float:
+    minutes = transcript.meta.duration_minutes
+    if minutes <= 0:
         raise ZeroDuration("duration must be positive")
-    if window <= 0:
-        raise ValueError(f"window must be positive, got {window}")
-    buckets = _window_types(transcript, role, window)
-    return sum(len(bucket) for bucket in buckets) / len(buckets)
+    return len(set().union(*buckets)) / minutes
 
 
 def lexical_diversity_pooled(transcript: Transcript, role: SpeakerRole) -> float:
     """Distinct word types over the whole recording, per minute."""
-    minutes = transcript.meta.duration_minutes
-    if minutes <= 0:
-        raise ZeroDuration("duration must be positive")
-    types: set[str] = set()
-    for utt in transcript.by_role(role):
-        types.update(utt.tokens)
-    return len(types) / minutes
+    return _pooled_types(transcript, _window_types(transcript, role, DEFAULT_LD_WINDOW))
 
 
 @dataclass(frozen=True)
@@ -205,43 +255,50 @@ def summarize(
     response_window: float = DEFAULT_RESPONSE_WINDOW,
     ld_window: float = DEFAULT_LD_WINDOW,
 ) -> FeatureSummary:
-    """Fill the whole feature battery for one role.
+    """Fill the whole feature battery for one role, in one pass over the
+    transcript's columns.
 
     ``links`` lets callers share one detect_responses pass across both
     roles; left as None, they are computed here.
     """
     if links is None:
         links = detect_responses(transcript, response_window)
-    spoken = [utt for utt in transcript.by_role(role) if utt.word_count > 0]
-    questions = [utt for utt in spoken if utt.question]
-    non_questions = [utt for utt in spoken if not utt.question]
-    responded_ids = {link.target_utt_id for link in links}
-    responder_ids = {link.response_utt_id for link in links}
-    n_questions = len(questions)
-    n_non_questions = len(non_questions)
-    n_responded_questions = sum(1 for utt in questions if utt.id in responded_ids)
-    n_responded_non_questions = sum(1 for utt in non_questions if utt.id in responded_ids)
+    minutes = transcript.meta.duration_minutes
+    if minutes <= 0:
+        raise ZeroDuration(f"duration must be positive, got {minutes}")
+    _check_ld_window(transcript, ld_window)
+    tally = _tally(
+        transcript,
+        role,
+        ld_window,
+        {link.target_utt_id for link in links},
+        {link.response_utt_id for link in links},
+    )
+    n_spoken = tally.n_questions + tally.n_non_questions
+    n_words = tally.question_words + tally.non_question_words
     return FeatureSummary(
         recording_id=transcript.meta.recording_id,
         source=transcript.source.value,
         role=role,
-        n_utterances=len(spoken),
-        n_questions=n_questions,
-        n_non_questions=n_non_questions,
-        mlu_overall=mlu(spoken),
-        mlu_question=mlu(questions),
-        mlu_non_question=mlu(non_questions),
-        words_per_minute=words_per_minute(transcript, role),
-        n_responded_questions=n_responded_questions,
-        n_responded_non_questions=n_responded_non_questions,
-        prop_responded_questions=response_proportion(n_responded_questions, n_questions),
-        prop_responded_non_questions=response_proportion(
-            n_responded_non_questions, n_non_questions
+        n_utterances=n_spoken,
+        n_questions=tally.n_questions,
+        n_non_questions=tally.n_non_questions,
+        mlu_overall=_mean(n_words, n_spoken),
+        mlu_question=_mean(tally.question_words, tally.n_questions),
+        mlu_non_question=_mean(tally.non_question_words, tally.n_non_questions),
+        words_per_minute=n_words / minutes,
+        n_responded_questions=tally.n_responded_questions,
+        n_responded_non_questions=tally.n_responded_non_questions,
+        prop_responded_questions=response_proportion(
+            tally.n_responded_questions, tally.n_questions
         ),
-        pct_questions=response_proportion(n_questions, len(spoken)),
-        n_responses_given=sum(1 for utt in spoken if utt.id in responder_ids),
-        lexical_diversity_per_minute=lexical_diversity_per_minute(transcript, role, ld_window),
-        lexical_diversity_pooled=lexical_diversity_pooled(transcript, role),
+        prop_responded_non_questions=response_proportion(
+            tally.n_responded_non_questions, tally.n_non_questions
+        ),
+        pct_questions=response_proportion(tally.n_questions, n_spoken),
+        n_responses_given=tally.n_responses_given,
+        lexical_diversity_per_minute=_mean_types(tally.buckets),
+        lexical_diversity_pooled=_pooled_types(transcript, tally.buckets),
     )
 
 

@@ -21,7 +21,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import TalkmetricsError
-from .transcript import RecordingMeta, SpeakerRole, Source, Transcript, Utterance
+from .transcript import (
+    Columns,
+    RecordingMeta,
+    Row,
+    SpeakerRole,
+    Source,
+    Transcript,
+    tokens_of,
+)
 
 LINKED_THRESHOLD = 0.9
 
@@ -68,71 +76,90 @@ class ValidationWarning:
     message: str
 
 
+_ROLE_LABELS = {role.value: role for role in SpeakerRole}
+_INF = float("inf")
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _parse_time(value: object, path: Path | str, line: int, column: str) -> float:
     try:
         parsed = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
         raise MalformedRecord(path, line, f"{column} is not a number: {value!r}") from None
-    if parsed != parsed or parsed in (float("inf"), float("-inf")):
+    if 0.0 <= parsed < _INF:
+        return parsed
+    if parsed != parsed or parsed in (_INF, -_INF):
         raise InvalidTimestamps(path, line, f"{column} is not finite: {value!r}")
-    if parsed < 0:
-        raise InvalidTimestamps(path, line, f"{column} is negative: {value!r}")
-    return parsed
+    raise InvalidTimestamps(path, line, f"{column} is negative: {value!r}")
 
 
 def _parse_role(value: object, path: Path | str, line: int) -> SpeakerRole:
     if not isinstance(value, str):
         raise MalformedRecord(path, line, f"speaker is not a string: {value!r}")
+    role = _ROLE_LABELS.get(value)
+    if role is not None:
+        return role
     try:
         return SpeakerRole.from_label(value)
     except ValueError as exc:
         raise UnknownSpeakerLabel(path, line, str(exc)) from None
 
 
+def _load_record(text: str, path: Path | str, line: int) -> object:
+    """One JSONL line's value, as ``json.loads`` gives it."""
+    try:
+        record, end = _raw_decode(text)
+        if end == len(text):
+            return record
+    except json.JSONDecodeError:
+        pass
+    try:  # json.loads words the error, or accepts what raw_decode did not
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(path, line, f"invalid JSON: {exc.msg}") from None
+
+
 def parse_machine(path: Path | str, meta: RecordingMeta) -> Transcript:
     """Read a machine transcript from JSONL. Ids are 1-based line numbers."""
-    utterances = []
+    rows: list[Row] = []
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, 1):
             stripped = line.strip()
             if not stripped:
                 continue
-            try:
-                record = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(path, line_no, f"invalid JSON: {exc.msg}") from None
+            record = _load_record(stripped, path, line_no)
             if not isinstance(record, dict):
                 raise MalformedRecord(path, line_no, "line is not a JSON object")
             for key in ("start", "end", "text", "speaker"):
                 if key not in record:
                     raise MalformedRecord(path, line_no, f"missing key {key!r}")
-            onset = _parse_time(record["start"], path, line_no, "start")
-            offset = _parse_time(record["end"], path, line_no, "end")
+            # a JSON float that is finite and not negative is already a time
+            onset = record["start"]
+            if not (type(onset) is float and 0.0 <= onset < _INF):
+                onset = _parse_time(onset, path, line_no, "start")
+            offset = record["end"]
+            if not (type(offset) is float and 0.0 <= offset < _INF):
+                offset = _parse_time(offset, path, line_no, "end")
             if offset < onset:
                 raise InvalidTimestamps(path, line_no, f"end {offset} before start {onset}")
             text = record["text"]
             if not isinstance(text, str):
                 raise MalformedRecord(path, line_no, f"text is not a string: {text!r}")
             confidence = record.get("confidence")
-            if confidence is not None:
+            if confidence is not None and type(confidence) is not float:
                 try:
                     confidence = float(confidence)
                 except (TypeError, ValueError):
                     raise MalformedRecord(
                         path, line_no, f"confidence is not a number: {confidence!r}"
                     ) from None
-            utterances.append(
-                Utterance(
-                    id=str(line_no),
-                    onset=onset,
-                    offset=offset,
-                    raw_text=text,
-                    role=_parse_role(record["speaker"], path, line_no),
-                    source=Source.MACHINE,
-                    confidence=confidence,
-                )
+            role = _parse_role(record["speaker"], path, line_no)
+            rows.append(
+                (onset, offset, str(line_no), role, tokens_of(text), "?" in text, text,
+                 confidence, None)
             )
-    return Transcript(meta=meta, utterances=tuple(utterances), source=Source.MACHINE)
+    rows.sort()  # ids are unique, so (onset, offset, id) decides every comparison
+    return Transcript.from_columns(meta, Columns.from_rows(rows), False, Source.MACHINE)
 
 
 def parse_expert(path: Path | str, meta: RecordingMeta, delimiter: str = "\t") -> Transcript:
@@ -143,7 +170,7 @@ def parse_expert(path: Path | str, meta: RecordingMeta, delimiter: str = "\t") -
     machine_id column is optional and, when filled on at least 90% of rows,
     marks the transcript linked.
     """
-    utterances = []
+    rows: list[Row] = []
     link_count = 0
     with open(path, encoding="utf-8-sig", newline="") as handle:
         header_line = handle.readline()
@@ -153,8 +180,9 @@ def parse_expert(path: Path | str, meta: RecordingMeta, delimiter: str = "\t") -
         missing = [column for column in EXPERT_COLUMNS if column not in header]
         if missing:
             raise MissingHeader(path, 1, f"header is missing columns: {', '.join(missing)}")
-        index = {column: header.index(column) for column in header}
-        has_link_column = "machine_id" in index
+        start_at, end_at, speaker_at, text_at = map(header.index, EXPERT_COLUMNS)
+        link_at = header.index("machine_id") if "machine_id" in header else None
+        width = len(header)
         for line_no, line in enumerate(handle, 2):
             row = line.rstrip("\r\n")
             if not row.strip():
@@ -164,34 +192,27 @@ def parse_expert(path: Path | str, meta: RecordingMeta, delimiter: str = "\t") -
                 raise MalformedRecord(
                     path, line_no, f"expected at least {len(EXPERT_COLUMNS)} cells, got {len(cells)}"
                 )
-            def cell(column: str) -> str:
-                position = index[column]
-                return cells[position] if position < len(cells) else ""
-            onset = _parse_time(cell("start"), path, line_no, "start")
-            offset = _parse_time(cell("end"), path, line_no, "end")
+            if len(cells) < width:  # a short row's missing cells read as empty
+                cells += [""] * (width - len(cells))
+            onset = _parse_time(cells[start_at], path, line_no, "start")
+            offset = _parse_time(cells[end_at], path, line_no, "end")
             if offset < onset:
                 raise InvalidTimestamps(path, line_no, f"end {offset} before start {onset}")
             linked_id = None
-            if has_link_column:
-                raw_link = cell("machine_id").strip()
+            if link_at is not None:
+                raw_link = cells[link_at].strip()
                 if raw_link:
                     linked_id = raw_link
                     link_count += 1
-            utterances.append(
-                Utterance(
-                    id=f"e{line_no - 1}",
-                    onset=onset,
-                    offset=offset,
-                    raw_text=cell("text"),
-                    role=_parse_role(cell("speaker"), path, line_no),
-                    source=Source.EXPERT,
-                    linked_id=linked_id,
-                )
+            text = cells[text_at]
+            role = _parse_role(cells[speaker_at], path, line_no)
+            rows.append(
+                (onset, offset, f"e{line_no - 1}", role, tokens_of(text), "?" in text, text,
+                 None, linked_id)
             )
-    linked = bool(utterances) and link_count / len(utterances) >= LINKED_THRESHOLD
-    return Transcript(
-        meta=meta, utterances=tuple(utterances), linked=linked, source=Source.EXPERT
-    )
+    linked = bool(rows) and link_count / len(rows) >= LINKED_THRESHOLD
+    rows.sort()  # ids are unique, so (onset, offset, id) decides every comparison
+    return Transcript.from_columns(meta, Columns.from_rows(rows), linked, Source.EXPERT)
 
 
 def load_meta(path: Path | str) -> RecordingMeta:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -58,22 +58,59 @@ class Source(Enum):
 # the strip_patterns argument of normalize().
 DEFAULT_STRIP_PATTERNS: tuple[str, ...] = (r"\[[^\]]*\]", r"<[^>]*>")
 
-# Fast path: text that is already in normalized form (lowercase words of
-# letters/digits with only internal apostrophes, single spaces, no edges)
-# passes through normalize() unchanged, so skip the rewrite chain.
-_NORMALIZED_ALREADY = re.compile(
-    r"(?:[a-z0-9]+(?:'[a-z0-9]+)*)(?: [a-z0-9]+(?:'[a-z0-9]+)*)*\Z"
-)
 _CURLY_APOSTROPHES = re.compile(r"[‘’ʼ`´]")
 _HYPHEN_JOIN = re.compile(r"(?<=\w)-(?=\w)")
 _PUNCTUATION = re.compile(r"[^\w\s']")
-_EDGE_APOSTROPHE = re.compile(r"(?<!\w)'|'(?!\w)")
+# an apostrophe without a word character on one side: (?<!\w)'|'(?!\w),
+# written to start with the apostrophe so the search skips to each one
+_EDGE_APOSTROPHE = re.compile(r"'(?:(?<!\w')|(?!\w))")
 _WHITESPACE = re.compile(r"\s+")
+
+# The ASCII form of the lower-case, apostrophe and punctuation steps, as a
+# byte table: word characters are kept (letters lower-cased), a backtick
+# becomes an apostrophe, and every other character becomes a space, which
+# the final split treats like any whitespace.
+_ASCII_FOLD = bytes(
+    ord(c.lower()) if c.isalnum() or c in "_'" else ord("'") if c == "`" else ord(" ")
+    for c in map(chr, range(128))
+) + bytes(range(128, 256))
 
 
 @lru_cache(maxsize=16)
 def _compiled_strip_patterns(patterns: tuple[str, ...]) -> tuple[re.Pattern, ...]:
     return tuple(re.compile(p) for p in patterns)
+
+
+def _strip_annotations(raw_text: str, strip_patterns: Sequence[str]) -> str:
+    if strip_patterns is DEFAULT_STRIP_PATTERNS and "[" not in raw_text and "<" not in raw_text:
+        return raw_text  # neither default pattern can match
+    text = raw_text
+    for pattern in _compiled_strip_patterns(tuple(strip_patterns)):
+        text = pattern.sub(" ", text)
+    return text
+
+
+def _ascii_words(text: str) -> list[str]:
+    """The normalized words of ASCII ``text`` whose annotations are already
+    stripped: the regex chain of ``normalize``, with one byte-table
+    translate doing its context-free steps."""
+    if "-" in text:
+        text = _HYPHEN_JOIN.sub("", text)
+    text = text.encode("ascii").translate(_ASCII_FOLD).decode("ascii")
+    if "'" in text:
+        text = _EDGE_APOSTROPHE.sub(" ", text)
+    return text.split()
+
+
+def _normalize_stripped(text: str) -> str:
+    if text.isascii():
+        return " ".join(_ascii_words(text))
+    text = text.lower()
+    text = _CURLY_APOSTROPHES.sub("'", text)
+    text = _HYPHEN_JOIN.sub("", text)
+    text = _PUNCTUATION.sub(" ", text)
+    text = _EDGE_APOSTROPHE.sub(" ", text)
+    return _WHITESPACE.sub(" ", text).strip()
 
 
 def normalize(raw_text: str, strip_patterns: Sequence[str] = DEFAULT_STRIP_PATTERNS) -> str:
@@ -84,17 +121,16 @@ def normalize(raw_text: str, strip_patterns: Sequence[str] = DEFAULT_STRIP_PATTE
     words ("well-known" -> "wellknown"), keeps numerals verbatim, and
     collapses whitespace. Total function: any input string is accepted.
     """
-    if strip_patterns is DEFAULT_STRIP_PATTERNS and _NORMALIZED_ALREADY.fullmatch(raw_text):
-        return raw_text
-    text = raw_text
-    for pattern in _compiled_strip_patterns(tuple(strip_patterns)):
-        text = pattern.sub(" ", text)
-    text = text.lower()
-    text = _CURLY_APOSTROPHES.sub("'", text)
-    text = _HYPHEN_JOIN.sub("", text)
-    text = _PUNCTUATION.sub(" ", text)
-    text = _EDGE_APOSTROPHE.sub(" ", text)
-    return _WHITESPACE.sub(" ", text).strip()
+    return _normalize_stripped(_strip_annotations(raw_text, strip_patterns))
+
+
+def tokens_of(raw_text: str) -> tuple[str, ...]:
+    """``tuple(tokenize(normalize(raw_text)))``, without joining ASCII words
+    only to split them again."""
+    text = _strip_annotations(raw_text, DEFAULT_STRIP_PATTERNS)
+    if text.isascii():
+        return tuple(_ascii_words(text))
+    return tuple(_normalize_stripped(text).split())
 
 
 def tokenize(normalized_text: str) -> list[str]:
@@ -146,9 +182,11 @@ class Utterance:
     """One timestamped, speaker-labeled, tokenized segment of speech.
 
     ``tokens`` is derived from ``raw_text`` at construction and is always
-    ``tokenize(normalize(raw_text))``. ``confidence`` and ``linked_id`` are
-    carried through from the source file when present (machine confidence,
-    expert link to a machine segment id).
+    ``tokenize(normalize(raw_text))``; the utterances a transcript builds
+    take it from the transcript's columns instead of normalizing again.
+    ``confidence`` and ``linked_id`` are carried through from the source
+    file when present (machine confidence, expert link to a machine segment
+    id).
     """
 
     id: str
@@ -166,7 +204,7 @@ class Utterance:
             raise ValueError(
                 f"utterance {self.id}: offset {self.offset} precedes onset {self.onset}"
             )
-        object.__setattr__(self, "tokens", tuple(tokenize(normalize(self.raw_text))))
+        object.__setattr__(self, "tokens", tokens_of(self.raw_text))
 
     @property
     def word_count(self) -> int:
@@ -207,7 +245,58 @@ def _sort_key(u: Utterance) -> tuple[float, float, str]:
     return (u.onset, u.offset, u.id)
 
 
+# One utterance's entry in every column, in the field order of ``Columns``.
+Row = tuple[float, float, str, SpeakerRole, tuple[str, ...], bool, str, float | None, str | None]
+
+
 @dataclass(frozen=True)
+class Columns:
+    """A transcript's utterances as parallel tuples: entry ``i`` of every
+    field belongs to the ``i``-th utterance in (onset, offset, id) order.
+    ``tokens`` holds each utterance's normalized words and ``question``
+    whether its raw text holds a '?'."""
+
+    onset: tuple[float, ...]
+    offset: tuple[float, ...]
+    id: tuple[str, ...]
+    role: tuple[SpeakerRole, ...]
+    tokens: tuple[tuple[str, ...], ...]
+    question: tuple[bool, ...]
+    raw_text: tuple[str, ...]
+    confidence: tuple[float | None, ...]
+    linked_id: tuple[str | None, ...]
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Row]) -> "Columns":
+        """The columns of ``rows``, which must already be in (onset, offset,
+        id) order."""
+        if not rows:
+            return cls(*((),) * len(fields(cls)))
+        return cls(*zip(*rows))
+
+    def rows(self) -> Iterable[Row]:
+        """The rows of the columns, in order."""
+        return zip(*(getattr(self, f.name) for f in fields(self)))
+
+
+def _utterance(row: Row, source: Source) -> Utterance:
+    """The utterance of one row, taking the row's tokens (the ``question``
+    entry is the utterance's property, read from its raw text)."""
+    onset, offset, id, role, tokens, _, raw_text, confidence, linked_id = row
+    utt = object.__new__(Utterance)
+    set_field = object.__setattr__
+    set_field(utt, "id", id)
+    set_field(utt, "onset", onset)
+    set_field(utt, "offset", offset)
+    set_field(utt, "raw_text", raw_text)
+    set_field(utt, "role", role)
+    set_field(utt, "source", source)
+    set_field(utt, "confidence", confidence)
+    set_field(utt, "linked_id", linked_id)
+    set_field(utt, "tokens", tokens)
+    return utt
+
+
 class Transcript:
     """Ordered utterances of one recording plus its metadata.
 
@@ -216,30 +305,88 @@ class Transcript:
     set by the expert parser when enough rows reference machine segment ids
     to allow index alignment. ``source`` is set by the parsers; left unset,
     it is taken from the utterances (machine when there are none).
+
+    The utterances are held as ``columns``. The ``Utterance`` objects of
+    ``utterances`` and ``by_role`` are built from them on first use and
+    kept; a transcript built from objects keeps those. Two transcripts are
+    equal when their metadata, ``linked``, ``source`` and columns are.
     """
 
-    meta: RecordingMeta
-    utterances: tuple[Utterance, ...]
-    linked: bool = False
-    source: Source | None = None
+    __slots__ = ("meta", "columns", "linked", "source", "_utterances")
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.utterances, key=_sort_key))
-        object.__setattr__(self, "utterances", ordered)
-        if self.source is None:
+    def __init__(
+        self,
+        meta: RecordingMeta,
+        utterances: Iterable[Utterance],
+        linked: bool = False,
+        source: Source | None = None,
+    ) -> None:
+        ordered = tuple(sorted(utterances, key=_sort_key))
+        if source is None:
             source = ordered[0].source if ordered else Source.MACHINE
-            object.__setattr__(self, "source", source)
+        columns = Columns.from_rows(
+            [
+                (u.onset, u.offset, u.id, u.role, u.tokens, u.question, u.raw_text,
+                 u.confidence, u.linked_id)
+                for u in ordered
+            ]
+        )
+        self._fill(meta, columns, linked, source, ordered)
+
+    @classmethod
+    def from_columns(
+        cls, meta: RecordingMeta, columns: Columns, linked: bool, source: Source
+    ) -> "Transcript":
+        """A transcript over ``columns``; its utterances are built on first use."""
+        transcript = cls.__new__(cls)
+        transcript._fill(meta, columns, linked, source, None)
+        return transcript
+
+    def _fill(self, meta, columns, linked, source, utterances) -> None:
+        for name, value in zip(self.__slots__, (meta, columns, linked, source, utterances)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return (Transcript.from_columns, (self.meta, self.columns, self.linked, self.source))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Transcript):
+            return NotImplemented
+        return (self.meta, self.columns, self.linked, self.source) == (
+            other.meta, other.columns, other.linked, other.source
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.meta, self.columns, self.linked, self.source))
+
+    def __repr__(self) -> str:
+        return (
+            f"Transcript(meta={self.meta!r}, utterances=<{len(self)}>,"
+            f" linked={self.linked!r}, source={self.source!r})"
+        )
+
+    @property
+    def utterances(self) -> tuple[Utterance, ...]:
+        if self._utterances is None:
+            source = self.source
+            built = tuple(_utterance(row, source) for row in self.columns.rows())
+            object.__setattr__(self, "_utterances", built)
+        return self._utterances
 
     def __len__(self) -> int:
-        return len(self.utterances)
+        return len(self.columns.id)
 
     def by_role(self, role: SpeakerRole) -> tuple[Utterance, ...]:
         return tuple(u for u in self.utterances if u.role is role)
 
     def word_count(self, role: SpeakerRole | None = None) -> int:
+        columns = self.columns
         if role is None:
-            return sum(u.word_count for u in self.utterances)
-        return sum(u.word_count for u in self.utterances if u.role is role)
+            return sum(map(len, columns.tokens))
+        return sum(len(t) for t, r in zip(columns.tokens, columns.role) if r is role)
 
 
 def iter_roles() -> Iterable[SpeakerRole]:
