@@ -313,13 +313,18 @@ def _icc_grid(summaries: Sequence[FeatureSummary], minutes: float) -> dict[str, 
     }
 
 
-def _process_entry(entry: ManifestEntry, cfg: RunConfig) -> RecordingOutcome:
+def _process_entry(
+    entry: ManifestEntry, cfg: RunConfig, agreement: bool = True
+) -> RecordingOutcome:
     """Run one recording end to end.
 
     Any exception is recorded against the stage that raised it. A failure
     before the machine features exist (``ingest``) voids the whole entry; a
     failure on the expert side (``expert``) keeps the machine features and
-    drops only the agreement statistics.
+    drops only the agreement statistics. Without ``agreement`` the expert
+    table is still parsed and its features computed, but it is neither
+    aligned nor compared, so the outcome has no reliability row and no ICC
+    values.
     """
     outcome = RecordingOutcome(entry.recording_id)
     stage = "ingest"
@@ -338,20 +343,24 @@ def _process_entry(entry: ManifestEntry, cfg: RunConfig) -> RecordingOutcome:
             return outcome
         stage = "expert"
         expert = parse_expert(entry.expert_path, meta)
-        corpus = align(machine, expert, cfg.align)
-        row = recording_reliability(corpus, cfg.wer_wearer_match)
+        row = None
+        if agreement:
+            row = recording_reliability(align(machine, expert, cfg.align), cfg.wer_wearer_match)
         expert_features, expert_words = _source_features(expert, cfg)
-        expert_grid = _icc_grid(expert_features, meta.duration_minutes)
+        icc = {}
+        if agreement:
+            expert_grid = _icc_grid(expert_features, meta.duration_minutes)
+            icc = {
+                key: (value, expert_grid[key])
+                for key, value in _icc_grid(machine_features, meta.duration_minutes).items()
+            }
         return replace(
             outcome,
             n_expert_utterances=len(expert),
             features=machine_features + expert_features,
             total_words=machine_words + expert_words,
             reliability=row,
-            icc={
-                key: (value, expert_grid[key])
-                for key, value in _icc_grid(machine_features, meta.duration_minutes).items()
-            },
+            icc=icc,
         )
     except Exception as exc:
         log.debug("%s: %s stage failed", entry.recording_id, stage, exc_info=True)
@@ -430,19 +439,33 @@ class PipelineResult(Codec):
     errors: tuple[EntryError, ...]
 
 
-def run_pipeline(manifest: CorpusManifest, cfg: RunConfig) -> PipelineResult:
-    """Process every manifest entry and merge in manifest order."""
+def run_pipeline(
+    manifest: CorpusManifest, cfg: RunConfig, agreement: bool = True
+) -> PipelineResult:
+    """Process every manifest entry and merge in manifest order.
+
+    ``agreement=False`` skips alignment and the agreement statistics, for
+    callers that report features only: the result's features, corpus
+    counts, aggregate and errors are those of a full run, its
+    ``reliability`` is ``None``.
+    """
     if not manifest.entries:
         raise EmptyCorpus("manifest has no entries")
     if cfg.parallelism == 1 or len(manifest.entries) == 1:
-        outcomes = [_process_entry(entry, cfg) for entry in manifest.entries]
+        outcomes = [_process_entry(entry, cfg, agreement) for entry in manifest.entries]
     else:
         chunk = max(1, len(manifest.entries) // (cfg.parallelism * 4))
         with ProcessPoolExecutor(
             max_workers=cfg.parallelism, initializer=configure_logging
         ) as pool:
             outcomes = list(
-                pool.map(_process_entry, manifest.entries, repeat(cfg), chunksize=chunk)
+                pool.map(
+                    _process_entry,
+                    manifest.entries,
+                    repeat(cfg),
+                    repeat(agreement),
+                    chunksize=chunk,
+                )
             )
 
     done = [outcome for outcome in outcomes if outcome.features]

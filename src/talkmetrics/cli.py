@@ -3,12 +3,17 @@
 Verbs mirror the pipeline stages: ``ingest-check`` parses and validates,
 ``align`` writes per-recording alignment audits, ``features`` and
 ``reliability`` emit their respective tables, ``batch`` runs everything,
-and ``report`` re-renders tables from a saved results file.
+and ``report`` re-renders tables from a saved results file. ``features``
+parses expert tables for their feature rows but neither aligns them nor
+computes agreement statistics; its feature table and errors report equal
+those of ``batch``.
 
 Exit codes: 0 success, 1 usage error, 2 completed with per-recording
-failures (an errors report is written), 3 fatal. Logging verbosity comes
-from the TALKMETRICS_LOG environment variable, or the older WSW_LOG (error,
-warn, info, debug).
+failures (an errors report is written), 3 fatal. ``reliability`` exits 3
+when no recording yields agreement statistics, and still writes the errors
+report when recordings failed. Logging verbosity comes from the
+TALKMETRICS_LOG environment variable, or the older WSW_LOG (error, warn,
+info, debug).
 """
 
 from __future__ import annotations
@@ -249,7 +254,7 @@ def _cmd_align(args: argparse.Namespace, parser: _Parser) -> int:
 def _cmd_features(args: argparse.Namespace, parser: _Parser) -> int:
     manifest = _load_manifest(args, parser)
     cfg = _load_run_config(args)
-    result = run_pipeline(manifest, cfg)
+    result = run_pipeline(manifest, cfg, agreement=False)
     if args.format == "json":
         features = {"features": [summary.to_dict() for summary in result.features]}
         write_report(result, args.out, {"features.json": features}, ())
@@ -264,7 +269,15 @@ def _cmd_reliability(args: argparse.Namespace, parser: _Parser) -> int:
     cfg = _load_run_config(args)
     result = run_pipeline(manifest, cfg)
     if result.reliability is None:
-        print("talkmetrics: no recording has an expert transcript", file=sys.stderr)
+        if result.errors:
+            write_report(result, args.out, {}, ())
+            print(
+                "talkmetrics: no recording yielded agreement statistics;"
+                f" {result.corpus['n_failed']} recordings failed, see errors.json",
+                file=sys.stderr,
+            )
+        else:
+            print("talkmetrics: no recording has an expert transcript", file=sys.stderr)
         return EXIT_FATAL
     if args.format == "json":
         reliability = {"reliability": result.reliability.to_dict()}

@@ -2,7 +2,8 @@
 
 Encoding walks ``dataclasses.fields`` in declaration order, so a class's
 field order is its JSON key order: enums become their values, tuples become
-lists, nested dataclasses and dicts recurse. Decoding reads the declared
+lists, nested dataclasses and dicts recurse. What to do with a value is
+worked out once per type and cached. Decoding reads the declared
 types back through ``typing.get_type_hints``; it understands ``X | None``,
 ``tuple[T, ...]``, fixed-length tuples and ``dict[str, T]``, and lets field
 defaults fill missing keys. Malformed input raises KeyError, TypeError or
@@ -37,16 +38,36 @@ def _hints(cls: type) -> dict[str, Any]:
     return typing.get_type_hints(cls)
 
 
+_ENUM, _SEQUENCE, _MAPPING, _LEAF = "enum", "sequence", "mapping", "leaf"
+
+
+@cache
+def _plan(cls: type) -> tuple[str, ...] | str:
+    """How values of ``cls`` encode: a dataclass's field names, else one of
+    the markers. The checks run in this order, so a dataclass wins over a
+    base class and a ``str``-mixin enum encodes as its value."""
+    if is_dataclass(cls):
+        return tuple(f.name for f in fields(cls))
+    if issubclass(cls, Enum):
+        return _ENUM
+    if issubclass(cls, (tuple, list)):
+        return _SEQUENCE
+    if issubclass(cls, dict):
+        return _MAPPING
+    return _LEAF
+
+
 def _encode(value: Any) -> Any:
-    if is_dataclass(value):
-        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, (tuple, list)):
+    plan = _plan(type(value))
+    if plan is _LEAF:
+        return value
+    if plan is _SEQUENCE:
         return [_encode(item) for item in value]
-    if isinstance(value, dict):
+    if plan is _MAPPING:
         return {key: _encode(item) for key, item in value.items()}
-    return value
+    if plan is _ENUM:
+        return value.value
+    return {name: _encode(getattr(value, name)) for name in plan}
 
 
 def _decode(hint: Any, value: Any) -> Any:

@@ -174,7 +174,11 @@ def write_recording(
     )
 
 
-def write_weather_recording(directory: Path, recording_id: str = "weather") -> tuple[Path, Path | None, Path]:
+def write_weather_recording(
+    directory: Path, recording_id: str = "weather", linked: bool = True
+) -> tuple[Path, Path | None, Path]:
+    """The ten-row fixture on disk; without ``linked`` the expert table has
+    no ``machine_id`` column, so it is aligned by time."""
     machine_rows = []
     expert_rows = []
     for i, (machine_text, expert_text, role) in enumerate(WEATHER_ROWS):
@@ -188,7 +192,7 @@ def write_weather_recording(directory: Path, recording_id: str = "weather") -> t
                 "end": onset + 2.0,
                 "speaker": role,
                 "text": expert_text,
-                "machine_id": i + 1,
+                **({"machine_id": i + 1} if linked else {}),
             }
         )
     return write_recording(

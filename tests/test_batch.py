@@ -5,6 +5,7 @@ import json
 import pytest
 
 import synthetic as syn
+import talkmetrics.batch as batch_module
 from talkmetrics import (
     CorpusManifest,
     ManifestEntry,
@@ -270,6 +271,28 @@ class TestRunPipeline:
         keys = [tuple(line.split(",")[:3]) for line in lines]
         assert len(keys) == len(set(keys)) == 8
         assert ("rec00", "expert", "teacher") in keys
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_without_agreement_never_aligns(self, tmp_path, monkeypatch, parallelism):
+        # forked workers inherit the patched module, so the pool path is checked too
+        root = corpus_dir(tmp_path, n=3, seed=3)
+        (root / "rec01.expert.tsv").write_text("bad header\n", encoding="utf-8")
+        manifest = discover(root_dir=root)
+        full = run_pipeline(manifest, RunConfig())
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("agreement work in a features-only run")
+
+        for name in ("align", "recording_reliability", "build_report"):
+            monkeypatch.setattr(batch_module, name, forbidden)
+        lean = run_pipeline(manifest, RunConfig(parallelism=parallelism), agreement=False)
+        assert lean.reliability is None
+        assert full.reliability is not None
+        assert lean.features == full.features
+        assert lean.corpus == full.corpus
+        assert lean.aggregate == full.aggregate
+        assert lean.errors == full.errors
+        assert [e.stage for e in lean.errors] == ["expert"]
 
     def test_repeat_runs_identical(self, tmp_path):
         root = corpus_dir(tmp_path, n=3, seed=9)

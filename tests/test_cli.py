@@ -186,6 +186,49 @@ class TestFeatures:
         assert narrow != wide
 
 
+def write_mixed_corpus(root, kind):
+    """Three recordings whose expert tables are linked, unlinked, or (for
+    ``damaged``) a mix with one broken machine file and one broken table."""
+    for recording_id in ("r1", "r2", "r3"):
+        syn.write_weather_recording(root, recording_id, linked=kind == "linked")
+    if kind == "damaged":
+        corrupt_machine_bytes(root, "r1")
+        path = root / "r3.expert.tsv"
+        path.write_text(path.read_text().replace("\tchild\t", "\trobot\t", 1))
+
+
+class TestFeaturesMatchBatch:
+    """``features`` skips alignment and agreement, yet writes what ``batch``
+    writes for features and failures."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("kind", ["linked", "unlinked", "damaged"])
+    def test_same_files_and_exit_code(self, tmp_path, kind, workers):
+        root = tmp_path / "data"
+        write_mixed_corpus(root, kind)
+        runs = {}
+        for verb, fmt in (("batch", "csv"), ("features", "csv"), ("features", "json")):
+            out = tmp_path / f"{verb}-{fmt}"
+            code = main([verb, "--root", str(root), "--out", str(out),
+                         "--workers", workers, "--format", fmt])
+            runs[verb, fmt] = code, out
+        batch_code, batch_out = runs["batch", "csv"]
+        assert batch_code == (EXIT_PARTIAL if kind == "damaged" else EXIT_OK)
+        for fmt in ("csv", "json"):
+            code, out = runs["features", fmt]
+            assert code == batch_code
+            if kind == "damaged":
+                assert (out / "errors.json").read_bytes() == (batch_out / "errors.json").read_bytes()
+            else:
+                assert not (out / "errors.json").exists()
+        features_csv = runs["features", "csv"][1] / "features.csv"
+        assert features_csv.read_bytes() == (batch_out / "features.csv").read_bytes()
+        features_json = json.loads((runs["features", "json"][1] / "features.json").read_text())
+        results = json.loads((batch_out / "results.json").read_text())
+        assert features_json == {"features": results["features"]}
+        assert len(results["features"]) == (6 if kind == "damaged" else 12)
+
+
 class TestReliability:
     def test_csv_artifacts(self, weather_dir, tmp_path):
         out = tmp_path / "rel"
@@ -202,6 +245,27 @@ class TestReliability:
             ["reliability", "--root", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
         )
         assert code == EXIT_FATAL
+        assert "no recording has an expert transcript" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "errors.json").exists()
+
+    def test_all_failed_still_writes_errors(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        for recording_id in ("m1", "m2", "e1", "e2"):
+            syn.write_weather_recording(root, recording_id)
+        for recording_id in ("m1", "m2"):
+            (root / f"{recording_id}.machine.jsonl").write_text("{broken\n", encoding="utf-8")
+        for recording_id in ("e1", "e2"):
+            (root / f"{recording_id}.expert.tsv").write_text("wrong\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["reliability", "--root", str(root), "--out", str(out)]) == EXIT_FATAL
+        err = capsys.readouterr().err
+        assert "no recording yielded agreement statistics; 4 recordings failed" in err
+        errors = json.loads((out / "errors.json").read_text())
+        assert [(e["recording_id"], e["stage"]) for e in errors] == [
+            ("e1", "expert"), ("e2", "expert"), ("m1", "ingest"), ("m2", "ingest")
+        ]
+        assert main(["batch", "--root", str(root), "--out", str(tmp_path / "b")]) == EXIT_PARTIAL
+        assert (tmp_path / "b" / "errors.json").read_bytes() == (out / "errors.json").read_bytes()
 
     def test_json_artifact(self, weather_dir, tmp_path):
         out = tmp_path / "rel"

@@ -1,0 +1,145 @@
+"""Damaged input never breaks a run: Hypothesis corrupts bytes, fields and
+headers in a three-recording corpus (one linked expert table, one unlinked,
+one recording without an expert side), and ``batch`` must still finish
+with every recording accounted for, the same outputs for any worker count,
+and a ``features`` run that agrees with it."""
+
+import contextlib
+import csv
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import synthetic as syn
+from talkmetrics.cli import EXIT_OK, EXIT_PARTIAL, main
+
+RECORDINGS = ("linked", "plain", "unlinked")
+
+json_values = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.lists(st.integers(), max_size=2)
+)
+cell_text = st.text(max_size=6)
+
+
+def write_corpus(root: Path) -> list[Path]:
+    """The three recordings; returns every file a mutation may touch."""
+    syn.write_weather_recording(root, "linked")
+    syn.write_weather_recording(root, "unlinked", linked=False)
+    rows = [
+        {"start": 2.0 * i, "end": 2.0 * i + 1.5, "text": text, "speaker": role}
+        for i, (text, _, role) in enumerate(syn.WEATHER_ROWS)
+    ]
+    syn.write_recording(root, "plain", rows, duration_minutes=1.0)
+    return sorted(path for path in root.iterdir() if path.is_file())
+
+
+def parsed(path: Path) -> list | None:
+    """The TSV rows (header and at least one row) or the JSON objects of one
+    line each in ``path``; None once earlier damage broke that shape."""
+    try:
+        lines = path.read_bytes().decode("utf-8").splitlines()
+        if path.name.endswith(".tsv"):
+            return [line.split("\t") for line in lines] if len(lines) > 1 else None
+        records = [json.loads(line) for line in lines]
+    except ValueError:
+        return None
+    shaped = records and all(isinstance(r, dict) and r for r in records)
+    return records if shaped else None
+
+
+def mutate(path: Path, data: st.DataObject) -> None:
+    """One corruption of ``path``: raw bytes, one field's value, or one key
+    or column name."""
+    kind = data.draw(st.sampled_from(("bytes", "field", "header")), label="kind")
+    raw = path.read_bytes()
+    rows = records = parsed(path)
+    if kind == "bytes" or rows is None:
+        start = data.draw(st.integers(0, len(raw)), label="start")
+        stop = data.draw(st.integers(start, min(len(raw), start + 8)), label="stop")
+        path.write_bytes(raw[:start] + data.draw(st.binary(max_size=6), label="bytes") + raw[stop:])
+        return
+    if path.name.endswith(".tsv"):
+        if kind == "header":
+            j = data.draw(st.integers(0, len(rows[0])), label="column")
+            action = data.draw(st.sampled_from(("rename", "drop", "duplicate")), label="action")
+            if action == "drop" and j < len(rows[0]):
+                del rows[0][j]
+            elif action == "duplicate" and j < len(rows[0]):
+                rows[0].insert(j, rows[0][j])
+            else:
+                rows[0][j:j + 1] = [data.draw(cell_text, label="name")]
+        else:
+            i = data.draw(st.integers(1, len(rows) - 1), label="row")
+            j = data.draw(st.integers(0, len(rows[i])), label="cell")
+            rows[i][j:j + 1] = [data.draw(cell_text, label="value")]
+        path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+        return
+    record = data.draw(st.sampled_from(records), label="record")
+    key = data.draw(st.sampled_from(sorted(record)), label="key")
+    value = record.pop(key)
+    if kind == "header":
+        record[data.draw(st.text(max_size=6), label="new key")] = value
+    elif data.draw(st.booleans(), label="set"):
+        record[key] = data.draw(json_values, label="value")
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+def run(*argv: str) -> int:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+def files(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_batch_survives_corruption(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        root = tmp / "data"
+        candidates = write_corpus(root)
+        n_mutations = data.draw(st.integers(1, 3), label="mutations")
+        for _ in range(n_mutations):
+            mutate(data.draw(st.sampled_from(candidates), label="file"), data)
+
+        outs = {}
+        for verb, workers in (("batch", "1"), ("batch", "2"), ("features", "1")):
+            out = tmp / f"{verb}-{workers}"
+            code = run(verb, "--root", str(root), "--out", str(out), "--workers", workers)
+            assert code in (EXIT_OK, EXIT_PARTIAL)
+            outs[verb, workers] = code, files(out)
+
+        code, batch = outs["batch", "1"]
+        assert outs["batch", "2"] == (code, batch)
+        features_code, features = outs["features", "1"]
+        assert features_code == code
+        assert features.get("errors.json") == batch.get("errors.json")
+        assert features["features.csv"] == batch["features.csv"]
+
+        errors = json.loads(batch.get("errors.json", b"[]"))
+        assert (code == EXIT_PARTIAL) == bool(errors)
+        failed = [error["recording_id"] for error in errors]
+        assert len(failed) == len(set(failed))
+        rows = list(csv.DictReader(io.StringIO(batch["features.csv"].decode("utf-8"))))
+        keys = [(row["recording_id"], row["source"], row["role"]) for row in rows]
+        assert len(keys) == len(set(keys))
+        with_features = {row["recording_id"] for row in rows}
+        assert with_features | set(failed) == set(RECORDINGS)
+        for error in errors:
+            assert (error["recording_id"] in with_features) == (error["stage"] == "expert")
+            if error["stage"] == "expert":
+                assert (error["recording_id"], "expert", "teacher") not in keys
