@@ -136,13 +136,6 @@ class AlignedCorpus:
     def n_expert(self) -> int:
         return len(self.pairs) + len(self.expert_only)
 
-    def iter_expert_slots(self) -> Iterator[tuple[Utterance | None, Utterance]]:
-        """Every expert utterance with its machine partner (None if residue)."""
-        for pair in self.pairs:
-            yield pair.machine_utt, pair.expert_utt
-        for utt in self.expert_only:
-            yield None, utt
-
 
 def _assemble(
     meta: RecordingMeta,

@@ -25,9 +25,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .align import AlignConfig, align
+from .align import AlignConfig, AlignedCorpus, align
 from .codec import Codec
 from .errors import TalkmetricsError, describe
 from .features import (
@@ -40,7 +40,7 @@ from .features import (
     response_proportion,
     summarize,
 )
-from .ingest import MetaError, load_meta, parse_expert, parse_machine
+from .ingest import MetaError, ValidationWarning, load_meta, parse_expert, parse_machine, validate
 from .reliability import (
     MetricSet,
     RecordingReliability,
@@ -87,7 +87,7 @@ def configure_logging(note_unknown: bool = False) -> None:
 
 
 class MissingFile(TalkmetricsError):
-    """A manifest entry points at a file that does not exist."""
+    """The corpus root or the manifest does not exist or cannot be read."""
 
 
 class EmptyCorpus(TalkmetricsError):
@@ -191,12 +191,6 @@ def _entry_from_mapping(record: Mapping, base: Path) -> ManifestEntry:
     )
 
 
-def _check_exists(entry: ManifestEntry) -> None:
-    for path in (entry.machine_path, entry.meta_path, entry.expert_path):
-        if path is not None and not path.is_file():
-            raise MissingFile(f"{entry.recording_id}: no such file: {path}")
-
-
 def discover(
     root_dir: Path | str | None = None, manifest_path: Path | str | None = None
 ) -> CorpusManifest:
@@ -204,8 +198,8 @@ def discover(
 
     Convention: every ``*.machine.jsonl`` under ``root_dir`` is a
     recording; the meta sidecar must sit next to it, the expert file may.
-    Contents are not read here, only paths checked, so year-scale corpora
-    enumerate instantly.
+    Nothing is read or checked here, so year-scale corpora enumerate
+    instantly; a missing file fails only its own recording, later.
     """
     entries: list[ManifestEntry] = []
     if manifest_path is not None:
@@ -243,13 +237,9 @@ def discover(
             )
     else:
         raise ValueError("discover needs a root_dir or a manifest_path")
-    for entry in entries:
-        _check_exists(entry)
     if not entries:
         raise EmptyCorpus("no recordings found")
     return CorpusManifest(entries=tuple(entries))
-
-
 
 
 @dataclass(frozen=True)
@@ -265,6 +255,7 @@ class EntryError(Codec):
 class RecordingOutcome:
     """What one worker hands back for its recording.
 
+    A field keeps its default unless a stage that ran fills it.
     ``features`` is empty when the machine side failed. ``total_words``
     holds each feature row's role word count, for exact pooling, and
     ``icc`` maps each grid feature to its (machine, expert) values.
@@ -276,8 +267,10 @@ class RecordingOutcome:
     n_expert_utterances: int = 0
     features: tuple[FeatureSummary, ...] = ()
     total_words: tuple[int, ...] = ()
+    alignment: AlignedCorpus | None = None
     reliability: RecordingReliability | None = None
     icc: dict[str, tuple[float | None, float | None]] = field(default_factory=dict)
+    findings: tuple[tuple[str, ValidationWarning], ...] = ()
     errors: tuple[EntryError, ...] = ()
 
 
@@ -313,59 +306,101 @@ def _icc_grid(summaries: Sequence[FeatureSummary], minutes: float) -> dict[str, 
     }
 
 
-def _process_entry(
-    entry: ManifestEntry, cfg: RunConfig, agreement: bool = True
-) -> RecordingOutcome:
-    """Run one recording end to end.
+def _findings(done: dict) -> tuple[tuple[str, ValidationWarning], ...]:
+    """Each ``validate`` warning of the parsed transcripts, with its source."""
+    sources = [source for source in ("machine", "expert") if source in done]
+    return tuple((source, warning) for source in sources for warning in validate(done[source]))
 
-    Any exception is recorded against the stage that raised it. A failure
-    before the machine features exist (``ingest``) voids the whole entry; a
-    failure on the expert side (``expert``) keeps the machine features and
-    drops only the agreement statistics. Without ``agreement`` the expert
-    table is still parsed and its features computed, but it is neither
-    aligned nor compared, so the outcome has no reliability row and no ICC
-    values.
-    """
-    outcome = RecordingOutcome(entry.recording_id)
-    stage = "ingest"
-    try:
-        meta = load_entry_meta(entry)
-        machine = parse_machine(entry.machine_path, meta)
-        machine_features, machine_words = _source_features(machine, cfg)
-        outcome = replace(
-            outcome,
-            duration_minutes=meta.duration_minutes,
-            n_machine_utterances=len(machine),
-            features=machine_features,
-            total_words=machine_words,
-        )
-        if entry.expert_path is None:
-            return outcome
-        stage = "expert"
-        expert = parse_expert(entry.expert_path, meta)
-        row = None
-        if agreement:
-            row = recording_reliability(align(machine, expert, cfg.align), cfg.wer_wearer_match)
-        expert_features, expert_words = _source_features(expert, cfg)
-        icc = {}
-        if agreement:
-            expert_grid = _icc_grid(expert_features, meta.duration_minutes)
+
+# The stages in run order: name, the side a failure voids (``ingest`` the
+# whole recording, ``expert`` only its expert side), and the function of
+# (entry, config, earlier stages' products) that makes the stage's product.
+_STAGES = (
+    ("meta", "ingest", lambda e, cfg, done: load_entry_meta(e)),
+    ("machine", "ingest", lambda e, cfg, done: parse_machine(e.machine_path, done["meta"])),
+    ("machine_features", "ingest", lambda e, cfg, done: _source_features(done["machine"], cfg)),
+    ("expert", "expert", lambda e, cfg, done: parse_expert(e.expert_path, done["meta"])),
+    ("align", "expert", lambda e, cfg, done: align(done["machine"], done["expert"], cfg.align)),
+    # consumes the alignment, so no aligned utterances outlive the row or
+    # travel back from a worker
+    (
+        "reliability",
+        "expert",
+        lambda e, cfg, done: recording_reliability(done.pop("align"), cfg.wer_wearer_match),
+    ),
+    ("expert_features", "expert", lambda e, cfg, done: _source_features(done["expert"], cfg)),
+    ("validate", "ingest", lambda e, cfg, done: _findings(done)),
+)
+_INGEST_STAGES = {name for name, side, _ in _STAGES if side == "ingest"}
+
+
+def _outcome(recording_id: str, done: dict) -> RecordingOutcome:
+    """The reported fields of one recording's stage products."""
+    features, words = done.get("machine_features", ((), ()))
+    icc = {}
+    if "expert_features" in done:
+        expert_features, expert_words = done["expert_features"]
+        if "reliability" in done:
+            minutes = done["meta"].duration_minutes
+            expert_grid = _icc_grid(expert_features, minutes)
             icc = {
                 key: (value, expert_grid[key])
-                for key, value in _icc_grid(machine_features, meta.duration_minutes).items()
+                for key, value in _icc_grid(features, minutes).items()
             }
-        return replace(
-            outcome,
-            n_expert_utterances=len(expert),
-            features=machine_features + expert_features,
-            total_words=machine_words + expert_words,
-            reliability=row,
-            icc=icc,
-        )
-    except Exception as exc:
-        log.debug("%s: %s stage failed", entry.recording_id, stage, exc_info=True)
-        error = EntryError(entry.recording_id, stage, describe(exc))
-        return replace(outcome, errors=(error,))
+        features, words = features + expert_features, words + expert_words
+    return RecordingOutcome(
+        recording_id,
+        duration_minutes=done["meta"].duration_minutes,
+        n_machine_utterances=len(done.get("machine", ())),
+        n_expert_utterances=len(done.get("expert", ())),
+        features=features,
+        total_words=words,
+        alignment=done.get("align"),
+        reliability=done.get("reliability"),
+        icc=icc,
+        findings=done.get("validate", ()),
+    )
+
+
+def _process_entry(
+    entry: ManifestEntry, cfg: RunConfig, stages: tuple[str, ...]
+) -> RecordingOutcome:
+    """Run the named ``stages`` of one recording, in ``_STAGES`` order.
+
+    Expert-side stages are skipped when the entry has no expert table. Any
+    exception is recorded against the side of the stage that raised it: an
+    ``ingest`` failure voids the whole entry; an ``expert`` failure keeps
+    the machine side and drops every expert-side product.
+    """
+    done: dict = {}
+    for name, side, run in _STAGES:
+        if name not in stages or (side == "expert" and entry.expert_path is None):
+            continue
+        try:
+            done[name] = run(entry, cfg, done)
+        except Exception as exc:
+            log.debug("%s: %s stage failed", entry.recording_id, side, exc_info=True)
+            error = EntryError(entry.recording_id, side, describe(exc))
+            if side == "ingest":
+                return RecordingOutcome(entry.recording_id, errors=(error,))
+            kept = {key: value for key, value in done.items() if key in _INGEST_STAGES}
+            return replace(_outcome(entry.recording_id, kept), errors=(error,))
+    return _outcome(entry.recording_id, done)
+
+
+def process_recordings(
+    entries: Sequence[ManifestEntry], cfg: RunConfig, stages: tuple[str, ...]
+) -> Iterator[RecordingOutcome]:
+    """Run the named ``_STAGES`` on every entry, in ``cfg.parallelism``
+    worker processes when that is above one; yields each entry's outcome,
+    in entry order, as soon as it is done."""
+    if cfg.parallelism == 1 or len(entries) == 1:
+        for entry in entries:
+            yield _process_entry(entry, cfg, stages)
+        return
+    chunk = max(1, len(entries) // (cfg.parallelism * 4))
+    with ProcessPoolExecutor(max_workers=cfg.parallelism, initializer=configure_logging) as pool:
+        yield from pool.map(_process_entry, entries, repeat(cfg), repeat(stages), chunksize=chunk)
 
 
 _POOLED_COUNTS = (
@@ -451,22 +486,9 @@ def run_pipeline(
     """
     if not manifest.entries:
         raise EmptyCorpus("manifest has no entries")
-    if cfg.parallelism == 1 or len(manifest.entries) == 1:
-        outcomes = [_process_entry(entry, cfg, agreement) for entry in manifest.entries]
-    else:
-        chunk = max(1, len(manifest.entries) // (cfg.parallelism * 4))
-        with ProcessPoolExecutor(
-            max_workers=cfg.parallelism, initializer=configure_logging
-        ) as pool:
-            outcomes = list(
-                pool.map(
-                    _process_entry,
-                    manifest.entries,
-                    repeat(cfg),
-                    repeat(agreement),
-                    chunksize=chunk,
-                )
-            )
+    stages = ("meta", "machine", "machine_features", "expert", "expert_features")
+    stages += ("align", "reliability") if agreement else ()
+    outcomes = list(process_recordings(manifest.entries, cfg, stages))
 
     done = [outcome for outcome in outcomes if outcome.features]
     errors = tuple(error for outcome in outcomes for error in outcome.errors)

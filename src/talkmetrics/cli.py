@@ -1,12 +1,14 @@
 """Command-line entry point.
 
-Verbs mirror the pipeline stages: ``ingest-check`` parses and validates,
-``align`` writes per-recording alignment audits, ``features`` and
-``reliability`` emit their respective tables, ``batch`` runs everything,
-and ``report`` re-renders tables from a saved results file. ``features``
-parses expert tables for their feature rows but neither aligns them nor
-computes agreement statistics; its feature table and errors report equal
-those of ``batch``.
+Verbs mirror the pipeline stages, and every corpus verb runs its
+recordings through one runner, ``batch.process_recordings``, naming the
+stages it reports: ``ingest-check`` parses and validates, ``align`` writes
+per-recording alignment audits, ``features`` and ``reliability`` emit their
+respective tables, ``batch`` runs everything, and ``report`` re-renders
+tables from a saved results file. ``features`` parses expert tables for
+their feature rows but neither aligns them nor computes agreement
+statistics; its feature table and errors report equal those of ``batch``.
+A failed recording, a missing file included, never stops the others.
 
 Exit codes: 0 success, 1 usage error, 2 completed with per-recording
 failures (an errors report is written), 3 fatal. ``reliability`` exits 3
@@ -22,9 +24,10 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from .align import align, write_alignment_jsonl
+from .align import write_alignment_jsonl
 from .batch import (
     CorpusManifest,
     PipelineResult,
@@ -32,13 +35,12 @@ from .batch import (
     configure_logging,
     discover,
     emit_report,
-    load_entry_meta,
+    process_recordings,
     run_pipeline,
     write_json,
     write_report,
 )
-from .errors import TalkmetricsError, describe
-from .ingest import parse_expert, parse_machine, validate
+from .errors import TalkmetricsError
 
 log = logging.getLogger(__name__)
 
@@ -98,8 +100,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=_positive_int, help="parallel worker count")
 
 
-def _add_out_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument("--out", type=Path, required=required, help="output directory")
+def _add_out_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", type=Path, required=True, help="output directory")
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="report format (default csv)"
     )
@@ -113,9 +115,7 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="verb", metavar="VERB", required=True)
 
-    p = sub.add_parser(
-        "ingest-check", parents=[], help="parse every recording and report findings"
-    )
+    p = sub.add_parser("ingest-check", help="parse every recording and report findings")
     _add_corpus_flags(p)
     p.add_argument("--out", type=Path, help="write a JSON report here")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -169,46 +169,33 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 
 def _cmd_ingest_check(args: argparse.Namespace, parser: _Parser) -> int:
     manifest = _load_manifest(args, parser)
+    stages = ("meta", "machine", "expert", "validate")
+    outcomes = process_recordings(manifest.entries, RunConfig(), stages)
     records = []
-    n_failed = 0
-    for entry in manifest.entries:
-        record: dict = {"recording_id": entry.recording_id}
-        try:
-            meta = load_entry_meta(entry)
-            machine = parse_machine(entry.machine_path, meta)
-            findings = [
-                {"source": "machine", "code": w.code, "utterance_id": w.utterance_id,
-                 "message": w.message}
-                for w in validate(machine)
-            ]
-            n_expert = None
-            if entry.expert_path is not None:
-                expert = parse_expert(entry.expert_path, meta)
-                findings.extend(
-                    {"source": "expert", "code": w.code, "utterance_id": w.utterance_id,
-                     "message": w.message}
-                    for w in validate(expert)
-                )
-                n_expert = len(expert)
-            record.update(
-                ok=True,
-                n_machine_utterances=len(machine),
-                n_expert_utterances=n_expert,
-                findings=findings,
+    for entry, outcome in zip(manifest.entries, outcomes):
+        if outcome.errors:
+            error = outcome.errors[0].message
+            record = {"recording_id": entry.recording_id, "ok": False, "error": error}
+            line = f"FAIL {error}"
+        else:
+            n_expert = outcome.n_expert_utterances if entry.expert_path is not None else None
+            findings = [{"source": source, **asdict(w)} for source, w in outcome.findings]
+            record = {
+                "recording_id": entry.recording_id,
+                "ok": True,
+                "n_machine_utterances": outcome.n_machine_utterances,
+                "n_expert_utterances": n_expert,
+                "findings": findings,
+            }
+            expert_note = f", {n_expert} expert" if n_expert is not None else ""
+            line = (
+                f"ok ({outcome.n_machine_utterances} machine{expert_note},"
+                f" {len(findings)} findings)"
             )
-            if args.format != "json":
-                expert_note = f", {n_expert} expert" if n_expert is not None else ""
-                print(
-                    f"{entry.recording_id}: ok ({len(machine)} machine"
-                    f"{expert_note}, {len(findings)} findings)"
-                )
-        except Exception as exc:
-            log.debug("%s: check failed", entry.recording_id, exc_info=True)
-            n_failed += 1
-            record.update(ok=False, error=describe(exc))
-            if args.format != "json":
-                print(f"{entry.recording_id}: FAIL {describe(exc)}")
+        if args.format != "json":
+            print(f"{entry.recording_id}: {line}")
         records.append(record)
+    n_failed = sum(not record["ok"] for record in records)
     report = {"recordings": records, "n_checked": len(records), "n_failed": n_failed}
     if args.format == "json":
         print(json.dumps(report, indent=2))
@@ -222,22 +209,19 @@ def _cmd_align(args: argparse.Namespace, parser: _Parser) -> int:
     manifest = _load_manifest(args, parser)
     cfg = _load_run_config(args)
     args.out.mkdir(parents=True, exist_ok=True)
-    n_failed = 0
-    n_aligned = 0
+    with_expert = [entry for entry in manifest.entries if entry.expert_path is not None]
+    outcomes = process_recordings(with_expert, cfg, ("meta", "machine", "expert", "align"))
+    n_failed = n_aligned = 0
     for entry in manifest.entries:
         if entry.expert_path is None:
             log.info("%s: no expert transcript, skipping", entry.recording_id)
             continue
-        try:
-            meta = load_entry_meta(entry)
-            machine = parse_machine(entry.machine_path, meta)
-            expert = parse_expert(entry.expert_path, meta)
-            corpus = align(machine, expert, cfg.align)
-        except Exception as exc:
-            log.debug("%s: alignment failed", entry.recording_id, exc_info=True)
+        outcome = next(outcomes)
+        if outcome.errors:
             n_failed += 1
-            print(f"{entry.recording_id}: FAIL {describe(exc)}", file=sys.stderr)
+            print(f"{entry.recording_id}: FAIL {outcome.errors[0].message}", file=sys.stderr)
             continue
+        corpus = outcome.alignment
         write_alignment_jsonl(corpus, args.out / f"{entry.recording_id}.alignment.jsonl")
         n_aligned += 1
         print(

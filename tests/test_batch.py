@@ -1,6 +1,7 @@
 """Corpus discovery, pipeline runs, failure isolation, and report files."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ import synthetic as syn
 import talkmetrics.batch as batch_module
 from talkmetrics import (
     CorpusManifest,
+    EntryError,
     ManifestEntry,
     PipelineResult,
     RunConfig,
@@ -26,6 +28,8 @@ from talkmetrics.batch import (
     icc_table,
     reliability_table,
 )
+from talkmetrics.cli import EXIT_PARTIAL, main
+from talkmetrics.transcript import Source, Transcript
 
 
 def corpus_dir(tmp_path, n=3, seed=0, with_expert=True):
@@ -85,10 +89,19 @@ class TestDiscover:
         assert manifest.entries[0].expert_path is None
 
     def test_missing_meta_rejected(self, tmp_path):
-        root = corpus_dir(tmp_path, n=1)
+        # a missing sidecar fails its own recording, not the run
+        root = corpus_dir(tmp_path, n=3)
         (root / "rec00.meta.json").unlink()
-        with pytest.raises(MissingFile):
-            discover(root_dir=root)
+        manifest = discover(root_dir=root)
+        assert [e.recording_id for e in manifest.entries] == ["rec00", "rec01", "rec02"]
+        out = tmp_path / "out"
+        assert main(["batch", "--root", str(root), "--out", str(out)]) == EXIT_PARTIAL
+        errors = json.loads((out / "errors.json").read_text())
+        assert [(e["recording_id"], e["stage"]) for e in errors] == [("rec00", "ingest")]
+        assert str(root / "rec00.meta.json") in errors[0]["message"]
+        results = json.loads((out / "results.json").read_text())
+        assert results["corpus"]["n_recordings"] == 2
+        assert (out / "reliability_per_recording.csv").read_text().count("rec0") == 2
 
     def test_missing_root(self, tmp_path):
         with pytest.raises(MissingFile):
@@ -152,6 +165,9 @@ class TestDiscover:
             discover(manifest_path=manifest_path)
 
     def test_manifest_dangling_path(self, tmp_path):
+        # missing machine and meta files fail their recording at ingest; a
+        # missing expert table fails only its expert side
+        corpus_dir(tmp_path, n=1)
         manifest_path = tmp_path / "manifest.json"
         manifest_path.write_text(
             json.dumps(
@@ -160,13 +176,35 @@ class TestDiscover:
                         "recording_id": "x",
                         "machine_path": "gone.machine.jsonl",
                         "meta_path": "gone.meta.json",
-                    }
+                    },
+                    {
+                        "recording_id": "rec00",
+                        "machine_path": "corpus/rec00.machine.jsonl",
+                        "meta_path": "corpus/rec00.meta.json",
+                        "expert_path": "gone.expert.tsv",
+                    },
                 ]
             ),
             encoding="utf-8",
         )
-        with pytest.raises(MissingFile):
-            discover(manifest_path=manifest_path)
+        manifest = discover(manifest_path=manifest_path)
+        assert [e.recording_id for e in manifest.entries] == ["rec00", "x"]
+        for verb in ("batch", "features"):
+            out = tmp_path / verb
+            code = main([verb, "--manifest", str(manifest_path), "--out", str(out)])
+            assert code == EXIT_PARTIAL
+            errors = json.loads((out / "errors.json").read_text())
+            assert [(e["recording_id"], e["stage"]) for e in errors] == [
+                ("rec00", "expert"),
+                ("x", "ingest"),
+            ]
+            assert str(tmp_path / "gone.expert.tsv") in errors[0]["message"]
+            assert str(tmp_path / "gone.meta.json") in errors[1]["message"]
+            rows = (out / "features.csv").read_text().splitlines()[1:]
+            assert [row.split(",")[:3] for row in rows] == [
+                ["rec00", "machine", "teacher"],
+                ["rec00", "machine", "child"],
+            ]
 
     def test_duplicate_ids_rejected(self, tmp_path):
         entry = ManifestEntry("same", tmp_path / "a", tmp_path / "b")
@@ -293,6 +331,41 @@ class TestRunPipeline:
         assert lean.aggregate == full.aggregate
         assert lean.errors == full.errors
         assert [e.stage for e in lean.errors] == ["expert"]
+
+    @pytest.mark.parametrize("broken", ["align", "recording_reliability", "detect_responses"])
+    def test_late_expert_failure_drops_expert_side(self, tmp_path, monkeypatch, broken):
+        # a failure after the expert table parsed leaves the run as if that
+        # recording had no expert table, plus its error
+        root = corpus_dir(tmp_path, n=3, seed=5)
+        manifest = discover(root_dir=root)
+        original = getattr(batch_module, broken)
+
+        def rec01_expert_side(arg):
+            # rec01's expert transcript or alignment, not its machine transcript
+            machine = isinstance(arg, Transcript) and arg.source is Source.MACHINE
+            recording_id = getattr(getattr(arg, "meta", None), "recording_id", None)
+            return recording_id == "rec01" and not machine
+
+        def fails_on_rec01_expert(*args):
+            if any(rec01_expert_side(arg) for arg in args):
+                raise RuntimeError("boom")
+            return original(*args)
+
+        monkeypatch.setattr(batch_module, broken, fails_on_rec01_expert)
+        result = run_pipeline(manifest, RunConfig())
+        monkeypatch.undo()
+        stripped = CorpusManifest(
+            tuple(
+                replace(entry, expert_path=None) if entry.recording_id == "rec01" else entry
+                for entry in manifest.entries
+            )
+        )
+        expected = run_pipeline(stripped, RunConfig())
+        assert result.errors == (EntryError("rec01", "expert", "RuntimeError: boom"),)
+        assert result.features == expected.features
+        assert result.reliability == expected.reliability
+        assert result.aggregate == expected.aggregate
+        assert result.corpus == {**expected.corpus, "n_failed": 1}
 
     def test_repeat_runs_identical(self, tmp_path):
         root = corpus_dir(tmp_path, n=3, seed=9)

@@ -1,8 +1,10 @@
 """Damaged input never breaks a run: Hypothesis corrupts bytes, fields and
-headers in a three-recording corpus (one linked expert table, one unlinked,
-one recording without an expert side), and ``batch`` must still finish
+headers, or deletes files, in a three-recording corpus (one linked expert
+table, one unlinked, one recording without an expert side) read by
+directory convention or through a manifest. ``batch`` must still finish
 with every recording accounted for, the same outputs for any worker count,
-and a ``features`` run that agrees with it."""
+and a ``features`` run that agrees with it; ``ingest-check`` and ``align``
+must account for every recording exactly once too."""
 
 import contextlib
 import csv
@@ -15,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthetic as syn
-from talkmetrics.cli import EXIT_OK, EXIT_PARTIAL, main
+from talkmetrics.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, main
 
 RECORDINGS = ("linked", "plain", "unlinked")
+EXPERT_SIDE = ("linked", "unlinked")
 
 json_values = (
     st.none()
@@ -31,7 +34,8 @@ cell_text = st.text(max_size=6)
 
 
 def write_corpus(root: Path) -> list[Path]:
-    """The three recordings; returns every file a mutation may touch."""
+    """The three recordings, and a manifest naming every file of theirs next
+    to ``root``; returns every file a mutation may touch."""
     syn.write_weather_recording(root, "linked")
     syn.write_weather_recording(root, "unlinked", linked=False)
     rows = [
@@ -39,6 +43,16 @@ def write_corpus(root: Path) -> list[Path]:
         for i, (text, _, role) in enumerate(syn.WEATHER_ROWS)
     ]
     syn.write_recording(root, "plain", rows, duration_minutes=1.0)
+    entries = [
+        {
+            "recording_id": rid,
+            "machine_path": f"{root.name}/{rid}.machine.jsonl",
+            "meta_path": f"{root.name}/{rid}.meta.json",
+        }
+        | ({"expert_path": f"{root.name}/{rid}.expert.tsv"} if rid in EXPERT_SIDE else {})
+        for rid in RECORDINGS
+    ]
+    (root.parent / "manifest.json").write_text(json.dumps(entries), encoding="utf-8")
     return sorted(path for path in root.iterdir() if path.is_file())
 
 
@@ -57,9 +71,13 @@ def parsed(path: Path) -> list | None:
 
 
 def mutate(path: Path, data: st.DataObject) -> None:
-    """One corruption of ``path``: raw bytes, one field's value, or one key
-    or column name."""
-    kind = data.draw(st.sampled_from(("bytes", "field", "header")), label="kind")
+    """One corruption of ``path``: raw bytes, one field's value, one key or
+    column name, or the whole file deleted."""
+    kinds = ("bytes", "field", "header", "delete")
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "delete":
+        path.unlink()
+        return
     raw = path.read_bytes()
     rows = records = parsed(path)
     if kind == "bytes" or rows is None:
@@ -93,12 +111,13 @@ def mutate(path: Path, data: st.DataObject) -> None:
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
 
 
-def run(*argv: str) -> int:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def run(*argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     assert "Traceback" not in err.getvalue()
-    return code
+    return code, out.getvalue(), err.getvalue()
 
 
 def files(out: Path) -> dict[str, bytes]:
@@ -114,12 +133,33 @@ def test_batch_survives_corruption(data):
         candidates = write_corpus(root)
         n_mutations = data.draw(st.integers(1, 3), label="mutations")
         for _ in range(n_mutations):
-            mutate(data.draw(st.sampled_from(candidates), label="file"), data)
+            existing = [path for path in candidates if path.exists()]
+            mutate(data.draw(st.sampled_from(existing), label="file"), data)
+
+        # a manifest names every file; discovery sees only machine files
+        # that exist, and an expert table only if it exists
+        by_manifest = data.draw(st.booleans(), label="manifest")
+        corpus = ("--root", str(root))
+        if by_manifest:
+            corpus = ("--manifest", str(tmp / "manifest.json"))
+        expected = {
+            rid
+            for rid in RECORDINGS
+            if by_manifest or (root / f"{rid}.machine.jsonl").exists()
+        }
+        with_expert = {
+            rid
+            for rid in expected
+            if rid in EXPERT_SIDE and (by_manifest or (root / f"{rid}.expert.tsv").exists())
+        }
+        if not expected:
+            assert run("batch", *corpus, "--out", str(tmp / "out"))[0] == EXIT_FATAL
+            return
 
         outs = {}
         for verb, workers in (("batch", "1"), ("batch", "2"), ("features", "1")):
             out = tmp / f"{verb}-{workers}"
-            code = run(verb, "--root", str(root), "--out", str(out), "--workers", workers)
+            code = run(verb, *corpus, "--out", str(out), "--workers", workers)[0]
             assert code in (EXIT_OK, EXIT_PARTIAL)
             outs[verb, workers] = code, files(out)
 
@@ -138,8 +178,26 @@ def test_batch_survives_corruption(data):
         keys = [(row["recording_id"], row["source"], row["role"]) for row in rows]
         assert len(keys) == len(set(keys))
         with_features = {row["recording_id"] for row in rows}
-        assert with_features | set(failed) == set(RECORDINGS)
+        assert with_features | set(failed) == expected
         for error in errors:
             assert (error["recording_id"] in with_features) == (error["stage"] == "expert")
             if error["stage"] == "expert":
                 assert (error["recording_id"], "expert", "teacher") not in keys
+
+        code, stdout, _ = run("ingest-check", *corpus, "--format", "json")
+        records = json.loads(stdout)["recordings"]
+        assert sorted(record["recording_id"] for record in records) == sorted(expected)
+        assert all(record["ok"] != ("error" in record) for record in records)
+        assert code == (EXIT_PARTIAL if any(not r["ok"] for r in records) else EXIT_OK)
+
+        out = tmp / "align"
+        code, stdout, stderr = run("align", *corpus, "--out", str(out))
+        audits = [path.name.split(".")[0] for path in sorted(out.iterdir())]
+        fails = [line.split(":")[0] for line in stderr.splitlines() if ": FAIL " in line]
+        skipped = sorted(expected - with_expert)
+        assert sorted(audits + fails + skipped) == sorted(expected)
+        assert [line.split(":")[0] for line in stdout.splitlines()] == audits
+        if with_expert:
+            assert code == (EXIT_PARTIAL if fails else EXIT_OK)
+        else:
+            assert code == EXIT_FATAL

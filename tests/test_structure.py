@@ -95,3 +95,20 @@ def test_no_function_level_import():
                 assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
                     f"{name}.{function.name} imports at line {node.lineno}"
                 )
+
+
+BROAD = ("Exception", "BaseException")
+
+
+def test_one_catch_all_handler():
+    """Only the per-recording runner in ``batch`` catches every exception, so
+    each verb's failure handling stays one path."""
+    found = []
+    for name, tree in parsed_modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(kind is None or getattr(kind, "id", None) in BROAD for kind in caught):
+                found.append(f"{name}:{node.lineno}")
+    assert [place.split(":")[0] for place in found] == ["batch"], found
