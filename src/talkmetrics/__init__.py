@@ -39,12 +39,8 @@ from .features import (
     ResponseLink,
     detect_responses,
     icc_feature_values,
-    lexical_diversity_per_minute,
-    lexical_diversity_pooled,
-    mlu,
     response_proportion,
     summarize,
-    words_per_minute,
 )
 from .ingest import (
     InvalidTimestamps,
@@ -94,79 +90,3 @@ from .transcript import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlignConfig",
-    "AlignedCorpus",
-    "AlignedPair",
-    "ConfusionMatrix",
-    "CorpusManifest",
-    "EmptyCorpus",
-    "EntryError",
-    "FEATURE_COLUMNS",
-    "FeatureSummary",
-    "ICC_FEATURES",
-    "IccEntry",
-    "InvalidTimestamps",
-    "MalformedRecord",
-    "ManifestEntry",
-    "MetaError",
-    "MetricSet",
-    "MissingFile",
-    "MissingHeader",
-    "NotLinked",
-    "ParseError",
-    "UnknownSpeakerLabel",
-    "PipelineResult",
-    "RecordingMeta",
-    "RecordingReliability",
-    "ReliabilityReport",
-    "ResponseLink",
-    "RunConfig",
-    "SpeakerRole",
-    "Source",
-    "TalkmetricsError",
-    "Transcript",
-    "Utterance",
-    "ValidationWarning",
-    "ZeroVarianceWarning",
-    "accuracy",
-    "align",
-    "align_by_index",
-    "align_by_time",
-    "build_report",
-    "cohen_kappa",
-    "corpus_wer",
-    "cross_classify",
-    "detect_responses",
-    "discover",
-    "dump_meta",
-    "emit_report",
-    "icc_absolute",
-    "icc_feature_values",
-    "is_question",
-    "levenshtein",
-    "lexical_diversity_per_minute",
-    "lexical_diversity_pooled",
-    "load_meta",
-    "load_recording",
-    "mlu",
-    "normalize",
-    "parse_expert",
-    "parse_machine",
-    "recording_reliability",
-    "response_proportion",
-    "run_pipeline",
-    "summarize",
-    "text_similarity",
-    "time_iou",
-    "time_weighted_mean",
-    "tokenize",
-    "utterance_wer",
-    "validate",
-    "weighted_f1",
-    "words_per_minute",
-    "write_alignment_jsonl",
-    "write_expert_table",
-    "write_machine_jsonl",
-]

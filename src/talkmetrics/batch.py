@@ -95,7 +95,8 @@ class EmptyCorpus(TalkmetricsError):
 
 
 class ManifestError(TalkmetricsError):
-    """The manifest is malformed (bad JSON, duplicate ids, missing keys)."""
+    """The manifest is malformed (bad JSON, duplicate ids, missing or
+    mistyped keys)."""
 
 
 class IoError(TalkmetricsError):
@@ -177,14 +178,27 @@ def _entry_from_mapping(record: Mapping, base: Path) -> ManifestEntry:
     for key in ("recording_id", "machine_path", "meta_path"):
         if key not in record:
             raise ManifestError(f"manifest entry is missing {key!r}: {record!r}")
+    recording_id = record["recording_id"]
+    # the id names the align audit file under --out, so it must be a plain
+    # file name that stays there
+    if not isinstance(recording_id, str) or recording_id in ("", ".", "..") or any(
+        c in recording_id for c in "/\\\0"
+    ):
+        raise ManifestError(
+            f"manifest entry recording_id must be a plain file name: {record!r}"
+        )
+    for key in ("machine_path", "meta_path", "expert_path"):
+        value = record.get(key)
+        if not isinstance(value, str) and (key != "expert_path" or value is not None):
+            raise ManifestError(f"manifest entry {key} must be a string: {record!r}")
+    expert = record.get("expert_path")
 
-    def resolve(value: object) -> Path:
-        path = Path(str(value))
+    def resolve(value: str) -> Path:
+        path = Path(value)
         return path if path.is_absolute() else base / path
 
-    expert = record.get("expert_path")
     return ManifestEntry(
-        recording_id=str(record["recording_id"]),
+        recording_id=recording_id,
         machine_path=resolve(record["machine_path"]),
         meta_path=resolve(record["meta_path"]),
         expert_path=resolve(expert) if expert else None,

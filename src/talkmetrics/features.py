@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Container, Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 from .codec import Codec
 from .errors import TalkmetricsError
-from .transcript import SpeakerRole, Transcript, Utterance
+from .transcript import SpeakerRole, Transcript
 
 DEFAULT_RESPONSE_WINDOW = 2.5
 DEFAULT_LD_WINDOW = 60.0
@@ -49,23 +49,6 @@ class ResponseLink:
 
 def _mean(total: int, count: int) -> float | None:
     return total / count if count else None
-
-
-def mlu(utterances: Iterable[Utterance]) -> float | None:
-    """Mean words per utterance, over word-bearing utterances only.
-
-    None when nothing qualifies.
-    """
-    counts = [utt.word_count for utt in utterances if utt.word_count]
-    return _mean(sum(counts), len(counts))
-
-
-def words_per_minute(transcript: Transcript, role: SpeakerRole) -> float:
-    """Total words spoken by ``role`` divided by the recording length."""
-    minutes = transcript.meta.duration_minutes
-    if minutes <= 0:
-        raise ZeroDuration(f"duration must be positive, got {minutes}")
-    return transcript.word_count(role) / minutes
 
 
 def detect_responses(
@@ -105,115 +88,6 @@ def response_proportion(responded: int, total: int) -> float | None:
     if total == 0:
         return None
     return responded / total
-
-
-class _RoleTally(NamedTuple):
-    """One role's counts and window word types, from one pass."""
-
-    n_questions: int
-    n_non_questions: int
-    question_words: int
-    non_question_words: int
-    n_responded_questions: int
-    n_responded_non_questions: int
-    n_responses_given: int
-    buckets: list[set[str]]
-
-
-def _tally(
-    transcript: Transcript,
-    role: SpeakerRole,
-    window: float,
-    responded: Container[str] = frozenset(),
-    responders: Container[str] = frozenset(),
-) -> _RoleTally:
-    """One pass over ``role``'s utterances in the transcript's columns.
-
-    The counts cover word-bearing utterances: questions and non-questions,
-    their words, those whose id is in ``responded`` (targets that drew a
-    response) and those whose id is in ``responders``. The buckets cover
-    every utterance: the distinct word types per onset-bucketed time
-    window, on a partition of [0, duration) that an utterance starting past
-    the recorded duration extends.
-    """
-    columns = transcript.columns
-    n_windows = max(math.ceil(transcript.meta.duration_seconds / window), 1)
-    buckets: list[set[str]] = [set() for _ in range(n_windows)]
-    n_questions = n_non_questions = question_words = non_question_words = 0
-    n_responded_questions = n_responded_non_questions = n_responses_given = 0
-    for utt_id, onset, utt_role, tokens, question in zip(
-        columns.id, columns.onset, columns.role, columns.tokens, columns.question
-    ):
-        if utt_role is not role:
-            continue
-        slot = int(onset // window)
-        while slot >= len(buckets):
-            buckets.append(set())
-        buckets[slot].update(tokens)
-        if not tokens:
-            continue
-        if question:
-            n_questions += 1
-            question_words += len(tokens)
-            n_responded_questions += utt_id in responded
-        else:
-            n_non_questions += 1
-            non_question_words += len(tokens)
-            n_responded_non_questions += utt_id in responded
-        n_responses_given += utt_id in responders
-    return _RoleTally(
-        n_questions,
-        n_non_questions,
-        question_words,
-        non_question_words,
-        n_responded_questions,
-        n_responded_non_questions,
-        n_responses_given,
-        buckets,
-    )
-
-
-def _window_types(
-    transcript: Transcript, role: SpeakerRole, window: float
-) -> list[set[str]]:
-    """Distinct normalized word types per onset-bucketed time window."""
-    return _tally(transcript, role, window).buckets
-
-
-def _check_ld_window(transcript: Transcript, window: float) -> None:
-    if transcript.meta.duration_seconds <= 0:
-        raise ZeroDuration("duration must be positive")
-    if window <= 0:
-        raise ValueError(f"window must be positive, got {window}")
-
-
-def _mean_types(buckets: Sequence[set[str]]) -> float:
-    return sum(len(bucket) for bucket in buckets) / len(buckets)
-
-
-def lexical_diversity_per_minute(
-    transcript: Transcript, role: SpeakerRole, window: float = DEFAULT_LD_WINDOW
-) -> float:
-    """Mean count of distinct word types per time window for ``role``.
-
-    Windows are fixed-width buckets on utterance onset; silent windows
-    count as zero, so quiet speakers score low even when their busy minutes
-    are rich.
-    """
-    _check_ld_window(transcript, window)
-    return _mean_types(_window_types(transcript, role, window))
-
-
-def _pooled_types(transcript: Transcript, buckets: Sequence[set[str]]) -> float:
-    minutes = transcript.meta.duration_minutes
-    if minutes <= 0:
-        raise ZeroDuration("duration must be positive")
-    return len(set().union(*buckets)) / minutes
-
-
-def lexical_diversity_pooled(transcript: Transcript, role: SpeakerRole) -> float:
-    """Distinct word types over the whole recording, per minute."""
-    return _pooled_types(transcript, _window_types(transcript, role, DEFAULT_LD_WINDOW))
 
 
 @dataclass(frozen=True)
@@ -259,46 +133,73 @@ def summarize(
     transcript's columns.
 
     ``links`` lets callers share one detect_responses pass across both
-    roles; left as None, they are computed here.
+    roles; left as None, they are computed here. Lexical diversity per
+    minute is the mean count of distinct word types per ``ld_window``
+    seconds, bucketed on utterance onset; silent windows count as zero, so
+    quiet speakers score low even when their busy minutes are rich. The
+    pooled rate is the recording's distinct types per minute.
     """
     if links is None:
         links = detect_responses(transcript, response_window)
     minutes = transcript.meta.duration_minutes
     if minutes <= 0:
         raise ZeroDuration(f"duration must be positive, got {minutes}")
-    _check_ld_window(transcript, ld_window)
-    tally = _tally(
-        transcript,
-        role,
-        ld_window,
-        {link.target_utt_id for link in links},
-        {link.response_utt_id for link in links},
-    )
-    n_spoken = tally.n_questions + tally.n_non_questions
-    n_words = tally.question_words + tally.non_question_words
+    if ld_window <= 0:
+        raise ValueError(f"window must be positive, got {ld_window}")
+    responded = {link.target_utt_id for link in links}
+    responders = {link.response_utt_id for link in links}
+    # the windows cover every utterance, on a partition of [0, duration)
+    # that an utterance starting past the recorded duration extends
+    buckets: list[set[str]] = [
+        set() for _ in range(max(math.ceil(transcript.meta.duration_seconds / ld_window), 1))
+    ]
+    # the counts cover word-bearing utterances only
+    n_questions = n_non_questions = question_words = non_question_words = 0
+    n_responded_questions = n_responded_non_questions = n_responses_given = 0
+    columns = transcript.columns
+    for utt_id, onset, utt_role, tokens, question in zip(
+        columns.id, columns.onset, columns.role, columns.tokens, columns.question
+    ):
+        if utt_role is not role:
+            continue
+        slot = int(onset // ld_window)
+        while slot >= len(buckets):
+            buckets.append(set())
+        buckets[slot].update(tokens)
+        if not tokens:
+            continue
+        if question:
+            n_questions += 1
+            question_words += len(tokens)
+            n_responded_questions += utt_id in responded
+        else:
+            n_non_questions += 1
+            non_question_words += len(tokens)
+            n_responded_non_questions += utt_id in responded
+        n_responses_given += utt_id in responders
+    n_spoken = n_questions + n_non_questions
+    n_words = question_words + non_question_words
     return FeatureSummary(
         recording_id=transcript.meta.recording_id,
         source=transcript.source.value,
         role=role,
         n_utterances=n_spoken,
-        n_questions=tally.n_questions,
-        n_non_questions=tally.n_non_questions,
+        n_questions=n_questions,
+        n_non_questions=n_non_questions,
         mlu_overall=_mean(n_words, n_spoken),
-        mlu_question=_mean(tally.question_words, tally.n_questions),
-        mlu_non_question=_mean(tally.non_question_words, tally.n_non_questions),
+        mlu_question=_mean(question_words, n_questions),
+        mlu_non_question=_mean(non_question_words, n_non_questions),
         words_per_minute=n_words / minutes,
-        n_responded_questions=tally.n_responded_questions,
-        n_responded_non_questions=tally.n_responded_non_questions,
-        prop_responded_questions=response_proportion(
-            tally.n_responded_questions, tally.n_questions
-        ),
+        n_responded_questions=n_responded_questions,
+        n_responded_non_questions=n_responded_non_questions,
+        prop_responded_questions=response_proportion(n_responded_questions, n_questions),
         prop_responded_non_questions=response_proportion(
-            tally.n_responded_non_questions, tally.n_non_questions
+            n_responded_non_questions, n_non_questions
         ),
-        pct_questions=response_proportion(tally.n_questions, n_spoken),
-        n_responses_given=tally.n_responses_given,
-        lexical_diversity_per_minute=_mean_types(tally.buckets),
-        lexical_diversity_pooled=_pooled_types(transcript, tally.buckets),
+        pct_questions=response_proportion(n_questions, n_spoken),
+        n_responses_given=n_responses_given,
+        lexical_diversity_per_minute=sum(map(len, buckets)) / len(buckets),
+        lexical_diversity_pooled=len(set().union(*buckets)) / minutes,
     )
 
 

@@ -162,8 +162,8 @@ def parse_machine(path: Path | str, meta: RecordingMeta) -> Transcript:
     return Transcript.from_columns(meta, Columns.from_rows(rows), False, Source.MACHINE)
 
 
-def parse_expert(path: Path | str, meta: RecordingMeta, delimiter: str = "\t") -> Transcript:
-    """Read an expert transcript from a delimiter-separated table.
+def parse_expert(path: Path | str, meta: RecordingMeta) -> Transcript:
+    """Read an expert transcript from a tab-separated table.
 
     The header must contain start/end/speaker/text in any order, after an
     optional UTF-8 byte-order mark (spreadsheet exports carry one); a
@@ -176,7 +176,7 @@ def parse_expert(path: Path | str, meta: RecordingMeta, delimiter: str = "\t") -
         header_line = handle.readline()
         if not header_line:
             raise MissingHeader(path, 1, "empty file, expected a header row")
-        header = [column.strip() for column in header_line.rstrip("\r\n").split(delimiter)]
+        header = [column.strip() for column in header_line.rstrip("\r\n").split("\t")]
         missing = [column for column in EXPERT_COLUMNS if column not in header]
         if missing:
             raise MissingHeader(path, 1, f"header is missing columns: {', '.join(missing)}")
@@ -187,7 +187,7 @@ def parse_expert(path: Path | str, meta: RecordingMeta, delimiter: str = "\t") -
             row = line.rstrip("\r\n")
             if not row.strip():
                 continue
-            cells = row.split(delimiter)
+            cells = row.split("\t")
             if len(cells) < len(EXPERT_COLUMNS):
                 raise MalformedRecord(
                     path, line_no, f"expected at least {len(EXPERT_COLUMNS)} cells, got {len(cells)}"
@@ -325,7 +325,7 @@ def write_machine_jsonl(transcript: Transcript, path: Path | str) -> None:
             handle.write("\n")
 
 
-def write_expert_table(transcript: Transcript, path: Path | str, delimiter: str = "\t") -> None:
+def write_expert_table(transcript: Transcript, path: Path | str) -> None:
     """Serialize a transcript in the expert table format.
 
     The machine_id column is emitted only when some utterance carries a
@@ -334,17 +334,17 @@ def write_expert_table(transcript: Transcript, path: Path | str, delimiter: str 
     any_link = any(utt.linked_id is not None for utt in transcript.utterances)
     columns = list(EXPERT_COLUMNS) + (["machine_id"] if any_link else [])
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(delimiter.join(columns) + "\n")
+        handle.write("\t".join(columns) + "\n")
         for utt in transcript.utterances:
             cells = [
                 repr(utt.onset),
                 repr(utt.offset),
                 utt.role.value,
-                utt.raw_text.replace(delimiter, " ").replace("\n", " "),
+                utt.raw_text.replace("\t", " ").replace("\n", " "),
             ]
             if any_link:
                 cells.append(utt.linked_id or "")
-            handle.write(delimiter.join(cells) + "\n")
+            handle.write("\t".join(cells) + "\n")
 
 
 def load_recording(

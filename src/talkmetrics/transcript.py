@@ -24,7 +24,6 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 
@@ -54,9 +53,8 @@ class Source(Enum):
 
 
 # Markers like "[laughs]" or "<noise>" are annotations, not speech; they are
-# stripped before any other normalization step. The list is configurable via
-# the strip_patterns argument of normalize().
-DEFAULT_STRIP_PATTERNS: tuple[str, ...] = (r"\[[^\]]*\]", r"<[^>]*>")
+# stripped, one pattern after the other, before any other normalization step.
+_ANNOTATIONS = (re.compile(r"\[[^\]]*\]"), re.compile(r"<[^>]*>"))
 
 _CURLY_APOSTROPHES = re.compile(r"[‘’ʼ`´]")
 _HYPHEN_JOIN = re.compile(r"(?<=\w)-(?=\w)")
@@ -76,16 +74,11 @@ _ASCII_FOLD = bytes(
 ) + bytes(range(128, 256))
 
 
-@lru_cache(maxsize=16)
-def _compiled_strip_patterns(patterns: tuple[str, ...]) -> tuple[re.Pattern, ...]:
-    return tuple(re.compile(p) for p in patterns)
-
-
-def _strip_annotations(raw_text: str, strip_patterns: Sequence[str]) -> str:
-    if strip_patterns is DEFAULT_STRIP_PATTERNS and "[" not in raw_text and "<" not in raw_text:
-        return raw_text  # neither default pattern can match
+def _strip_annotations(raw_text: str) -> str:
+    if "[" not in raw_text and "<" not in raw_text:
+        return raw_text  # neither pattern can match
     text = raw_text
-    for pattern in _compiled_strip_patterns(tuple(strip_patterns)):
+    for pattern in _ANNOTATIONS:
         text = pattern.sub(" ", text)
     return text
 
@@ -113,7 +106,7 @@ def _normalize_stripped(text: str) -> str:
     return _WHITESPACE.sub(" ", text).strip()
 
 
-def normalize(raw_text: str, strip_patterns: Sequence[str] = DEFAULT_STRIP_PATTERNS) -> str:
+def normalize(raw_text: str) -> str:
     """Normalize raw utterance text for tokenization.
 
     Lower-cases, removes annotation markers and punctuation, keeps
@@ -121,13 +114,13 @@ def normalize(raw_text: str, strip_patterns: Sequence[str] = DEFAULT_STRIP_PATTE
     words ("well-known" -> "wellknown"), keeps numerals verbatim, and
     collapses whitespace. Total function: any input string is accepted.
     """
-    return _normalize_stripped(_strip_annotations(raw_text, strip_patterns))
+    return _normalize_stripped(_strip_annotations(raw_text))
 
 
 def tokens_of(raw_text: str) -> tuple[str, ...]:
     """``tuple(tokenize(normalize(raw_text)))``, without joining ASCII words
     only to split them again."""
-    text = _strip_annotations(raw_text, DEFAULT_STRIP_PATTERNS)
+    text = _strip_annotations(raw_text)
     if text.isascii():
         return tuple(_ascii_words(text))
     return tuple(_normalize_stripped(text).split())

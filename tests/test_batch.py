@@ -28,7 +28,7 @@ from talkmetrics.batch import (
     icc_table,
     reliability_table,
 )
-from talkmetrics.cli import EXIT_PARTIAL, main
+from talkmetrics.cli import EXIT_FATAL, EXIT_PARTIAL, main
 from talkmetrics.transcript import Source, Transcript
 
 
@@ -157,6 +157,70 @@ class TestDiscover:
         manifest_path.write_text(json.dumps([{"recording_id": "x"}]), encoding="utf-8")
         with pytest.raises(ManifestError):
             discover(manifest_path=manifest_path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("recording_id", None),
+            ("recording_id", 7),
+            ("recording_id", ""),
+            ("recording_id", "."),
+            ("recording_id", ".."),
+            ("recording_id", "../escaped"),
+            ("recording_id", "a/b"),
+            ("recording_id", "a\\b"),
+            ("recording_id", "a\0b"),
+            ("machine_path", None),
+            ("machine_path", ["a"]),
+            ("meta_path", None),
+            ("meta_path", 1.5),
+            ("expert_path", 0),
+            ("expert_path", False),
+            ("expert_path", {"path": "x"}),
+        ],
+    )
+    def test_manifest_entry_mistyped(self, tmp_path, field, value):
+        entry = {
+            "recording_id": "rec00",
+            "machine_path": "rec00.machine.jsonl",
+            "meta_path": "rec00.meta.json",
+            field: value,
+        }
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps([entry]), encoding="utf-8")
+        with pytest.raises(ManifestError, match=field) as excinfo:
+            discover(manifest_path=manifest_path)
+        assert repr(entry) in str(excinfo.value)
+
+    def test_manifest_null_expert_path_means_none(self, tmp_path):
+        entry = {
+            "recording_id": "rec00",
+            "machine_path": "rec00.machine.jsonl",
+            "meta_path": "rec00.meta.json",
+            "expert_path": None,
+        }
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps([entry]), encoding="utf-8")
+        assert discover(manifest_path=manifest_path).entries[0].expert_path is None
+
+    def test_manifest_id_cannot_leave_out_dir(self, tmp_path, capsys):
+        root = corpus_dir(tmp_path, n=1)
+        entry = {
+            "recording_id": "../escaped",
+            "machine_path": "corpus/rec00.machine.jsonl",
+            "meta_path": "corpus/rec00.meta.json",
+            "expert_path": "corpus/rec00.expert.tsv",
+        }
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps([entry]), encoding="utf-8")
+        out = tmp_path / "out" / "inner"
+        code = main(["align", "--manifest", str(manifest_path), "--out", str(out)])
+        assert code == EXIT_FATAL
+        assert "recording_id" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert sorted(p.name for p in root.iterdir()) == [
+            "rec00.expert.tsv", "rec00.machine.jsonl", "rec00.meta.json"
+        ]
 
     def test_manifest_invalid_json(self, tmp_path):
         manifest_path = tmp_path / "manifest.json"

@@ -1,15 +1,18 @@
 """Damaged input never breaks a run: Hypothesis corrupts bytes, fields and
 headers, or deletes files, in a three-recording corpus (one linked expert
 table, one unlinked, one recording without an expert side) read by
-directory convention or through a manifest. ``batch`` must still finish
-with every recording accounted for, the same outputs for any worker count,
-and a ``features`` run that agrees with it; ``ingest-check`` and ``align``
-must account for every recording exactly once too."""
+directory convention or through a manifest, which may be damaged too.
+``batch`` must still finish with every recording accounted for, the same
+outputs for any worker count, and a ``features`` run that agrees with it;
+``ingest-check`` and ``align`` must account for every recording exactly
+once too. A manifest that ``discover`` rejects must stop every verb with
+exit 3 before it writes anything."""
 
 import contextlib
 import csv
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthetic as syn
+from talkmetrics.batch import ManifestError, discover
 from talkmetrics.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, main
 
 RECORDINGS = ("linked", "plain", "unlinked")
@@ -111,6 +115,28 @@ def mutate(path: Path, data: st.DataObject) -> None:
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
 
 
+MANIFEST_KEYS = ("recording_id", "machine_path", "meta_path", "expert_path")
+
+
+def mutate_manifest(path: Path, data: st.DataObject) -> None:
+    """One corruption of the manifest: an entry replaced by a non-object,
+    one field set to any JSON value, or one path pointed at a missing file."""
+    entries = json.loads(path.read_text(encoding="utf-8"))
+    i = data.draw(st.integers(0, len(entries) - 1), label="entry")
+    kind = data.draw(st.sampled_from(("replace", "field", "missing")), label="manifest kind")
+    if kind == "replace":
+        entries[i] = data.draw(json_values, label="entry value")
+    elif not isinstance(entries[i], dict):
+        pass  # an earlier mutation replaced this entry
+    elif kind == "field":
+        key = data.draw(st.sampled_from(MANIFEST_KEYS), label="manifest key")
+        entries[i][key] = data.draw(json_values, label="manifest value")
+    else:
+        key = data.draw(st.sampled_from(MANIFEST_KEYS[1:]), label="path key")
+        entries[i][key] = f"data/missing.{key}"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+
+
 def run(*argv: str) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one in-process command."""
     out, err = io.StringIO(), io.StringIO()
@@ -136,22 +162,30 @@ def test_batch_survives_corruption(data):
             existing = [path for path in candidates if path.exists()]
             mutate(data.draw(st.sampled_from(existing), label="file"), data)
 
-        # a manifest names every file; discovery sees only machine files
+        # a manifest names every file, and every entry with a non-empty
+        # expert_path has an expert side; discovery sees only machine files
         # that exist, and an expert table only if it exists
         by_manifest = data.draw(st.booleans(), label="manifest")
         corpus = ("--root", str(root))
         if by_manifest:
-            corpus = ("--manifest", str(tmp / "manifest.json"))
-        expected = {
-            rid
-            for rid in RECORDINGS
-            if by_manifest or (root / f"{rid}.machine.jsonl").exists()
-        }
-        with_expert = {
-            rid
-            for rid in expected
-            if rid in EXPERT_SIDE and (by_manifest or (root / f"{rid}.expert.tsv").exists())
-        }
+            manifest = tmp / "manifest.json"
+            for _ in range(data.draw(st.integers(0, 2), label="manifest mutations")):
+                mutate_manifest(manifest, data)
+            corpus = ("--manifest", str(manifest))
+            try:
+                discover(manifest_path=manifest)
+            except ManifestError as exc:
+                assert_rejected(tmp, corpus, str(exc))
+                return
+            entries = json.loads(manifest.read_text(encoding="utf-8"))
+            expected = {entry["recording_id"] for entry in entries}
+            assert len(expected) == len(entries)
+            with_expert = {entry["recording_id"] for entry in entries if entry.get("expert_path")}
+        else:
+            expected = {rid for rid in RECORDINGS if (root / f"{rid}.machine.jsonl").exists()}
+            with_expert = {
+                rid for rid in expected & set(EXPERT_SIDE) if (root / f"{rid}.expert.tsv").exists()
+            }
         if not expected:
             assert run("batch", *corpus, "--out", str(tmp / "out"))[0] == EXIT_FATAL
             return
@@ -190,14 +224,32 @@ def test_batch_survives_corruption(data):
         assert all(record["ok"] != ("error" in record) for record in records)
         assert code == (EXIT_PARTIAL if any(not r["ok"] for r in records) else EXIT_OK)
 
+        # ids may hold almost any character, ':' and newlines included, so
+        # the audit lines are matched whole rather than split
         out = tmp / "align"
         code, stdout, stderr = run("align", *corpus, "--out", str(out))
-        audits = [path.name.split(".")[0] for path in sorted(out.iterdir())]
-        fails = [line.split(":")[0] for line in stderr.splitlines() if ": FAIL " in line]
-        skipped = sorted(expected - with_expert)
-        assert sorted(audits + fails + skipped) == sorted(expected)
-        assert [line.split(":")[0] for line in stdout.splitlines()] == audits
+        suffix = ".alignment.jsonl"
+        audits = sorted(path.name[: -len(suffix)] for path in out.iterdir())
+        assert all(path.name.endswith(suffix) for path in out.iterdir())
+        assert set(audits) <= with_expert
+        fails = with_expert - set(audits)
+        assert stderr.count(": FAIL ") == len(fails)
+        assert all(f"{rid}: FAIL " in stderr for rid in fails)
+        audit_line = r": \d+ pairs, \d+ machine-only, \d+ expert-only\n"
+        assert re.fullmatch("".join(re.escape(rid) + audit_line for rid in audits), stdout)
         if with_expert:
             assert code == (EXIT_PARTIAL if fails else EXIT_OK)
         else:
             assert code == EXIT_FATAL
+
+
+def assert_rejected(tmp: Path, corpus: tuple[str, str], message: str) -> None:
+    """Every verb exits 3 with the manifest error and writes no report."""
+    for verb in ("batch", "features", "align"):
+        out = tmp / f"rejected-{verb}"
+        code, stdout, stderr = run(verb, *corpus, "--out", str(out))
+        assert (code, stdout) == (EXIT_FATAL, "")
+        assert stderr == f"talkmetrics: error: {message}\n"
+        assert not out.exists()
+    code, stdout, stderr = run("ingest-check", *corpus, "--format", "json")
+    assert (code, stdout, stderr) == (EXIT_FATAL, "", f"talkmetrics: error: {message}\n")

@@ -15,11 +15,8 @@ from talkmetrics import (
     FeatureSummary,
     SpeakerRole,
     detect_responses,
-    lexical_diversity_per_minute,
-    mlu,
     response_proportion,
     summarize,
-    words_per_minute,
 )
 from talkmetrics.features import (
     FEATURE_COLUMNS,
@@ -27,8 +24,16 @@ from talkmetrics.features import (
     InvalidCounts,
     ZeroDuration,
     icc_feature_values,
-    lexical_diversity_pooled,
 )
+
+TEACHER, CHILD = SpeakerRole.TEACHER, SpeakerRole.CHILD
+
+
+def summary_of(utterances, duration_minutes=5.0, role=TEACHER, **kwargs):
+    """The summary of ``role`` in a transcript of ``utterances``."""
+    meta = syn.make_meta(duration_minutes=duration_minutes)
+    return summarize(syn.transcript(utterances, meta), role, **kwargs)
+
 
 # --- MLU ---------------------------------------------------------------------
 
@@ -36,33 +41,32 @@ from talkmetrics.features import (
 class TestMlu:
     def test_simple_mean(self):
         utts = [syn.utt(1, 0, 1, "one two three"), syn.utt(2, 2, 3, "one two three four five")]
-        assert mlu(utts) == 4.0
+        assert summary_of(utts).mlu_overall == 4.0
 
     def test_empty_is_none(self):
-        assert mlu([]) is None
+        assert summary_of([]).mlu_overall is None
 
     def test_wordless_utterances_skipped(self):
         utts = [syn.utt(1, 0, 1, "one two"), syn.utt(2, 2, 3, "[laughs]")]
-        assert mlu(utts) == 2.0
+        summary = summary_of(utts)
+        assert summary.mlu_overall == 2.0
+        assert summary.n_utterances == 1
 
     def test_all_wordless_is_none(self):
-        assert mlu([syn.utt(1, 0, 1, "[coughs]")]) is None
+        assert summary_of([syn.utt(1, 0, 1, "[coughs]")]).mlu_overall is None
 
 
 class TestWordsPerMinute:
     def test_rate(self):
-        meta = syn.make_meta(duration_minutes=2.0)
-        transcript = syn.transcript(
-            [syn.utt(1, 0, 1, "one two three"), syn.utt(2, 2, 3, "four five six seven eight")],
-            meta,
-        )
-        assert words_per_minute(transcript, SpeakerRole.TEACHER) == 4.0
-        assert words_per_minute(transcript, SpeakerRole.CHILD) == 0.0
+        utts = [syn.utt(1, 0, 1, "one two three"), syn.utt(2, 2, 3, "four five six seven eight")]
+        assert summary_of(utts, duration_minutes=2.0).words_per_minute == 4.0
+        assert summary_of(utts, duration_minutes=2.0, role=CHILD).words_per_minute == 0.0
 
     def test_zero_duration_rejected(self):
+        # RecordingMeta refuses a zero duration, so only a stand-in carries one
         fake = SimpleNamespace(meta=SimpleNamespace(duration_minutes=0.0))
         with pytest.raises(ZeroDuration):
-            words_per_minute(fake, SpeakerRole.TEACHER)
+            summarize(fake, TEACHER, links=())
 
 
 # --- responses ---------------------------------------------------------------
@@ -245,68 +249,50 @@ class TestResponseProportion:
 
 class TestLexicalDiversity:
     def test_repeated_tokens_counted_once(self):
-        meta = syn.make_meta(duration_minutes=1.0)
-        transcript = syn.transcript([syn.utt(1, 0, 2, "the cat the cat")], meta)
-        assert lexical_diversity_per_minute(transcript, SpeakerRole.TEACHER) == 2.0
+        summary = summary_of([syn.utt(1, 0, 2, "the cat the cat")], duration_minutes=1.0)
+        assert summary.lexical_diversity_per_minute == 2.0
 
     def test_silent_windows_drag_the_mean(self):
-        meta = syn.make_meta(duration_minutes=2.0)
-        transcript = syn.transcript(
-            [syn.utt(1, 0, 2, "one two three four")], meta
-        )
         # four types in the first minute, nothing in the second
-        assert lexical_diversity_per_minute(transcript, SpeakerRole.TEACHER) == 2.0
+        summary = summary_of([syn.utt(1, 0, 2, "one two three four")], duration_minutes=2.0)
+        assert summary.lexical_diversity_per_minute == 2.0
 
     def test_onset_buckets_split_types(self):
-        meta = syn.make_meta(duration_minutes=2.0)
-        transcript = syn.transcript(
-            [syn.utt(1, 0, 2, "alpha beta"), syn.utt(2, 61, 62, "alpha gamma")],
-            meta,
-        )
-        assert lexical_diversity_per_minute(transcript, SpeakerRole.TEACHER) == 2.0
+        utts = [syn.utt(1, 0, 2, "alpha beta"), syn.utt(2, 61, 62, "alpha gamma")]
+        assert summary_of(utts, duration_minutes=2.0).lexical_diversity_per_minute == 2.0
 
     def test_boundary_onset_goes_to_later_window(self):
-        meta = syn.make_meta(duration_minutes=2.0)
-        transcript = syn.transcript([syn.utt(1, 60.0, 61.0, "word")], meta)
-        from talkmetrics.features import _window_types
-
-        buckets = _window_types(transcript, SpeakerRole.TEACHER, 60.0)
-        assert [len(b) for b in buckets] == [0, 1]
+        # "word" at 60.0 s counts in the second window: one type in each;
+        # in the first window it would leave the second empty (mean 0.5)
+        utts = [syn.utt(1, 0.0, 1.0, "word"), syn.utt(2, 60.0, 61.0, "word")]
+        assert summary_of(utts, duration_minutes=2.0).lexical_diversity_per_minute == 1.0
 
     def test_late_utterance_extends_partition(self):
-        meta = syn.make_meta(duration_minutes=1.0)
-        transcript = syn.transcript([syn.utt(1, 70.0, 71.0, "early late")], meta)
-        assert lexical_diversity_per_minute(transcript, SpeakerRole.TEACHER) == 1.0
+        # a one-minute recording, an onset at 70 s: windows [0, 60) and [60, 120)
+        summary = summary_of([syn.utt(1, 70.0, 71.0, "early late")], duration_minutes=1.0)
+        assert summary.lexical_diversity_per_minute == 1.0
 
     def test_other_roles_ignored(self):
-        meta = syn.make_meta(duration_minutes=1.0)
-        transcript = syn.transcript(
-            [syn.utt(1, 0, 1, "teacher words"), syn.utt(2, 2, 3, "child says more", "child")],
-            meta,
-        )
-        assert lexical_diversity_per_minute(transcript, SpeakerRole.CHILD) == 3.0
+        utts = [syn.utt(1, 0, 1, "teacher words"), syn.utt(2, 2, 3, "child says more", "child")]
+        summary = summary_of(utts, duration_minutes=1.0, role=CHILD)
+        assert summary.lexical_diversity_per_minute == 3.0
+        assert summary.lexical_diversity_pooled == 3.0
+        assert summary.n_utterances == 1
 
     def test_pooled_rate(self):
-        meta = syn.make_meta(duration_minutes=2.0)
-        transcript = syn.transcript(
-            [syn.utt(1, 0, 2, "a b c"), syn.utt(2, 61, 62, "a d")], meta
-        )
-        assert lexical_diversity_pooled(transcript, SpeakerRole.TEACHER) == 2.0
+        utts = [syn.utt(1, 0, 2, "a b c"), syn.utt(2, 61, 62, "a d")]
+        assert summary_of(utts, duration_minutes=2.0).lexical_diversity_pooled == 2.0
 
     def test_custom_window_width(self):
-        meta = syn.make_meta(duration_minutes=1.0)
-        transcript = syn.transcript(
-            [syn.utt(1, 0, 1, "a b"), syn.utt(2, 31, 32, "c")], meta
-        )
-        assert lexical_diversity_per_minute(
-            transcript, SpeakerRole.TEACHER, window=30.0
-        ) == 1.5
+        utts = [syn.utt(1, 0, 1, "a b"), syn.utt(2, 31, 32, "c")]
+        summary = summary_of(utts, duration_minutes=1.0, ld_window=30.0)
+        assert summary.lexical_diversity_per_minute == 1.5
+        # the window width moves only the per-window mean
+        assert summary.lexical_diversity_pooled == 3.0
 
     def test_bad_window_rejected(self):
-        meta = syn.make_meta()
-        transcript = syn.transcript([syn.utt(1, 0, 1, "a")], meta)
         with pytest.raises(ValueError):
-            lexical_diversity_per_minute(transcript, SpeakerRole.TEACHER, window=0.0)
+            summary_of([syn.utt(1, 0, 1, "a")], ld_window=0.0)
 
 
 # --- summary battery ---------------------------------------------------------

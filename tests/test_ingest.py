@@ -33,9 +33,9 @@ def machine_file(tmp_path, lines):
     return path
 
 
-def expert_file(tmp_path, rows, header="start\tend\tspeaker\ttext", delimiter="\t"):
+def expert_file(tmp_path, rows, header="start\tend\tspeaker\ttext"):
     path = tmp_path / "rec.expert.tsv"
-    body = [header] + [delimiter.join(str(c) for c in row) for row in rows]
+    body = [header] + ["\t".join(str(c) for c in row) for row in rows]
     path.write_text("\n".join(body) + "\n", encoding="utf-8")
     return path
 
@@ -183,16 +183,6 @@ class TestParseExpert:
         with pytest.raises(UnknownSpeakerLabel) as excinfo:
             parse_expert(path, META)
         assert excinfo.value.line == 3
-
-    def test_custom_delimiter(self, tmp_path):
-        path = expert_file(
-            tmp_path,
-            [(0.0, 1.0, "child", "hi there")],
-            header="start,end,speaker,text",
-            delimiter=",",
-        )
-        transcript = parse_expert(path, META, delimiter=",")
-        assert transcript.utterances[0].raw_text == "hi there"
 
     def test_byte_order_mark_before_header(self, tmp_path):
         path = tmp_path / "rec.expert.tsv"

@@ -46,9 +46,6 @@ class TestNormalize:
     def test_bracketed_annotations_stripped(self):
         assert normalize("[laughs] go on <noise> now") == "go on now"
 
-    def test_custom_strip_patterns(self):
-        assert normalize("um hello", strip_patterns=(r"\bum\b",)) == "hello"
-
     def test_whitespace_collapsed(self):
         assert normalize("  a \t b \n c ") == "a b c"
 
