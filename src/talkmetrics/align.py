@@ -9,10 +9,11 @@ Two routes produce the same structure:
   programming over the two time-ordered utterance lists, scoring candidate
   pairs by a blend of text similarity and temporal overlap.
 
-Either way the result is an :class:`AlignedCorpus`: matched pairs plus the
-machine-only and expert-only residue. Downstream agreement statistics treat
-pairs and residue differently, so the split is preserved rather than
-flattened.
+Either way the result is an :class:`AlignedCorpus`: the two transcripts
+and the matched (machine index, expert index) pairs; every utterance
+outside a pair is machine-only or expert-only residue. Downstream agreement
+statistics treat pairs and residue differently, so the split is preserved
+rather than flattened.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class AlignConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.similarity_weight <= 1.0:
             raise ValueError(f"similarity_weight must be in [0, 1]: {self.similarity_weight}")
-        if self.gap_penalty < 0.0:
+        if not self.gap_penalty >= 0.0:
             raise ValueError(f"gap_penalty must be non-negative: {self.gap_penalty}")
 
 
@@ -118,42 +119,46 @@ class AlignedPair:
 
 @dataclass(frozen=True)
 class AlignedCorpus:
-    """A recording's matching: pairs plus per-side residue."""
+    """A recording's matching: the two transcripts and ``matched``, the
+    (machine index, expert index) position pairs, increasing on both sides.
 
-    meta: RecordingMeta
-    pairs: tuple[AlignedPair, ...]
-    machine_only: tuple[Utterance, ...]
-    expert_only: tuple[Utterance, ...]
+    ``pairs``, ``machine_only`` and ``expert_only`` build their utterance
+    objects on every read.
+    """
+
+    machine: Transcript
+    expert: Transcript
+    matched: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.matched)
+
+    @property
+    def meta(self) -> RecordingMeta:
+        return self.machine.meta
 
     @property
     def n_machine(self) -> int:
-        return len(self.pairs) + len(self.machine_only)
+        return len(self.machine)
 
     @property
     def n_expert(self) -> int:
-        return len(self.pairs) + len(self.expert_only)
+        return len(self.expert)
 
+    @property
+    def pairs(self) -> tuple[AlignedPair, ...]:
+        machine, expert = self.machine.utterances, self.expert.utterances
+        return tuple(AlignedPair(machine[i], expert[j]) for i, j in self.matched)
 
-def _assemble(
-    meta: RecordingMeta,
-    machine: Sequence[Utterance],
-    expert: Sequence[Utterance],
-    matched: Sequence[tuple[int, int]],
-) -> AlignedCorpus:
-    """Build the corpus from (machine index, expert index) match positions."""
-    matched = sorted(matched)
-    used_machine = {i for i, _ in matched}
-    used_expert = {j for _, j in matched}
-    pairs = tuple(AlignedPair(machine_utt=machine[i], expert_utt=expert[j]) for i, j in matched)
-    return AlignedCorpus(
-        meta=meta,
-        pairs=pairs,
-        machine_only=tuple(u for i, u in enumerate(machine) if i not in used_machine),
-        expert_only=tuple(u for j, u in enumerate(expert) if j not in used_expert),
-    )
+    @property
+    def machine_only(self) -> tuple[Utterance, ...]:
+        used = {i for i, _ in self.matched}
+        return tuple(u for i, u in enumerate(self.machine.utterances) if i not in used)
+
+    @property
+    def expert_only(self) -> tuple[Utterance, ...]:
+        used = {j for _, j in self.matched}
+        return tuple(u for j, u in enumerate(self.expert.utterances) if j not in used)
 
 
 def _longest_increasing_run(values: Sequence[int]) -> list[int]:
@@ -198,21 +203,20 @@ def align_by_index(machine: Transcript, expert: Transcript) -> AlignedCorpus:
             f"expert transcript for {expert.meta.recording_id!r} carries too few"
             " machine ids for index alignment"
         )
-    machine_position = {utt.id: i for i, utt in enumerate(machine.utterances)}
+    machine_position = {id: i for i, id in enumerate(machine.columns.id)}
     claimed: set[int] = set()
     links: list[tuple[int, int]] = []  # (machine index, expert index), expert order
-    for j, utt in enumerate(expert.utterances):
-        if utt.linked_id is None:
+    for j, linked_id in enumerate(expert.columns.linked_id):
+        if linked_id is None:
             continue
-        i = machine_position.get(utt.linked_id)
+        i = machine_position.get(linked_id)
         if i is None or i in claimed:
             continue
         claimed.add(i)
         links.append((i, j))
     links.sort()  # machine order; now keep the largest strictly increasing expert run
     keep = _longest_increasing_run([j for _, j in links])
-    matched = [links[position] for position in keep]
-    return _assemble(machine.meta, machine.utterances, expert.utterances, matched)
+    return AlignedCorpus(machine, expert, tuple(links[position] for position in keep))
 
 
 # Machine rows per distance block are sized so a block holds about this
@@ -384,17 +388,18 @@ def align_by_time(
     structure, not real correspondences.
     """
     config = config or AlignConfig()
-    matched, _ = _dp(machine.utterances, expert.utterances, config)
+    machine_utts, expert_utts = machine.utterances, expert.utterances
+    matched, _ = _dp(machine_utts, expert_utts, config)
     kept = []
     for i, j in matched:
-        utt_m, utt_e = machine.utterances[i], expert.utterances[j]
+        utt_m, utt_e = machine_utts[i], expert_utts[j]
         if (
             time_iou(utt_m, utt_e) < config.min_iou
             and text_similarity(utt_m, utt_e) < config.min_text_similarity
         ):
             continue
         kept.append((i, j))
-    return _assemble(machine.meta, machine.utterances, expert.utterances, kept)
+    return AlignedCorpus(machine, expert, tuple(kept))
 
 
 def align(
@@ -408,17 +413,9 @@ def align(
 
 def write_alignment_jsonl(corpus: AlignedCorpus, path: Path | str) -> None:
     """Audit trail: one JSON line per pair, then per residue utterance."""
+    records = [{"kind": "pair", **pair.to_dict()} for pair in corpus.pairs]
+    records += [{"kind": "machine_only", "machine_id": u.id} for u in corpus.machine_only]
+    records += [{"kind": "expert_only", "expert_id": u.id} for u in corpus.expert_only]
     with open(path, "w", encoding="utf-8") as handle:
-        for pair in corpus.pairs:
-            record = {"kind": "pair", **pair.to_dict()}
+        for record in records:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-        for utt in corpus.machine_only:
-            handle.write(
-                json.dumps({"kind": "machine_only", "machine_id": utt.id}, ensure_ascii=False)
-                + "\n"
-            )
-        for utt in corpus.expert_only:
-            handle.write(
-                json.dumps({"kind": "expert_only", "expert_id": utt.id}, ensure_ascii=False)
-                + "\n"
-            )

@@ -22,7 +22,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -132,6 +132,16 @@ class CorpusManifest:
         return len(self.entries)
 
 
+# What each key of a config file must hold; an ``align`` object's keys are
+# under ("align", key).
+_CONFIG_KEYS = {
+    ("response_window",): "a number",
+    ("ld_window",): "a number",
+    ("wer_wearer_match",): "true or false",
+    **{("align", f.name): "a number" for f in fields(AlignConfig)},
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a pipeline run needs beyond the manifest.
@@ -147,9 +157,9 @@ class RunConfig:
     wer_wearer_match: bool = True
 
     def __post_init__(self) -> None:
-        if self.response_window <= 0:
+        if not self.response_window > 0:
             raise ValueError(f"response_window must be positive: {self.response_window}")
-        if self.ld_window <= 0:
+        if not self.ld_window > 0:
             raise ValueError(f"ld_window must be positive: {self.ld_window}")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be at least 1: {self.parallelism}")
@@ -162,14 +172,27 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, data: Mapping, **overrides) -> "RunConfig":
-        """Build from a config-file mapping; keyword overrides win."""
-        align_data = dict(data.get("align", {}))
-        kwargs: dict = {
-            "align": AlignConfig(**align_data),
-            "response_window": data.get("response_window", DEFAULT_RESPONSE_WINDOW),
-            "ld_window": data.get("ld_window", DEFAULT_LD_WINDOW),
-            "wer_wearer_match": data.get("wer_wearer_match", True),
-        }
+        """Build from a config-file mapping, which holds the keys of
+        ``semantic_dict`` or some of them; keyword overrides win. Raises
+        ValueError for an unknown key, a value of the wrong type, or one out
+        of range."""
+        align_data = data.get("align", {})
+        if not isinstance(align_data, Mapping):
+            raise ValueError(f"align must be an object: {align_data!r}")
+        flat = {(key,): value for key, value in data.items() if key != "align"}
+        flat.update((("align", key), value) for key, value in align_data.items())
+        for key, value in flat.items():
+            name = ".".join(map(str, key))
+            kind = _CONFIG_KEYS.get(key)
+            if kind is None:
+                raise ValueError(f"unknown key {name!r}")
+            # a bool is an int to isinstance, so it is told apart first
+            if isinstance(value, bool) != (kind == "true or false") or not isinstance(
+                value, (int, float)
+            ):
+                raise ValueError(f"{name} must be {kind}: {value!r}")
+        kwargs = {key[0]: value for key, value in flat.items() if len(key) == 1}
+        kwargs["align"] = AlignConfig(**align_data)
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**kwargs)
 
@@ -189,8 +212,10 @@ def _entry_from_mapping(record: Mapping, base: Path) -> ManifestEntry:
         )
     for key in ("machine_path", "meta_path", "expert_path"):
         value = record.get(key)
-        if not isinstance(value, str) and (key != "expert_path" or value is not None):
-            raise ManifestError(f"manifest entry {key} must be a string: {record!r}")
+        if key == "expert_path" and value is None:
+            continue
+        if not isinstance(value, str) or not value:
+            raise ManifestError(f"manifest entry {key} must be a non-empty string: {record!r}")
     expert = record.get("expert_path")
 
     def resolve(value: str) -> Path:
@@ -201,7 +226,7 @@ def _entry_from_mapping(record: Mapping, base: Path) -> ManifestEntry:
         recording_id=recording_id,
         machine_path=resolve(record["machine_path"]),
         meta_path=resolve(record["meta_path"]),
-        expert_path=resolve(expert) if expert else None,
+        expert_path=None if expert is None else resolve(expert),
     )
 
 

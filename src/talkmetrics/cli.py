@@ -65,7 +65,7 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value <= 0:
+    if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text}")
     return value
 
@@ -153,18 +153,25 @@ def _load_manifest(args: argparse.Namespace, parser: _Parser) -> CorpusManifest:
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
+    path = args.config
     data = {}
-    if getattr(args, "config", None) is not None:
-        with open(args.config, encoding="utf-8") as handle:
-            data = json.load(handle)
+    if path is not None:
+        with open(path, encoding="utf-8") as handle:
+            try:
+                data = json.load(handle)
+            except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+                raise TalkmetricsError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(data, dict):
-            raise TalkmetricsError(f"{args.config}: config must be a JSON object")
-    return RunConfig.from_mapping(
-        data,
-        response_window=getattr(args, "response_window", None),
-        ld_window=getattr(args, "ld_window", None),
-        parallelism=getattr(args, "workers", None),
-    )
+            raise TalkmetricsError(f"{path}: config must be a JSON object")
+    try:
+        return RunConfig.from_mapping(
+            data,
+            response_window=getattr(args, "response_window", None),
+            ld_window=getattr(args, "ld_window", None),
+            parallelism=getattr(args, "workers", None),
+        )
+    except ValueError as exc:
+        raise TalkmetricsError(f"{path}: {exc}") from None
 
 
 def _cmd_ingest_check(args: argparse.Namespace, parser: _Parser) -> int:
@@ -225,9 +232,9 @@ def _cmd_align(args: argparse.Namespace, parser: _Parser) -> int:
         write_alignment_jsonl(corpus, args.out / f"{entry.recording_id}.alignment.jsonl")
         n_aligned += 1
         print(
-            f"{entry.recording_id}: {len(corpus.pairs)} pairs,"
-            f" {len(corpus.machine_only)} machine-only,"
-            f" {len(corpus.expert_only)} expert-only"
+            f"{entry.recording_id}: {len(corpus)} pairs,"
+            f" {corpus.n_machine - len(corpus)} machine-only,"
+            f" {corpus.n_expert - len(corpus)} expert-only"
         )
     if n_aligned == 0 and n_failed == 0:
         print("talkmetrics: no recording has an expert transcript", file=sys.stderr)

@@ -159,7 +159,7 @@ def parse_machine(path: Path | str, meta: RecordingMeta) -> Transcript:
                  confidence, None)
             )
     rows.sort()  # ids are unique, so (onset, offset, id) decides every comparison
-    return Transcript.from_columns(meta, Columns.from_rows(rows), False, Source.MACHINE)
+    return Transcript(meta, Columns.from_rows(rows), False, Source.MACHINE)
 
 
 def parse_expert(path: Path | str, meta: RecordingMeta) -> Transcript:
@@ -212,7 +212,7 @@ def parse_expert(path: Path | str, meta: RecordingMeta) -> Transcript:
             )
     linked = bool(rows) and link_count / len(rows) >= LINKED_THRESHOLD
     rows.sort()  # ids are unique, so (onset, offset, id) decides every comparison
-    return Transcript.from_columns(meta, Columns.from_rows(rows), linked, Source.EXPERT)
+    return Transcript(meta, Columns.from_rows(rows), linked, Source.EXPERT)
 
 
 def load_meta(path: Path | str) -> RecordingMeta:
@@ -272,38 +272,38 @@ def validate(transcript: Transcript) -> list[ValidationWarning]:
     findings: list[ValidationWarning] = []
     limit = transcript.meta.duration_seconds + 1.0
     last_offset: dict[SpeakerRole, tuple[float, str]] = {}
-    for utt in transcript.utterances:
-        previous = last_offset.get(utt.role)
-        if previous is not None and utt.onset < previous[0]:
+    for onset, offset, id, role, tokens, _, raw_text, _, _ in transcript.columns.rows():
+        previous = last_offset.get(role)
+        if previous is not None and onset < previous[0]:
             findings.append(
                 ValidationWarning(
                     code="overlap",
-                    utterance_id=utt.id,
+                    utterance_id=id,
                     message=(
-                        f"{utt.role.value} utterance {utt.id} starts at {utt.onset:.3f}"
+                        f"{role.value} utterance {id} starts at {onset:.3f}"
                         f" before {previous[1]} ends at {previous[0]:.3f}"
                     ),
                 )
             )
-        if previous is None or utt.offset > previous[0]:
-            last_offset[utt.role] = (utt.offset, utt.id)
-        if utt.offset > limit:
+        if previous is None or offset > previous[0]:
+            last_offset[role] = (offset, id)
+        if offset > limit:
             findings.append(
                 ValidationWarning(
                     code="past_duration",
-                    utterance_id=utt.id,
+                    utterance_id=id,
                     message=(
-                        f"utterance {utt.id} ends at {utt.offset:.3f}, past the"
+                        f"utterance {id} ends at {offset:.3f}, past the"
                         f" recording duration of {transcript.meta.duration_seconds:.1f}s"
                     ),
                 )
             )
-        if utt.word_count == 0:
+        if not tokens:
             findings.append(
                 ValidationWarning(
                     code="zero_words",
-                    utterance_id=utt.id,
-                    message=f"utterance {utt.id} normalizes to zero words: {utt.raw_text!r}",
+                    utterance_id=id,
+                    message=f"utterance {id} normalizes to zero words: {raw_text!r}",
                 )
             )
     return findings
@@ -331,7 +331,7 @@ def write_expert_table(transcript: Transcript, path: Path | str) -> None:
     The machine_id column is emitted only when some utterance carries a
     link.
     """
-    any_link = any(utt.linked_id is not None for utt in transcript.utterances)
+    any_link = any(link is not None for link in transcript.columns.linked_id)
     columns = list(EXPERT_COLUMNS) + (["machine_id"] if any_link else [])
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("\t".join(columns) + "\n")

@@ -77,11 +77,15 @@ def utterance_wer(hyp: Utterance | None, ref: Utterance | None) -> float:
         raise BothAbsent("utterance_wer called with neither side present")
     if hyp is None or ref is None:
         return 1.0
-    distance = levenshtein(hyp.tokens, ref.tokens)
-    denominator = ref.word_count or hyp.word_count
+    return _tokens_wer(hyp.tokens, ref.tokens)
+
+
+def _tokens_wer(hyp: Sequence[str], ref: Sequence[str]) -> float:
+    """WER of two present sides' words, as :func:`utterance_wer` defines it."""
+    denominator = len(ref) or len(hyp)
     if denominator == 0:
         return 0.0
-    return distance / denominator
+    return levenshtein(hyp, ref) / denominator
 
 
 def wer_units(
@@ -96,21 +100,22 @@ def wer_units(
     """
     if wearer_match and corpus.meta.wearer_role is not role:
         return 0.0, 0
+    machine, expert = corpus.machine.columns, corpus.expert.columns
     total = 0.0
-    count = 0
-    for pair in corpus.pairs:
-        if pair.expert_utt.role is role:
-            total += utterance_wer(pair.machine_utt, pair.expert_utt)
-            count += 1
-    for utt in corpus.expert_only:
-        if utt.role is role:
-            total += 1.0
-            count += 1
-    for utt in corpus.machine_only:
-        if utt.role is role:
-            total += 1.0
-            count += 1
-    return total, count
+    n_pairs = n_machine_paired = 0
+    for i, j in corpus.matched:
+        if expert.role[j] is role:
+            total += _tokens_wer(machine.tokens[i], expert.tokens[j])
+            n_pairs += 1
+        if machine.role[i] is role:
+            n_machine_paired += 1
+    # the role's unpaired utterances, expert side then machine side
+    n_residue = (expert.role.count(role) - n_pairs) + (
+        machine.role.count(role) - n_machine_paired
+    )
+    for _ in range(n_residue):
+        total += 1.0  # one addition per utterance, so the float sum is unchanged
+    return total, n_pairs + n_residue
 
 
 def corpus_wer(
@@ -182,9 +187,10 @@ def cross_classify(corpus: AlignedCorpus) -> ConfusionMatrix:
     order = (SpeakerRole.TEACHER, SpeakerRole.CHILD)
     cells = [[0, 0], [0, 0]]
     excluded = 0
-    for pair in corpus.pairs:
-        expert_role = pair.expert_utt.role
-        machine_role = pair.machine_utt.role
+    machine_roles, expert_roles = corpus.machine.columns.role, corpus.expert.columns.role
+    for i, j in corpus.matched:
+        expert_role = expert_roles[j]
+        machine_role = machine_roles[i]
         if expert_role not in order or machine_role not in order:
             excluded += 1
             continue
@@ -192,8 +198,8 @@ def cross_classify(corpus: AlignedCorpus) -> ConfusionMatrix:
     return ConfusionMatrix(
         counts=((cells[0][0], cells[0][1]), (cells[1][0], cells[1][1])),
         excluded_other=excluded,
-        residue_machine=len(corpus.machine_only),
-        residue_expert=len(corpus.expert_only),
+        residue_machine=corpus.n_machine - len(corpus),
+        residue_expert=corpus.n_expert - len(corpus),
     )
 
 

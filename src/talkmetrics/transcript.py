@@ -234,10 +234,6 @@ class RecordingMeta:
         return self.duration_minutes * 60.0
 
 
-def _sort_key(u: Utterance) -> tuple[float, float, str]:
-    return (u.onset, u.offset, u.id)
-
-
 # One utterance's entry in every column, in the field order of ``Columns``.
 Row = tuple[float, float, str, SpeakerRole, tuple[str, ...], bool, str, float | None, str | None]
 
@@ -290,31 +286,36 @@ def _utterance(row: Row, source: Source) -> Utterance:
     return utt
 
 
+@dataclass(frozen=True)
 class Transcript:
     """Ordered utterances of one recording plus its metadata.
 
-    Utterances are stored sorted by (onset, offset, id); the order is total,
-    so identical inputs always produce identical transcripts. ``linked`` is
-    set by the expert parser when enough rows reference machine segment ids
-    to allow index alignment. ``source`` is set by the parsers; left unset,
-    it is taken from the utterances (machine when there are none).
-
-    The utterances are held as ``columns``. The ``Utterance`` objects of
-    ``utterances`` and ``by_role`` are built from them on first use and
-    kept; a transcript built from objects keeps those. Two transcripts are
-    equal when their metadata, ``linked``, ``source`` and columns are.
+    The utterances are held as ``columns``, sorted by (onset, offset, id);
+    the order is total, so identical inputs always produce identical
+    transcripts. ``linked`` is set by the expert parser when enough rows
+    reference machine segment ids to allow index alignment; ``source`` says
+    which side the transcript is. The ``Utterance`` objects of
+    ``utterances`` and ``by_role`` are built from the columns on every read
+    and not kept.
     """
 
-    __slots__ = ("meta", "columns", "linked", "source", "_utterances")
+    meta: RecordingMeta
+    columns: Columns = field(repr=False)
+    linked: bool
+    source: Source
 
-    def __init__(
-        self,
+    @classmethod
+    def from_utterances(
+        cls,
         meta: RecordingMeta,
         utterances: Iterable[Utterance],
         linked: bool = False,
         source: Source | None = None,
-    ) -> None:
-        ordered = tuple(sorted(utterances, key=_sort_key))
+    ) -> "Transcript":
+        """The transcript of ``utterances``, in any order. Left unset,
+        ``source`` is taken from the utterances (machine when there are
+        none)."""
+        ordered = sorted(utterances, key=lambda u: (u.onset, u.offset, u.id))
         if source is None:
             source = ordered[0].source if ordered else Source.MACHINE
         columns = Columns.from_rows(
@@ -324,50 +325,12 @@ class Transcript:
                 for u in ordered
             ]
         )
-        self._fill(meta, columns, linked, source, ordered)
-
-    @classmethod
-    def from_columns(
-        cls, meta: RecordingMeta, columns: Columns, linked: bool, source: Source
-    ) -> "Transcript":
-        """A transcript over ``columns``; its utterances are built on first use."""
-        transcript = cls.__new__(cls)
-        transcript._fill(meta, columns, linked, source, None)
-        return transcript
-
-    def _fill(self, meta, columns, linked, source, utterances) -> None:
-        for name, value in zip(self.__slots__, (meta, columns, linked, source, utterances)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return (Transcript.from_columns, (self.meta, self.columns, self.linked, self.source))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Transcript):
-            return NotImplemented
-        return (self.meta, self.columns, self.linked, self.source) == (
-            other.meta, other.columns, other.linked, other.source
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.meta, self.columns, self.linked, self.source))
-
-    def __repr__(self) -> str:
-        return (
-            f"Transcript(meta={self.meta!r}, utterances=<{len(self)}>,"
-            f" linked={self.linked!r}, source={self.source!r})"
-        )
+        return cls(meta, columns, linked, source)
 
     @property
     def utterances(self) -> tuple[Utterance, ...]:
-        if self._utterances is None:
-            source = self.source
-            built = tuple(_utterance(row, source) for row in self.columns.rows())
-            object.__setattr__(self, "_utterances", built)
-        return self._utterances
+        source = self.source
+        return tuple(_utterance(row, source) for row in self.columns.rows())
 
     def __len__(self) -> int:
         return len(self.columns.id)

@@ -85,9 +85,7 @@ def utt(
 def transcript(
     utterances, meta: RecordingMeta | None = None, linked: bool = False
 ) -> Transcript:
-    return Transcript(
-        meta=meta or make_meta(), utterances=tuple(utterances), linked=linked
-    )
+    return Transcript.from_utterances(meta or make_meta(), utterances, linked=linked)
 
 
 def build_weather_pair(duration_minutes: float = 1.0):

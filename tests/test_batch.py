@@ -203,6 +203,28 @@ class TestDiscover:
         manifest_path.write_text(json.dumps([entry]), encoding="utf-8")
         assert discover(manifest_path=manifest_path).entries[0].expert_path is None
 
+    @pytest.mark.parametrize("field", ["machine_path", "meta_path", "expert_path"])
+    def test_manifest_blank_path_rejected(self, tmp_path, field):
+        # a blank path would resolve to the manifest's directory, or read as
+        # "no expert table"; either way the entry must be named at once
+        corpus_dir(tmp_path, n=1)
+        entry = {
+            "recording_id": "rec00",
+            "machine_path": "corpus/rec00.machine.jsonl",
+            "meta_path": "corpus/rec00.meta.json",
+            "expert_path": "corpus/rec00.expert.tsv",
+            field: "",
+        }
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps([entry]), encoding="utf-8")
+        with pytest.raises(ManifestError, match=field) as excinfo:
+            discover(manifest_path=manifest_path)
+        assert repr(entry) in str(excinfo.value)
+        for verb in ("batch", "align"):
+            out = tmp_path / verb
+            assert main([verb, "--manifest", str(manifest_path), "--out", str(out)]) == EXIT_FATAL
+            assert not out.exists()
+
     def test_manifest_id_cannot_leave_out_dir(self, tmp_path, capsys):
         root = corpus_dir(tmp_path, n=1)
         entry = {

@@ -43,6 +43,14 @@ class TestUsageErrors:
         )
         assert code == EXIT_USAGE
 
+    def test_nan_response_window(self, tmp_path, capsys):
+        code = main(
+            ["features", "--root", str(tmp_path), "--out", str(tmp_path / "out"),
+             "--response-window", "nan"]
+        )
+        assert code == EXIT_USAGE
+        assert "must be positive: nan" in capsys.readouterr().err
+
     def test_bad_workers(self, tmp_path):
         code = main(
             ["batch", "--root", str(tmp_path), "--out", str(tmp_path / "out"),
@@ -357,6 +365,36 @@ class TestBatch:
               "--config", str(config), "--response-window", "1.5"])
         results = json.loads((out2 / "results.json").read_text())
         assert results["config"]["response_window"] == 1.5
+
+    @pytest.mark.parametrize("verb", ["batch", "align"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"{", "invalid JSON"),
+            (b"\xff{}", "invalid JSON"),
+            (b"[]", "config must be a JSON object"),
+            (b'{"response_windw": 4.0}', "unknown key 'response_windw'"),
+            (b'{"align": {"gap": 0.1}}', "unknown key 'align.gap'"),
+            (b'{"align": [0.1]}', "align must be an object"),
+            (b'{"response_window": "x"}', "response_window must be a number: 'x'"),
+            (b'{"ld_window": true}', "ld_window must be a number: True"),
+            (b'{"wer_wearer_match": "no"}', "wer_wearer_match must be true or false"),
+            (b'{"align": {"gap_penalty": -1}}', "gap_penalty must be non-negative"),
+            (b'{"ld_window": 0}', "ld_window must be positive"),
+            (b'{"response_window": NaN}', "response_window must be positive"),
+        ],
+    )
+    def test_bad_config_is_fatal(self, weather_dir, tmp_path, capsys, verb, content, message):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        out = tmp_path / "out"
+        code = main([verb, "--root", str(weather_dir), "--out", str(out), "--config", str(config)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_FATAL, "")
+        assert captured.err.startswith(f"talkmetrics: error: {config}: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_worker_count_leaves_output_unchanged(self, tmp_path):
         for i in range(3):

@@ -1,7 +1,7 @@
-"""A transcript read from a file (columns first, objects on demand) and one
-built from ``Utterance`` objects give the same utterances, role views,
-word counts, responses and feature rows; the feature rows also equal those
-of the object-based ``summarize`` kept here as the reference."""
+"""A transcript read from a file (columns only) and one built from
+``Utterance`` objects give the same utterances, role views, word counts,
+responses and feature rows; the feature rows also equal those of the
+object-based ``summarize`` kept here as the reference."""
 
 import json
 import math
@@ -10,7 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthetic as syn
-from talkmetrics import SpeakerRole, Source, Transcript, Utterance, detect_responses, summarize
+import talkmetrics.transcript as transcript_module
+from talkmetrics import (
+    RunConfig,
+    SpeakerRole,
+    Source,
+    Transcript,
+    Utterance,
+    detect_responses,
+    discover,
+    run_pipeline,
+    summarize,
+)
+from talkmetrics.cli import EXIT_OK, main
 from talkmetrics.features import FeatureSummary, ResponseLink, response_proportion
 from talkmetrics.ingest import parse_expert, parse_machine
 
@@ -171,7 +183,7 @@ def test_machine_file_and_objects_agree(tmp_path_factory, rows, params):
     fresh = parse_machine(path, meta)
     links = detect_responses(fresh, response_window)
     summaries = [summarize(fresh, role, links, ld_window=ld_window) for role in SpeakerRole]
-    built = Transcript(meta, utterances=object_route(rows, Source.MACHINE))
+    built = Transcript.from_utterances(meta, object_route(rows, Source.MACHINE))
     assert_same(parsed, built, response_window, ld_window)
     assert summaries == [
         summarize(built, role, links, ld_window=ld_window) for role in SpeakerRole
@@ -188,7 +200,7 @@ def test_expert_file_and_objects_agree(tmp_path_factory, rows, params):
     parsed = parse_expert(path, meta)
     utterances = object_route(rows, Source.EXPERT)
     linked = bool(rows) and sum(u.linked_id is not None for u in utterances) / len(rows) >= 0.9
-    built = Transcript(meta, utterances=utterances, linked=linked, source=Source.EXPERT)
+    built = Transcript.from_utterances(meta, utterances, linked=linked, source=Source.EXPERT)
     assert_same(parsed, built, response_window, ld_window)
 
 
@@ -197,20 +209,28 @@ def test_string_order_of_tied_ids(tmp_path):
     path = tmp_path / "rec.machine.jsonl"
     write_machine(path, rows)
     transcript = parse_machine(path, syn.make_meta())
-    assert [u.id for u in transcript.utterances] == ["1", "10", *"23456789"]
+    utterances = transcript.utterances
+    assert [u.id for u in utterances] == ["1", "10", *"23456789"]
+    # built objects share the columns' token tuples rather than copying them
+    assert all(u.tokens is t for u, t in zip(utterances, transcript.columns.tokens))
 
 
-def test_objects_are_built_once_and_only_on_demand(tmp_path):
-    rows = [(float(i), 1.0, "hi there?", ROLES[i % 2], None) for i in range(6)]
-    path = tmp_path / "rec.machine.jsonl"
-    write_machine(path, rows)
-    transcript = parse_machine(path, syn.make_meta())
-    links = detect_responses(transcript)
-    for role in SpeakerRole:
-        summarize(transcript, role, links)
-    assert transcript.word_count(SpeakerRole.TEACHER) == 6
-    assert len(transcript) == 6
-    assert transcript._utterances is None
-    first = transcript.utterances
-    assert transcript.utterances is first
-    assert all(u.tokens is t for u, t in zip(first, transcript.columns.tokens))
+def test_index_route_builds_no_utterance(tmp_path, monkeypatch, capsys):
+    """Parsing, features, index alignment, reliability and validation read
+    the columns: with ``Utterance`` building broken, a linked corpus still
+    runs clean through ``run_pipeline`` and the ``features`` and
+    ``ingest-check`` verbs."""
+    root = tmp_path / "corpus"
+    syn.write_weather_recording(root, "weather")
+    syn.write_weather_recording(root, "weather2")
+
+    def forbidden(row, source):
+        raise AssertionError("an Utterance was built")
+
+    monkeypatch.setattr(transcript_module, "_utterance", forbidden)
+    result = run_pipeline(discover(root_dir=root), RunConfig())
+    assert result.errors == ()
+    assert [row.recording_id for row in result.reliability.rows] == ["weather", "weather2"]
+    assert main(["features", "--root", str(root), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert main(["ingest-check", "--root", str(root)]) == EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
