@@ -50,8 +50,9 @@ class AlignConfig:
     min_text_similarity: float = 0.2
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.similarity_weight <= 1.0:
-            raise ValueError(f"similarity_weight must be in [0, 1]: {self.similarity_weight}")
+        for name in ("similarity_weight", "min_iou", "min_text_similarity"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]: {getattr(self, name)}")
         if not self.gap_penalty >= 0.0:
             raise ValueError(f"gap_penalty must be non-negative: {self.gap_penalty}")
 

@@ -296,8 +296,7 @@ class RecordingOutcome:
 
     A field keeps its default unless a stage that ran fills it.
     ``features`` is empty when the machine side failed. ``total_words``
-    holds each feature row's role word count, for exact pooling, and
-    ``icc`` maps each grid feature to its (machine, expert) values.
+    holds each feature row's role word count, for exact pooling.
     """
 
     recording_id: str
@@ -308,7 +307,6 @@ class RecordingOutcome:
     total_words: tuple[int, ...] = ()
     alignment: AlignedCorpus | None = None
     reliability: RecordingReliability | None = None
-    icc: dict[str, tuple[float | None, float | None]] = field(default_factory=dict)
     findings: tuple[tuple[str, ValidationWarning], ...] = ()
     errors: tuple[EntryError, ...] = ()
 
@@ -376,16 +374,8 @@ _INGEST_STAGES = {name for name, side, _ in _STAGES if side == "ingest"}
 def _outcome(recording_id: str, done: dict) -> RecordingOutcome:
     """The reported fields of one recording's stage products."""
     features, words = done.get("machine_features", ((), ()))
-    icc = {}
     if "expert_features" in done:
         expert_features, expert_words = done["expert_features"]
-        if "reliability" in done:
-            minutes = done["meta"].duration_minutes
-            expert_grid = _icc_grid(expert_features, minutes)
-            icc = {
-                key: (value, expert_grid[key])
-                for key, value in _icc_grid(features, minutes).items()
-            }
         features, words = features + expert_features, words + expert_words
     return RecordingOutcome(
         recording_id,
@@ -396,7 +386,6 @@ def _outcome(recording_id: str, done: dict) -> RecordingOutcome:
         total_words=words,
         alignment=done.get("align"),
         reliability=done.get("reliability"),
-        icc=icc,
         findings=done.get("validate", ()),
     )
 
@@ -535,8 +524,15 @@ def run_pipeline(
     feature_pairs: dict[str, list[tuple[float | None, float | None]]] = {}
     pooled: dict[str, list[tuple[FeatureSummary, int, float]]] = {"machine": []}
     for outcome in done:
-        for key, pair in outcome.icc.items():
-            feature_pairs.setdefault(key, []).append(pair)
+        if outcome.reliability is not None:
+            machine, expert = (
+                _icc_grid(
+                    [s for s in outcome.features if s.source == source], outcome.duration_minutes
+                )
+                for source in ("machine", "expert")
+            )
+            for key, value in machine.items():
+                feature_pairs.setdefault(key, []).append((value, expert[key]))
         for summary, words in zip(outcome.features, outcome.total_words):
             pooled.setdefault(summary.source, []).append(
                 (summary, words, outcome.duration_minutes)
@@ -586,35 +582,15 @@ def write_json(path: Path, data: object) -> Path:
     return path
 
 
-RELIABILITY_COLUMNS = (
-    "recording_id",
-    "duration_minutes",
-    "f1_weighted",
-    "accuracy",
-    "kappa",
-    "wer_teacher",
-    "wer_child",
-)
+RELIABILITY_COLUMNS = ("recording_id", "duration_minutes", *(f.name for f in fields(MetricSet)))
 
+# _pool_source names the pooled keys: each role's, then the one across roles
+_POOLED = _pool_source(())
 AGGREGATE_COLUMNS = (
     "source",
     "role",
-    "n_recordings",
-    "n_utterances",
-    "n_questions",
-    "n_non_questions",
-    "n_responded_questions",
-    "n_responded_non_questions",
-    "n_responses_given",
-    "total_words",
-    "mlu_pooled",
-    "words_per_minute_pooled",
-    "prop_responded_questions_pooled",
-    "prop_responded_non_questions_pooled",
-    "pct_questions_pooled",
-    "pct_questions_mean",
-    "mean_lexical_diversity_per_minute",
-    "teacher_child_utterance_ratio",
+    *_POOLED[SpeakerRole.TEACHER.value],
+    *(key for key in _POOLED if key not in {role.value for role in iter_roles()}),
 )
 
 ICC_COLUMNS = ("feature", "icc", "n_used", "n_dropped", "zero_variance")
@@ -663,7 +639,7 @@ def aggregate_table(aggregate: Mapping[str, dict]) -> list[list[object]]:
             rows.append(
                 [source, role.value]
                 + [stats[col] for col in AGGREGATE_COLUMNS[2:-1]]
-                + [pooled["teacher_child_utterance_ratio"]]
+                + [pooled[AGGREGATE_COLUMNS[-1]]]
             )
     return rows
 

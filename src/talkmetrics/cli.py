@@ -123,7 +123,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("align", help="write per-recording alignment audit files")
     _add_corpus_flags(p)
     p.add_argument("--config", type=Path, help="JSON file of analysis parameters")
-    _add_out_flags(p)
+    p.add_argument("--out", type=Path, required=True, help="output directory")
 
     p = sub.add_parser("features", help="compute the language-feature table")
     _add_corpus_flags(p)

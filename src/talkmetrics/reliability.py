@@ -22,7 +22,7 @@ Conventions, fixed once here so every report uses the same rules:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -401,6 +401,15 @@ def confusion_metrics(m: ConfusionMatrix) -> tuple[float | None, float | None, f
     return weighted_f1(m), accuracy(m), cohen_kappa(m)
 
 
+def metric_set(
+    confusion: ConfusionMatrix, teacher: tuple[float, int], child: tuple[float, int]
+) -> MetricSet:
+    """The metrics of a confusion matrix and of each role's (WER sum, unit
+    count); a role without units has no WER."""
+    wers = (total / count if count else None for total, count in (teacher, child))
+    return MetricSet(*confusion_metrics(confusion), *wers)
+
+
 def build_report(
     rows: Sequence[RecordingReliability],
     feature_pairs: Mapping[str, Sequence[tuple[float | None, float | None]]] | None = None,
@@ -412,27 +421,10 @@ def build_report(
     drop count kept in the report.
     """
     ordered = tuple(sorted(rows, key=lambda r: r.recording_id))
-    pooled_confusion = ConfusionMatrix(counts=((0, 0), (0, 0)))
-    for row in ordered:
-        pooled_confusion = pooled_confusion + row.confusion
-    f1, acc, kappa = confusion_metrics(pooled_confusion)
-
-    def pooled_wer(sums: list[float], counts: list[int]) -> float | None:
-        total_count = sum(counts)
-        if total_count == 0:
-            return None
-        return sum(sums) / total_count
-
-    overall = MetricSet(
-        f1_weighted=f1,
-        accuracy=acc,
-        kappa=kappa,
-        wer_teacher=pooled_wer(
-            [r.wer_sum_teacher for r in ordered], [r.wer_count_teacher for r in ordered]
-        ),
-        wer_child=pooled_wer(
-            [r.wer_sum_child for r in ordered], [r.wer_count_child for r in ordered]
-        ),
+    overall = metric_set(
+        sum((r.confusion for r in ordered), ConfusionMatrix(counts=((0, 0), (0, 0)))),
+        (sum(r.wer_sum_teacher for r in ordered), sum(r.wer_count_teacher for r in ordered)),
+        (sum(r.wer_sum_child for r in ordered), sum(r.wer_count_child for r in ordered)),
     )
 
     durations = [r.duration_minutes for r in ordered]
@@ -444,13 +436,7 @@ def build_report(
         except (ZeroTotalWeight, LengthMismatch):
             return None
 
-    time_weighted = MetricSet(
-        f1_weighted=weighted("f1_weighted"),
-        accuracy=weighted("accuracy"),
-        kappa=weighted("kappa"),
-        wer_teacher=weighted("wer_teacher"),
-        wer_child=weighted("wer_child"),
-    )
+    time_weighted = MetricSet(**{f.name: weighted(f.name) for f in fields(MetricSet)})
 
     iccs: dict[str, IccEntry] = {}
     for name, pairs in sorted((feature_pairs or {}).items()):
@@ -479,12 +465,8 @@ def recording_reliability(
 ) -> RecordingReliability:
     """Compute one recording's agreement row from its aligned corpus."""
     confusion = cross_classify(corpus)
-    f1, acc, kappa = confusion_metrics(confusion)
-    sums: dict[SpeakerRole, tuple[float, int]] = {}
-    for role in (SpeakerRole.TEACHER, SpeakerRole.CHILD):
-        sums[role] = wer_units(corpus, role, wearer_match)
-    wer_t = sums[SpeakerRole.TEACHER]
-    wer_c = sums[SpeakerRole.CHILD]
+    wer_t = wer_units(corpus, SpeakerRole.TEACHER, wearer_match)
+    wer_c = wer_units(corpus, SpeakerRole.CHILD, wearer_match)
     meta = corpus.meta
     return RecordingReliability(
         recording_id=meta.recording_id,
@@ -493,13 +475,7 @@ def recording_reliability(
         wearer_role=meta.wearer_role,
         duration_minutes=meta.duration_minutes,
         confusion=confusion,
-        metrics=MetricSet(
-            f1_weighted=f1,
-            accuracy=acc,
-            kappa=kappa,
-            wer_teacher=wer_t[0] / wer_t[1] if wer_t[1] else None,
-            wer_child=wer_c[0] / wer_c[1] if wer_c[1] else None,
-        ),
+        metrics=metric_set(confusion, wer_t, wer_c),
         wer_sum_teacher=wer_t[0],
         wer_count_teacher=wer_t[1],
         wer_sum_child=wer_c[0],

@@ -207,10 +207,6 @@ class Utterance:
     def question(self) -> bool:
         return is_question(self.raw_text)
 
-    @property
-    def duration(self) -> float:
-        return self.offset - self.onset
-
 
 @dataclass(frozen=True)
 class RecordingMeta:

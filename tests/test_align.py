@@ -347,6 +347,21 @@ class TestAlignByTime:
         assert corpus.pairs == () and corpus.expert_only == ()
 
 
+class TestAlignConfig:
+    @pytest.mark.parametrize(
+        "name", ["similarity_weight", "min_iou", "min_text_similarity"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), -0.1, 1.5, 7])
+    def test_threshold_outside_unit_interval_rejected(self, name, value):
+        # a NaN threshold would compare false everywhere and turn demotion off
+        with pytest.raises(ValueError, match=f"{name} must be in \\[0, 1\\]"):
+            AlignConfig(**{name: value})
+
+    def test_unit_interval_bounds_accepted(self):
+        AlignConfig(similarity_weight=1.0, min_iou=0.0, min_text_similarity=0.0)
+        AlignConfig(similarity_weight=0.0, min_iou=1.0, min_text_similarity=1.0)
+
+
 class TestAlignDispatch:
     def test_linked_expert_uses_identifiers(self, weather_machine, weather_expert):
         corpus = align(weather_machine, weather_expert)

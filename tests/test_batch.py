@@ -18,9 +18,6 @@ from talkmetrics import (
     run_pipeline,
 )
 from talkmetrics.batch import (
-    AGGREGATE_COLUMNS,
-    ICC_COLUMNS,
-    RELIABILITY_COLUMNS,
     EmptyCorpus,
     ManifestError,
     MissingFile,
@@ -502,12 +499,25 @@ class TestEmitReport:
             "reliability_per_recording.csv",
             "results.json",
         ]
-        header = (out / "reliability_per_recording.csv").read_text().splitlines()[0]
-        assert header == ",".join(RELIABILITY_COLUMNS)
-        header = (out / "icc.csv").read_text().splitlines()[0]
-        assert header == ",".join(ICC_COLUMNS)
-        header = (out / "aggregate_features.csv").read_text().splitlines()[0]
-        assert header == ",".join(AGGREGATE_COLUMNS)
+        # literal, so a reordered or renamed column shows here
+        headers = {
+            "features.csv": "recording_id,source,role,n_utterances,n_questions,"
+            "n_non_questions,mlu_overall,mlu_question,mlu_non_question,words_per_minute,"
+            "n_responded_questions,n_responded_non_questions,prop_responded_questions,"
+            "prop_responded_non_questions,pct_questions,n_responses_given,"
+            "lexical_diversity_per_minute,lexical_diversity_pooled",
+            "reliability_per_recording.csv": "recording_id,duration_minutes,f1_weighted,"
+            "accuracy,kappa,wer_teacher,wer_child",
+            "icc.csv": "feature,icc,n_used,n_dropped,zero_variance",
+            "aggregate_features.csv": "source,role,n_recordings,n_utterances,n_questions,"
+            "n_non_questions,n_responded_questions,n_responded_non_questions,"
+            "n_responses_given,total_words,mlu_pooled,words_per_minute_pooled,"
+            "prop_responded_questions_pooled,prop_responded_non_questions_pooled,"
+            "pct_questions_pooled,pct_questions_mean,mean_lexical_diversity_per_minute,"
+            "teacher_child_utterance_ratio",
+        }
+        for name, header in headers.items():
+            assert (out / name).read_text().splitlines()[0] == header, name
 
     def test_json_format_writes_results_only(self, tmp_path):
         syn.write_weather_recording(tmp_path / "data")

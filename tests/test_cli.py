@@ -68,6 +68,15 @@ class TestUsageErrors:
     def test_missing_out(self, tmp_path):
         assert main(["batch", "--root", str(tmp_path)]) == EXIT_USAGE
 
+    def test_align_takes_no_format(self, tmp_path, capsys):
+        code = main(
+            ["align", "--root", str(tmp_path), "--out", str(tmp_path / "out"),
+             "--format", "json"]
+        )
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestFatalErrors:
     def test_missing_root(self, tmp_path, capsys):
@@ -380,6 +389,10 @@ class TestBatch:
             (b'{"ld_window": true}', "ld_window must be a number: True"),
             (b'{"wer_wearer_match": "no"}', "wer_wearer_match must be true or false"),
             (b'{"align": {"gap_penalty": -1}}', "gap_penalty must be non-negative"),
+            (b'{"align": {"min_iou": NaN}}', "min_iou must be in [0, 1]: nan"),
+            (b'{"align": {"min_iou": -0.5}}', "min_iou must be in [0, 1]: -0.5"),
+            (b'{"align": {"min_text_similarity": 7}}', "min_text_similarity must be in [0, 1]: 7"),
+            (b'{"align": {"min_text_similarity": NaN}}', "min_text_similarity must be in [0, 1]"),
             (b'{"ld_window": 0}', "ld_window must be positive"),
             (b'{"response_window": NaN}', "response_window must be positive"),
         ],

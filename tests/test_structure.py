@@ -1,12 +1,16 @@
-"""Module structure: the package's import graph stays a plain, acyclic layering.
+"""Module structure: the package's import graph stays a plain, acyclic
+layering, and worker processes hand back typed products.
 
-Every package module is parsed, not imported, so a cycle shows here even
-where the import system would tolerate it through a local import or a
-typing-only guard.
+For the import checks every package module is parsed, not imported, so a
+cycle shows here even where the import system would tolerate it through a
+local import or a typing-only guard.
 """
 
 import ast
+import typing
 from pathlib import Path
+
+from talkmetrics.batch import RecordingOutcome
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "talkmetrics"
 
@@ -112,3 +116,11 @@ def test_one_catch_all_handler():
             if any(kind is None or getattr(kind, "id", None) in BROAD for kind in caught):
                 found.append(f"{name}:{node.lineno}")
     assert [place.split(":")[0] for place in found] == ["batch"], found
+
+
+def test_worker_outcome_holds_no_dict():
+    """A worker hands back typed products; the merge derives anything keyed
+    from them, so no dict travels back from a worker process."""
+    for name, hint in typing.get_type_hints(RecordingOutcome).items():
+        for kind in (hint, *typing.get_args(hint)):
+            assert (typing.get_origin(kind) or kind) is not dict, name

@@ -101,7 +101,8 @@ class TestUtterance:
             syn.utt(1, 2.0, 1.0, "hi")
 
     def test_zero_length_allowed(self):
-        assert syn.utt(1, 1.0, 1.0, "hi").duration == 0.0
+        u = syn.utt(1, 1.0, 1.0, "hi")
+        assert u.offset == u.onset == 1.0
 
     def test_empty_normalization_gives_zero_words(self):
         assert syn.utt(1, 0.0, 1.0, "[coughs]").word_count == 0
