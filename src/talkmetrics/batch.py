@@ -25,15 +25,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .align import AlignConfig, AlignedCorpus, align
-from .codec import Codec
+from .codec import Codec, field_values, json_chunks
 from .errors import TalkmetricsError, describe
 from .features import (
     DEFAULT_LD_WINDOW,
     DEFAULT_RESPONSE_WINDOW,
     FEATURE_COLUMNS,
+    ICC_FEATURES,
     FeatureSummary,
     detect_responses,
     icc_feature_values,
@@ -335,12 +336,19 @@ def _source_features(
     return summaries, tuple(transcript.word_count(summary.role) for summary in summaries)
 
 
+# each role's ICC grid key of each feature
+_ICC_KEYS = {
+    role: {feature: f"{role.value}_{feature}" for feature in ICC_FEATURES} for role in iter_roles()
+}
+
+
 def _icc_grid(summaries: Sequence[FeatureSummary], minutes: float) -> dict[str, float | None]:
-    return {
-        f"{summary.role.value}_{feature}": value
-        for summary in summaries
-        for feature, value in icc_feature_values(summary, minutes).items()
-    }
+    grid = {}
+    for summary in summaries:
+        keys = _ICC_KEYS[summary.role]
+        for feature, value in icc_feature_values(summary, minutes).items():
+            grid[keys[feature]] = value
+    return grid
 
 
 def _findings(done: dict) -> tuple[tuple[str, ValidationWarning], ...]:
@@ -556,6 +564,13 @@ def run_pipeline(
 
 def _fmt(value: object) -> str:
     """CSV cell: blank None, 3-decimal floats, everything else verbatim."""
+    kind = type(value)
+    if kind is float:
+        return repr(round(value, 3))
+    if kind is str:
+        return value
+    if kind is int:
+        return str(value)
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -565,19 +580,19 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> Path:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Iterable[object]]) -> Path:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        writer.writerows(map(_fmt, row) for row in rows)
     return path
 
 
 def write_json(path: Path, data: object) -> Path:
-    """Write ``data`` as indented JSON with a trailing newline."""
+    """Write ``data`` as indented JSON in the codec's encoding, with a
+    trailing newline, streamed from the objects themselves."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2)
+        handle.writelines(json_chunks(data))
         handle.write("\n")
     return path
 
@@ -596,9 +611,9 @@ AGGREGATE_COLUMNS = (
 ICC_COLUMNS = ("feature", "icc", "n_used", "n_dropped", "zero_variance")
 
 
-def feature_table(features: Sequence[FeatureSummary]) -> list[list[object]]:
+def feature_table(features: Iterable[FeatureSummary]) -> Iterator[list[object]]:
     """One row per (recording, source, role), in ``FEATURE_COLUMNS`` order."""
-    return [list(summary.to_dict().values()) for summary in features]
+    return map(field_values, features)
 
 
 def reliability_table(report: ReliabilityReport | None) -> list[list[object]]:
@@ -645,7 +660,7 @@ def aggregate_table(aggregate: Mapping[str, dict]) -> list[list[object]]:
 
 
 # Every CSV report: file name -> (header, rows of a result)
-TABLES: dict[str, tuple[Sequence[str], Callable[[PipelineResult], list[list[object]]]]] = {
+TABLES: dict[str, tuple[Sequence[str], Callable[[PipelineResult], Iterable[list[object]]]]] = {
     "features.csv": (FEATURE_COLUMNS, lambda result: feature_table(result.features)),
     "reliability_per_recording.csv": (
         RELIABILITY_COLUMNS,
@@ -665,16 +680,15 @@ def write_report(
     documents: Mapping[str, object],
     tables: Sequence[str],
 ) -> list[Path]:
-    """Write ``documents`` (file name -> JSON data), ``errors.json`` when the
-    run had failures, and the named ``TABLES`` to ``out_dir``; returns the
-    files written."""
+    """Write ``documents`` (file name -> data for ``write_json``),
+    ``errors.json`` when the run had failures, and the named ``TABLES`` to
+    ``out_dir``; returns the files written."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         written = [write_json(out / name, data) for name, data in documents.items()]
         if result.errors:
-            errors = [error.to_dict() for error in result.errors]
-            written.append(write_json(out / "errors.json", errors))
+            written.append(write_json(out / "errors.json", result.errors))
         for name in tables:
             header, rows = TABLES[name]
             written.append(_write_csv(out / name, header, rows(result)))
@@ -694,4 +708,4 @@ def emit_report(result: PipelineResult, out_dir: Path | str, format: str = "csv"
     if format not in ("csv", "json"):
         raise ValueError(f"format must be csv or json: {format!r}")
     tables = tuple(TABLES) if format == "csv" else ()
-    return write_report(result, out_dir, {"results.json": result.to_dict()}, tables)
+    return write_report(result, out_dir, {"results.json": result}, tables)

@@ -40,6 +40,7 @@ from .batch import (
     write_json,
     write_report,
 )
+from .codec import json_chunks
 from .errors import TalkmetricsError
 
 log = logging.getLogger(__name__)
@@ -118,7 +119,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ingest-check", help="parse every recording and report findings")
     _add_corpus_flags(p)
     p.add_argument("--out", type=Path, help="write a JSON report here")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument(
+        "--format", choices=("text", "json"), default="text", help="stdout format (default text)"
+    )
 
     p = sub.add_parser("align", help="write per-recording alignment audit files")
     _add_corpus_flags(p)
@@ -205,7 +208,8 @@ def _cmd_ingest_check(args: argparse.Namespace, parser: _Parser) -> int:
     n_failed = sum(not record["ok"] for record in records)
     report = {"recordings": records, "n_checked": len(records), "n_failed": n_failed}
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        sys.stdout.writelines(json_chunks(report))
+        sys.stdout.write("\n")
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         write_json(args.out / "ingest_report.json", report)
@@ -247,8 +251,7 @@ def _cmd_features(args: argparse.Namespace, parser: _Parser) -> int:
     cfg = _load_run_config(args)
     result = run_pipeline(manifest, cfg, agreement=False)
     if args.format == "json":
-        features = {"features": [summary.to_dict() for summary in result.features]}
-        write_report(result, args.out, {"features.json": features}, ())
+        write_report(result, args.out, {"features.json": {"features": result.features}}, ())
     else:
         write_report(result, args.out, {}, ("features.csv",))
     print(f"wrote features for {result.corpus['n_recordings']} recordings to {args.out}")
@@ -271,7 +274,7 @@ def _cmd_reliability(args: argparse.Namespace, parser: _Parser) -> int:
             print("talkmetrics: no recording has an expert transcript", file=sys.stderr)
         return EXIT_FATAL
     if args.format == "json":
-        reliability = {"reliability": result.reliability.to_dict()}
+        reliability = {"reliability": result.reliability}
         write_report(result, args.out, {"reliability.json": reliability}, ())
     else:
         write_report(result, args.out, {}, ("reliability_per_recording.csv", "icc.csv"))

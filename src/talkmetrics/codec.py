@@ -3,7 +3,9 @@
 Encoding walks ``dataclasses.fields`` in declaration order, so a class's
 field order is its JSON key order: enums become their values, tuples become
 lists, nested dataclasses and dicts recurse. What to do with a value is
-worked out once per type and cached. Decoding reads the declared
+worked out once per type and cached. ``json_chunks`` writes the JSON
+text of that encoding straight from the objects, in pieces, so no encoded
+copy of a large result is ever built. Decoding reads the declared
 types back through ``typing.get_type_hints``; it understands ``X | None``,
 ``tuple[T, ...]``, fixed-length tuples and ``dict[str, T]``, and lets field
 defaults fill missing keys. Malformed input raises KeyError, TypeError or
@@ -17,7 +19,10 @@ import typing
 from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from functools import cache
-from typing import Any, Mapping, TypeVar
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
+from typing import Any, Callable, Iterator, Mapping, TypeVar
 
 _T = TypeVar("_T", bound="Codec")
 
@@ -95,3 +100,140 @@ def _decode(hint: Any, value: Any) -> Any:
     if isinstance(hint, type) and issubclass(hint, Enum):
         return hint(value)
     return value
+
+
+@cache
+def _getter(cls: type) -> Callable[[Any], tuple]:
+    """Reads a dataclass instance's field values, in field order, as a tuple."""
+    names = _plan(cls)
+    if len(names) > 1:
+        return attrgetter(*names)
+    return lambda value: tuple(getattr(value, name) for name in names)
+
+
+def field_values(value: Any) -> list:
+    """A dataclass instance's ``to_dict`` values, in field order, without
+    building the dict: one table row."""
+    return [
+        item if _plan(type(item)) is _LEAF else _encode(item)
+        for item in _getter(type(value))(value)
+    ]
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_WORDS.get(text, text)
+
+
+def _enum_text(member: Enum) -> str | None:
+    return _scalar(member.value)
+
+
+def _unwritable(value: Any) -> str:
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+@cache
+def _scalar_writer(cls: type) -> Callable[[Any], str | None] | None:
+    """How ``json`` writes a value of ``cls`` once encoded, checked in its
+    order; None for the values the plan walks into."""
+    plan = _plan(cls)
+    if plan is _ENUM:
+        return _enum_text
+    if plan is not _LEAF:
+        return None
+    if issubclass(cls, str):
+        return encode_basestring_ascii
+    if cls is type(None):
+        return lambda value: "null"
+    if cls is bool:
+        return lambda value: "true" if value else "false"
+    if issubclass(cls, int):
+        return int.__repr__
+    if issubclass(cls, float):
+        return _float_text
+    return _unwritable
+
+
+def _scalar(value: Any) -> str | None:
+    """The JSON text of a leaf, or of an enum whose value is one; None for
+    anything else."""
+    write = _scalar_writer(type(value))
+    return None if write is None else write(value)
+
+
+def _key_text(key: Any) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return encode_basestring_ascii(key) + ": "
+
+
+@cache
+def _field_keys(cls: type) -> tuple[str, ...]:
+    """A dataclass's JSON member names, each followed by its colon."""
+    return tuple(_key_text(name) for name in _plan(cls))
+
+
+@cache
+def _template(cls: type, newline: str) -> str:
+    """A ``%`` template of a dataclass object whose values are all scalars,
+    at the indent ``newline`` ends in."""
+    inner = newline + "  "
+    return "{" + inner + ("," + inner).join(key + "%s" for key in _field_keys(cls)) + newline + "}"
+
+
+def json_chunks(value: Any) -> Iterator[str]:
+    """The text of ``json.dump(_encode(value), indent=2)``, in pieces.
+
+    The pieces are read from ``value`` through the encode plan, so no
+    encoded copy is built: a dataclass or container whose values are all
+    scalars comes out as one string, anything larger as a piece per member.
+    Mapping keys must be strings; like ``json``, a leaf that is not a string,
+    number, bool or None raises TypeError.
+    """
+    return _chunks(value, "\n")
+
+
+def _chunks(value: Any, newline: str) -> Iterator[str]:
+    text = _scalar(value)
+    if text is not None:
+        yield text
+        return
+    cls = type(value)
+    plan = _plan(cls)
+    if plan is _ENUM:
+        yield from _chunks(value.value, newline)
+        return
+    if plan is _SEQUENCE:
+        opening, closing, keys, items = "[", "]", repeat(""), value
+    elif plan is _MAPPING:
+        opening, closing = "{", "}"
+        keys, items = [_key_text(key) for key in value], value.values()
+    else:
+        opening, closing, keys, items = "{", "}", _field_keys(cls), _getter(cls)(value)
+    if not items:
+        yield opening + closing
+        return
+    inner = newline + "  "
+    texts = list(map(_scalar, items))
+    if None not in texts:
+        if plan is _SEQUENCE or plan is _MAPPING:
+            members = map(str.__add__, keys, texts)
+            yield opening + inner + ("," + inner).join(members) + newline + closing
+        else:
+            yield _template(cls, newline) % tuple(texts)
+        return
+    # scalar members join the text around them; the rest recurse
+    pending, separator = "", opening + inner
+    for key, item, text in zip(keys, items, texts):
+        if text is None:
+            yield pending + separator + key
+            pending = ""
+            yield from _chunks(item, inner)
+        else:
+            pending += separator + key + text
+        separator = "," + inner
+    yield pending + newline + closing

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .codec import Codec
 from .errors import TalkmetricsError
@@ -34,8 +34,7 @@ class InvalidCounts(TalkmetricsError):
     """A responded count cannot exceed its total."""
 
 
-@dataclass(frozen=True)
-class ResponseLink:
+class ResponseLink(NamedTuple):
     """One detected response: who answered which utterance, how fast.
 
     Latency is response onset minus target offset; negative values mean the

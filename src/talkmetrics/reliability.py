@@ -21,6 +21,7 @@ Conventions, fixed once here so every report uses the same rules:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
@@ -281,7 +282,7 @@ def drop_incomplete_rows(
         for row in ratings
         if row[0] is not None
         and row[1] is not None
-        and not (np.isnan(row[0]) or np.isnan(row[1]))
+        and not (math.isnan(row[0]) or math.isnan(row[1]))
     ]
     return np.asarray(kept, dtype=float).reshape(len(kept), 2), len(ratings) - len(kept)
 

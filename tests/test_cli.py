@@ -9,6 +9,7 @@ import pytest
 
 import synthetic as syn
 from talkmetrics.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
+from talkmetrics.codec import Codec
 
 
 @pytest.fixture()
@@ -134,6 +135,33 @@ class TestIngestCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["n_checked"] == 1 and report["n_failed"] == 0
         assert report["recordings"][0]["ok"]
+
+    def test_text_is_the_default_format(self, weather_dir, capsys):
+        assert main(["ingest-check", "--root", str(weather_dir)]) == EXIT_OK
+        default = capsys.readouterr()
+        code = main(["ingest-check", "--root", str(weather_dir), "--format", "text"])
+        assert code == EXIT_OK
+        assert capsys.readouterr() == default
+
+    def test_csv_is_a_usage_error(self, weather_dir, tmp_path, capsys):
+        out = tmp_path / "check"
+        code = main(
+            ["ingest-check", "--root", str(weather_dir), "--format", "csv", "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_json_stdout_is_the_report_file(self, weather_dir, tmp_path, capsys):
+        (weather_dir / "weather.expert.tsv").write_text("wrong\n", encoding="utf-8")
+        out = tmp_path / "check"
+        code = main(
+            ["ingest-check", "--root", str(weather_dir), "--format", "json", "--out", str(out)]
+        )
+        assert code == EXIT_PARTIAL
+        stdout = capsys.readouterr().out
+        assert stdout == (out / "ingest_report.json").read_text()
+        assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
 
     def test_report_file(self, weather_dir, tmp_path, capsys):
         out = tmp_path / "check"
@@ -448,6 +476,49 @@ class TestReport:
         out = tmp_path / "out"
         assert main(["report", str(path), "--out", str(out)]) == EXIT_OK
         assert (out / "reliability_per_recording.csv").is_file()
+
+
+class TestReportsStream:
+    """Reports are written from the result objects, never from an encoded
+    copy of them."""
+
+    RUNS = (
+        ("batch", "csv"),
+        ("batch", "json"),
+        ("features", "json"),
+        ("reliability", "json"),
+        ("report", "csv"),
+        ("report", "json"),
+    )
+
+    def run_all(self, root, out):
+        codes = {}
+        for verb, fmt in self.RUNS:
+            source = ["--root", str(root)]
+            if verb == "report":
+                source = [str(out / "batch-json" / "results.json")]
+            target = out / f"{verb}-{fmt}"
+            codes[verb, fmt] = main([verb, *source, "--out", str(target), "--format", fmt])
+        return codes
+
+    def test_no_to_dict_on_the_way_out(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "data"
+        write_mixed_corpus(root, "linked")
+        plain = self.run_all(root, tmp_path / "plain")
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__}.to_dict called")
+
+        monkeypatch.setattr(Codec, "to_dict", refuse)
+        streamed = self.run_all(root, tmp_path / "streamed")
+        assert plain == streamed == {run: EXIT_OK for run in self.RUNS}
+
+        def contents(out):
+            return {path.relative_to(out): path.read_bytes() for path in out.rglob("*.*")}
+
+        written = contents(tmp_path / "plain")
+        assert len(written) == 14
+        assert contents(tmp_path / "streamed") == written
 
 
 class TestLogging:

@@ -1,18 +1,23 @@
 """The JSON codec: the cached encode plan gives what the plain recursive walk
-gives, for every result class, and results survive a round trip."""
+gives, for every result class, results survive a round trip, and the
+streaming writer writes exactly what ``json.dump`` writes."""
 
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, fields, is_dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 from typing import Any
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from talkmetrics import PipelineResult, SpeakerRole
-from talkmetrics.codec import Codec, _hints
+from talkmetrics.batch import write_json
+from talkmetrics.codec import Codec, _encode, _hints, json_chunks
 
 
 def reference_encode(value: Any) -> Any:
@@ -154,3 +159,69 @@ def test_mixin_enum_subclass_and_nesting():
     assert type(encoded["mood"]) is str and encoded["mood"] == "loud"
     assert encoded["parts"][1] == {"label": "b", "weight": 0.5, "ballast": 3}
     assert encoded["extra"] == {"roles": ["child", None], "nested": {"t": [[1, 2], [3.5]]}}
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 10**20
+
+
+awkward_text = st.text(max_size=10) | st.sampled_from(
+    ['"', "\\", 'say "hi"\\n', "\x00\x1f\x7f\t\r\n", "é€😀\u2028\ud800", ""]
+)
+any_float = (
+    st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
+    | st.floats().map(np.float64)
+)
+any_int = st.integers() | st.integers(min_value=-(2**200), max_value=2**200)
+codec_values = st.one_of([for_hint(cls, native=False) for cls in codec_classes()])
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | any_int
+    | any_float
+    | awkward_text
+    | st.sampled_from([*SpeakerRole, *Mixed, *Level])
+    | codec_values,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(awkward_text, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_json_chunks_is_json_dump(value):
+    assert "".join(json_chunks(value)) == json.dumps(_encode(value), indent=2)
+
+
+def test_write_json_is_json_dump(tmp_path):
+    value = Whole(
+        parts=(Part("a"), Heavier("b", math.nan, ballast=3)),
+        mood=Mixed.LOUD,
+        extra={"flags": [True, False, None], "e": {}, "l": [], "x": -math.inf},
+    )
+    path = write_json(tmp_path / "value.json", value)
+    with open(tmp_path / "expected.json", "w", encoding="utf-8") as handle:
+        json.dump(value.to_dict(), handle, indent=2)
+        handle.write("\n")
+    assert path.read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1: "a"}, {None: 1}, {("a",): 1}, [{"ok": {2.5: 0}}], Whole((), Mixed.LOUD, {3: 3})],
+)
+def test_json_chunks_needs_string_keys(value):
+    with pytest.raises(TypeError, match="keys must be str"):
+        "".join(json_chunks(value))
+
+
+@pytest.mark.parametrize("leaf", [np.int64(3), {1, 2}, b"bytes", object()])
+def test_json_chunks_refuses_what_json_refuses(leaf):
+    with pytest.raises(TypeError):
+        json.dumps(_encode([leaf]), indent=2)
+    with pytest.raises(TypeError):
+        "".join(json_chunks([leaf]))
