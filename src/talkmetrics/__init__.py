@@ -7,6 +7,13 @@ quantify machine-expert agreement (word error rate, speaker-classification
 metrics, intraclass correlations) per recording and corpus-wide.
 """
 
+import os
+
+# numpy starts OpenBLAS's thread pool when it is first imported, and no
+# talkmetrics code calls BLAS; every submodule import below runs after this
+# line, so the pool never starts unless the caller asked for one.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .align import (
     AlignConfig,
     AlignedCorpus,

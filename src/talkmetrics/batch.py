@@ -16,12 +16,12 @@ recording.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
@@ -48,6 +48,7 @@ from .reliability import (
     ReliabilityReport,
     build_report,
     recording_reliability,
+    sequential_sum,
 )
 from .transcript import RecordingMeta, SpeakerRole, Transcript, iter_roles
 
@@ -428,14 +429,21 @@ def process_recordings(
     entries: Sequence[ManifestEntry], cfg: RunConfig, stages: tuple[str, ...]
 ) -> Iterator[RecordingOutcome]:
     """Run the named ``_STAGES`` on every entry, in ``cfg.parallelism``
-    worker processes when that is above one; yields each entry's outcome,
-    in entry order, as soon as it is done."""
-    if cfg.parallelism == 1 or len(entries) == 1:
+    worker processes, but no more than there are entries, when that is
+    above one; yields each entry's outcome, in entry order, as soon as it
+    is done."""
+    # a pool starts all its workers at once, busy or not
+    workers = min(cfg.parallelism, len(entries))
+    if workers <= 1:
         for entry in entries:
             yield _process_entry(entry, cfg, stages)
         return
-    chunk = max(1, len(entries) // (cfg.parallelism * 4))
-    with ProcessPoolExecutor(max_workers=cfg.parallelism, initializer=configure_logging) as pool:
+    chunk = max(1, len(entries) // (workers * 4))
+    # this attribute lookup is what loads concurrent.futures.process, and
+    # with it multiprocessing, so a serial run never pays for either
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=configure_logging
+    ) as pool:
         yield from pool.map(_process_entry, entries, repeat(cfg), repeat(stages), chunksize=chunk)
 
 
@@ -459,7 +467,7 @@ def _pool_source(rows: Sequence[tuple[FeatureSummary, int, float]]) -> dict:
         mine = [row for row in rows if row[0].role is role]
         counts = {key: sum(getattr(s, key) for s, _, _ in mine) for key in _POOLED_COUNTS}
         counts["total_words"] = sum(words for _, words, _ in mine)
-        minutes = sum(row_minutes for _, _, row_minutes in mine)
+        minutes = sequential_sum(row_minutes for _, _, row_minutes in mine)
         pct_values = [s.pct_questions for s, _, _ in mine if s.pct_questions is not None]
         ld_values = [s.lexical_diversity_per_minute for s, _, _ in mine]
         pooled[role.value] = {
@@ -481,10 +489,10 @@ def _pool_source(rows: Sequence[tuple[FeatureSummary, int, float]]) -> dict:
                 counts["n_questions"], counts["n_utterances"]
             ),
             "pct_questions_mean": (
-                sum(pct_values) / len(pct_values) if pct_values else None
+                sequential_sum(pct_values) / len(pct_values) if pct_values else None
             ),
             "mean_lexical_diversity_per_minute": (
-                sum(ld_values) / len(ld_values) if ld_values else None
+                sequential_sum(ld_values) / len(ld_values) if ld_values else None
             ),
         }
     teacher_n = pooled[SpeakerRole.TEACHER.value]["n_utterances"]
@@ -548,7 +556,7 @@ def run_pipeline(
     corpus = {
         "n_recordings": len(done),
         "n_failed": len({error.recording_id for error in errors}),
-        "hours": sum(outcome.duration_minutes / 60.0 for outcome in done),
+        "hours": sequential_sum(outcome.duration_minutes / 60.0 for outcome in done),
         "n_machine_utterances": sum(outcome.n_machine_utterances for outcome in done),
         "n_expert_utterances": sum(outcome.n_expert_utterances for outcome in done),
     }
@@ -626,7 +634,7 @@ def reliability_table(report: ReliabilityReport | None) -> list[list[object]]:
         return [label, minutes, *(getattr(metrics, name) for name in RELIABILITY_COLUMNS[2:])]
 
     rows = [row(r.recording_id, r.duration_minutes, r.metrics) for r in report.rows]
-    total_minutes = sum(r.duration_minutes for r in report.rows)
+    total_minutes = sequential_sum(r.duration_minutes for r in report.rows)
     rows.append(row("Time-Weighted Mean", total_minutes, report.time_weighted))
     rows.append(row("Overall", None, report.overall))
     return rows

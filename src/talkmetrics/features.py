@@ -147,11 +147,10 @@ def summarize(
         raise ValueError(f"window must be positive, got {ld_window}")
     responded = {link.target_utt_id for link in links}
     responders = {link.response_utt_id for link in links}
-    # the windows cover every utterance, on a partition of [0, duration)
-    # that an utterance starting past the recorded duration extends
-    buckets: list[set[str]] = [
-        set() for _ in range(max(math.ceil(transcript.meta.duration_seconds / ld_window), 1))
-    ]
+    # the windows partition [0, duration), extended to the last window any of
+    # the role's utterances starts in; only the non-empty ones are held
+    windows: dict[int, set[str]] = {}
+    last_slot = 0
     # the counts cover word-bearing utterances only
     n_questions = n_non_questions = question_words = non_question_words = 0
     n_responded_questions = n_responded_non_questions = n_responses_given = 0
@@ -161,12 +160,10 @@ def summarize(
     ):
         if utt_role is not role:
             continue
-        slot = int(onset // ld_window)
-        while slot >= len(buckets):
-            buckets.append(set())
-        buckets[slot].update(tokens)
+        slot = last_slot = int(onset // ld_window)  # the columns are onset-sorted
         if not tokens:
             continue
+        windows.setdefault(slot, set()).update(tokens)
         if question:
             n_questions += 1
             question_words += len(tokens)
@@ -176,6 +173,7 @@ def summarize(
             non_question_words += len(tokens)
             n_responded_non_questions += utt_id in responded
         n_responses_given += utt_id in responders
+    n_windows = max(math.ceil(transcript.meta.duration_seconds / ld_window), last_slot + 1)
     n_spoken = n_questions + n_non_questions
     n_words = question_words + non_question_words
     return FeatureSummary(
@@ -197,8 +195,8 @@ def summarize(
         ),
         pct_questions=response_proportion(n_questions, n_spoken),
         n_responses_given=n_responses_given,
-        lexical_diversity_per_minute=sum(map(len, buckets)) / len(buckets),
-        lexical_diversity_pooled=len(set().union(*buckets)) / minutes,
+        lexical_diversity_per_minute=sum(map(len, windows.values())) / n_windows,
+        lexical_diversity_pooled=len(set().union(*windows.values())) / minutes,
     )
 
 

@@ -22,9 +22,11 @@ Conventions, fixed once here so every report uses the same rules:
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import Mapping, Sequence
+from functools import reduce
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -250,6 +252,17 @@ def cohen_kappa(m: ConfusionMatrix) -> float | None:
     return (p_observed - p_expected) / (1.0 - p_expected)
 
 
+def sequential_sum(values: Iterable[float]) -> float:
+    """``sum(values)`` as Python 3.10 and 3.11 compute it: one addition at a
+    time, left to right, starting from the int 0 (so no values give ``0``).
+
+    Since 3.12 the built-in ``sum`` compensates float rounding, so report
+    values summed with it would differ in the last bits between supported
+    interpreters.
+    """
+    return reduce(operator.add, values, 0)
+
+
 def time_weighted_mean(
     values: Sequence[float | None], durations: Sequence[float]
 ) -> float:
@@ -424,8 +437,14 @@ def build_report(
     ordered = tuple(sorted(rows, key=lambda r: r.recording_id))
     overall = metric_set(
         sum((r.confusion for r in ordered), ConfusionMatrix(counts=((0, 0), (0, 0)))),
-        (sum(r.wer_sum_teacher for r in ordered), sum(r.wer_count_teacher for r in ordered)),
-        (sum(r.wer_sum_child for r in ordered), sum(r.wer_count_child for r in ordered)),
+        (
+            sequential_sum(r.wer_sum_teacher for r in ordered),
+            sum(r.wer_count_teacher for r in ordered),
+        ),
+        (
+            sequential_sum(r.wer_sum_child for r in ordered),
+            sum(r.wer_count_child for r in ordered),
+        ),
     )
 
     durations = [r.duration_minutes for r in ordered]

@@ -1,6 +1,7 @@
 """Corpus discovery, pipeline runs, failure isolation, and report files."""
 
 import json
+import multiprocessing
 from dataclasses import replace
 
 import pytest
@@ -463,6 +464,20 @@ class TestRunPipeline:
         serial = run_pipeline(manifest, RunConfig(parallelism=1))
         parallel = run_pipeline(manifest, RunConfig(parallelism=2))
         assert serial.to_dict() == parallel.to_dict()
+
+    def test_no_more_workers_than_entries(self, tmp_path):
+        # a fork-started pool launches all its workers at once
+        manifest = discover(root_dir=corpus_dir(tmp_path, n=2, seed=17))
+        stages = ("meta", "machine", "machine_features")
+        serial = list(batch_module.process_recordings(manifest.entries, RunConfig(), stages))
+        before = set(multiprocessing.active_children())
+        outcomes = batch_module.process_recordings(
+            manifest.entries, RunConfig(parallelism=8), stages
+        )
+        first = next(outcomes)
+        started = set(multiprocessing.active_children()) - before
+        assert [first, *outcomes] == serial
+        assert 1 <= len(started) <= 2
 
     def test_json_round_trip(self, tmp_path):
         root = corpus_dir(tmp_path, n=2, seed=13)

@@ -3,7 +3,10 @@ reference computations (a full O(n^2) pair scan for responses, scripted
 tallies for the summary battery).
 """
 
+import itertools
+import math
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -293,6 +296,49 @@ class TestLexicalDiversity:
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
             summary_of([syn.utt(1, 0, 1, "a")], ld_window=0.0)
+
+    def test_wordless_utterance_extends_partition(self):
+        # "[laughs]" has no words, but its onset at 170 s still makes three
+        # windows of a one-minute recording
+        utts = [syn.utt(1, 0.0, 1.0, "a b"), syn.utt(2, 170.0, 171.0, "[laughs]")]
+        assert summary_of(utts, duration_minutes=1.0).lexical_diversity_per_minute == 2 / 3
+
+    def test_far_onset_holds_only_its_window(self):
+        # one utterance a year into a five-minute recording: the mean still
+        # counts every window up to it, but only the non-empty one is held
+        onset = 3e7
+        meta = syn.make_meta(duration_minutes=5.0)
+        text = syn.transcript([syn.utt(1, onset, onset + 1.0, "one two three")], meta)
+        tracemalloc.start()
+        try:
+            summary = summarize(text, TEACHER, links=())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        n_windows = max(math.ceil(300.0 / 60.0), 1, int(onset // 60.0) + 1)
+        assert summary.lexical_diversity_per_minute == 3 / n_windows
+        assert summary.lexical_diversity_pooled == 3 / 5.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_values_as_one_set_per_window(self, seed):
+        """Equal, bit for bit, to a list holding every window's set."""
+        rng = random.Random(seed)
+        # onsets run past the half-minute duration, so late windows are added
+        text = syn.random_transcript(rng, rng.randrange(0, 40), duration_minutes=0.5)
+        meta, columns = text.meta, text.columns
+        for ld_window, role in itertools.product((7.0, 30.0, 60.0), (TEACHER, CHILD)):
+            windows = [set() for _ in range(max(math.ceil(meta.duration_seconds / ld_window), 1))]
+            for onset, utt_role, tokens in zip(columns.onset, columns.role, columns.tokens):
+                if utt_role is role:
+                    slot = int(onset // ld_window)
+                    windows += [set() for _ in range(slot + 1 - len(windows))]
+                    windows[slot].update(tokens)
+            summary = summarize(text, role, ld_window=ld_window)
+            assert summary.lexical_diversity_per_minute == sum(map(len, windows)) / len(windows)
+            assert summary.lexical_diversity_pooled == (
+                len(set().union(*windows)) / meta.duration_minutes
+            )
 
 
 # --- summary battery ---------------------------------------------------------

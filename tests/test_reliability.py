@@ -45,6 +45,7 @@ from talkmetrics.reliability import (
     ZeroVarianceWarning,
     build_report,
     drop_incomplete_rows,
+    sequential_sum,
     wer_units,
 )
 
@@ -394,6 +395,25 @@ class TestConfusionMetrics:
 
 
 # --- time-weighted mean ----------------------------------------------------
+
+
+class TestSequentialSum:
+    def test_adds_left_to_right_without_compensation(self):
+        # ten additions of 0.1 round down; a compensated sum (the built-in
+        # sum since 3.12, math.fsum) gives 1.0
+        assert sequential_sum([0.1] * 10) == 0.9999999999999999
+        assert math.fsum([0.1] * 10) == 1.0
+
+    def test_no_values_give_the_int_zero(self):
+        total = sequential_sum(iter(()))
+        assert total == 0 and type(total) is int
+
+    @given(st.lists(st.floats(allow_nan=False) | st.integers(-(2**70), 2**70)))
+    def test_equals_one_addition_at_a_time(self, values):
+        total = 0
+        for value in values:
+            total = total + value
+        assert repr(sequential_sum(values)) == repr(total)
 
 
 class TestTimeWeightedMean:
