@@ -1,4 +1,4 @@
-"""Readers, writers and validators for the on-disk transcript formats.
+"""Parsers and validation for the on-disk transcript formats.
 
 Machine transcripts arrive as UTF-8 JSONL, one utterance object per line
 with keys ``start``, ``end``, ``text``, ``speaker`` and an optional
@@ -249,19 +249,6 @@ def load_meta(path: Path | str) -> RecordingMeta:
         raise MetaError(f"{path}: {exc}") from None
 
 
-def dump_meta(meta: RecordingMeta, path: Path | str) -> None:
-    payload = {
-        "recording_id": meta.recording_id,
-        "wearer_role": meta.wearer_role.value,
-        "classroom_id": meta.classroom_id,
-        "academic_year": meta.academic_year,
-        "duration_minutes": meta.duration_minutes,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def validate(transcript: Transcript) -> list[ValidationWarning]:
     """Non-fatal data-quality checks.
 
@@ -307,51 +294,3 @@ def validate(transcript: Transcript) -> list[ValidationWarning]:
                 )
             )
     return findings
-
-
-def write_machine_jsonl(transcript: Transcript, path: Path | str) -> None:
-    """Serialize a transcript in the machine JSONL format."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for utt in transcript.utterances:
-            record: dict = {
-                "start": utt.onset,
-                "end": utt.offset,
-                "text": utt.raw_text,
-                "speaker": utt.role.value,
-            }
-            if utt.confidence is not None:
-                record["confidence"] = utt.confidence
-            handle.write(json.dumps(record, ensure_ascii=False))
-            handle.write("\n")
-
-
-def write_expert_table(transcript: Transcript, path: Path | str) -> None:
-    """Serialize a transcript in the expert table format.
-
-    The machine_id column is emitted only when some utterance carries a
-    link.
-    """
-    any_link = any(link is not None for link in transcript.columns.linked_id)
-    columns = list(EXPERT_COLUMNS) + (["machine_id"] if any_link else [])
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\t".join(columns) + "\n")
-        for utt in transcript.utterances:
-            cells = [
-                repr(utt.onset),
-                repr(utt.offset),
-                utt.role.value,
-                utt.raw_text.replace("\t", " ").replace("\n", " "),
-            ]
-            if any_link:
-                cells.append(utt.linked_id or "")
-            handle.write("\t".join(cells) + "\n")
-
-
-def load_recording(
-    machine_path: Path | str, expert_path: Path | str, meta_path: Path | str
-) -> tuple[Transcript, Transcript, RecordingMeta]:
-    """Convenience loader for one recording's three files."""
-    meta = load_meta(meta_path)
-    machine = parse_machine(machine_path, meta)
-    expert = parse_expert(expert_path, meta)
-    return machine, expert, meta

@@ -40,10 +40,6 @@ class BothAbsent(TalkmetricsError):
     """utterance_wer needs at least one side of the pair."""
 
 
-class EmptySelection(TalkmetricsError):
-    """No utterances matched the requested role/wearer selection."""
-
-
 class EmptyMatrix(TalkmetricsError):
     """Confusion metrics are undefined on an all-zero matrix."""
 
@@ -119,19 +115,6 @@ def wer_units(
     for _ in range(n_residue):
         total += 1.0  # one addition per utterance, so the float sum is unchanged
     return total, n_pairs + n_residue
-
-
-def corpus_wer(
-    corpus: AlignedCorpus, role: SpeakerRole, wearer_match: bool = False
-) -> float:
-    """Mean utterance WER over one aligned recording for ``role``."""
-    total, count = wer_units(corpus, role, wearer_match)
-    if count == 0:
-        raise EmptySelection(
-            f"no utterances for role {role.value!r}"
-            + (" after wearer filtering" if wearer_match else "")
-        )
-    return total / count
 
 
 @dataclass(frozen=True)
@@ -403,10 +386,6 @@ class ReliabilityReport(Codec):
     def __post_init__(self) -> None:
         object.__setattr__(self, "iccs", dict(sorted(self.iccs.items())))
 
-    @property
-    def per_recording(self) -> dict[str, MetricSet]:
-        return {row.recording_id: row.metrics for row in self.rows}
-
 
 def confusion_metrics(m: ConfusionMatrix) -> tuple[float | None, float | None, float | None]:
     """(weighted F1, accuracy, kappa) with None where undefined."""
@@ -453,7 +432,7 @@ def build_report(
         values = [getattr(r.metrics, metric) for r in ordered]
         try:
             return time_weighted_mean(values, durations)
-        except (ZeroTotalWeight, LengthMismatch):
+        except ZeroTotalWeight:
             return None
 
     time_weighted = MetricSet(**{f.name: weighted(f.name) for f in fields(MetricSet)})

@@ -193,9 +193,11 @@ class Utterance:
     tokens: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.offset < self.onset:
+        # the parsers' rule; NaN fails every comparison, so it is rejected too
+        if not 0.0 <= self.onset <= self.offset < math.inf:
             raise ValueError(
-                f"utterance {self.id}: offset {self.offset} precedes onset {self.onset}"
+                f"utterance {self.id}: times must satisfy 0 <= onset <= offset < inf, "
+                f"got onset {self.onset}, offset {self.offset}"
             )
         object.__setattr__(self, "tokens", tokens_of(self.raw_text))
 
@@ -219,7 +221,8 @@ class RecordingMeta:
     duration_minutes: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.duration_minutes < math.inf:
+        # checked in seconds: a finite duration in minutes can overflow there
+        if not 0 < self.duration_seconds < math.inf:
             raise ValueError(
                 f"recording {self.recording_id}: duration must be positive and finite, "
                 f"got {self.duration_minutes}"
@@ -291,8 +294,7 @@ class Transcript:
     transcripts. ``linked`` is set by the expert parser when enough rows
     reference machine segment ids to allow index alignment; ``source`` says
     which side the transcript is. The ``Utterance`` objects of
-    ``utterances`` and ``by_role`` are built from the columns on every read
-    and not kept.
+    ``utterances`` are built from the columns on every read and not kept.
     """
 
     meta: RecordingMeta
@@ -330,9 +332,6 @@ class Transcript:
 
     def __len__(self) -> int:
         return len(self.columns.id)
-
-    def by_role(self, role: SpeakerRole) -> tuple[Utterance, ...]:
-        return tuple(u for u in self.utterances if u.role is role)
 
     def word_count(self, role: SpeakerRole | None = None) -> int:
         columns = self.columns

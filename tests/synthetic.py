@@ -7,8 +7,8 @@ import json
 import random
 from pathlib import Path
 
-from talkmetrics import RecordingMeta, Source, SpeakerRole, Transcript, Utterance
 from talkmetrics.align import align_by_index
+from talkmetrics.transcript import RecordingMeta, Source, SpeakerRole, Transcript, Utterance
 
 # A ten-utterance teacher/child exchange about weather and raisins. The
 # machine and expert sides differ on rows 3 and 9 (index 2 and 8), giving

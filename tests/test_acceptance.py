@@ -21,34 +21,23 @@ from pathlib import Path
 import pytest
 
 import synthetic as syn
-from talkmetrics import (
-    AlignConfig,
-    ConfusionMatrix,
-    PipelineResult,
-    RunConfig,
-    SpeakerRole,
-    accuracy,
-    align_by_index,
-    cohen_kappa,
-    detect_responses,
-    discover,
-    emit_report,
-    icc_absolute,
-    levenshtein,
-    response_proportion,
-    run_pipeline,
-    utterance_wer,
-    weighted_f1,
-)
-from talkmetrics.align import _dp, pair_score
-from talkmetrics.features import FEATURE_COLUMNS, FeatureSummary
+from talkmetrics.align import AlignConfig, _dp, align_by_index, pair_score
+from talkmetrics.batch import PipelineResult, RunConfig, discover, emit_report, run_pipeline
+from talkmetrics.features import FeatureSummary, detect_responses, response_proportion
 from talkmetrics.reliability import (
+    ConfusionMatrix,
     DegenerateRatings,
     IccEntry,
     MetricSet,
     RecordingReliability,
     ReliabilityReport,
+    accuracy,
+    cohen_kappa,
+    icc_absolute,
+    utterance_wer,
+    weighted_f1,
 )
+from talkmetrics.transcript import SpeakerRole, levenshtein
 
 # --- criterion 1: the worked ten-row fixture ---------------------------------
 

@@ -11,17 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthetic as syn
-from talkmetrics import (
+from talkmetrics.align import (
     AlignConfig,
-    SpeakerRole,
+    NotLinked,
     align,
     align_by_index,
     align_by_time,
-    cross_classify,
+    pair_score,
     text_similarity,
     time_iou,
+    write_alignment_jsonl,
 )
-from talkmetrics.align import NotLinked, pair_score, write_alignment_jsonl
+from talkmetrics.reliability import cross_classify
 
 # --- pair scores -----------------------------------------------------------
 

@@ -11,8 +11,7 @@ import random
 import pytest
 
 import synthetic as syn
-from talkmetrics import AlignConfig
-from talkmetrics.align import _dp, pair_score
+from talkmetrics.align import AlignConfig, _dp, pair_score
 
 WORDS = ("the", "cat", "sat", "on", "mat", "how", "is", "weather", "sunny", "dog")
 

@@ -8,23 +8,21 @@ import pytest
 
 import synthetic as syn
 import talkmetrics.batch as batch_module
-from talkmetrics import (
+from talkmetrics.batch import (
     CorpusManifest,
+    EmptyCorpus,
     EntryError,
     ManifestEntry,
-    PipelineResult,
-    RunConfig,
-    discover,
-    emit_report,
-    run_pipeline,
-)
-from talkmetrics.batch import (
-    EmptyCorpus,
     ManifestError,
     MissingFile,
+    PipelineResult,
+    RunConfig,
     _fmt,
+    discover,
+    emit_report,
     icc_table,
     reliability_table,
+    run_pipeline,
 )
 from talkmetrics.cli import EXIT_FATAL, EXIT_PARTIAL, main
 from talkmetrics.transcript import Source, Transcript

@@ -129,6 +129,12 @@ class TestIngestCheck:
         assert main(["ingest-check", "--root", str(weather_dir)]) == EXIT_PARTIAL
         assert "FAIL" in capsys.readouterr().out
 
+    def test_duration_overflowing_in_seconds_fails(self, tmp_path, capsys):
+        rows = [{"start": 0.0, "end": 1.0, "text": "hi", "speaker": "teacher"}]
+        syn.write_recording(tmp_path / "data", "r1", rows, duration_minutes=1e307)
+        assert main(["ingest-check", "--root", str(tmp_path / "data")]) == EXIT_PARTIAL
+        assert "r1: FAIL " in capsys.readouterr().out
+
     def test_json_output(self, weather_dir, capsys):
         code = main(["ingest-check", "--root", str(weather_dir), "--format", "json"])
         assert code == EXIT_OK

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talkmetrics import PipelineResult, SpeakerRole
-from talkmetrics.batch import write_json
+from talkmetrics.batch import PipelineResult, write_json
 from talkmetrics.codec import Codec, _encode, _hints, json_chunks
+from talkmetrics.transcript import SpeakerRole
 
 
 def reference_encode(value: Any) -> Any:

@@ -14,20 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthetic as syn
-from talkmetrics import (
-    FeatureSummary,
-    SpeakerRole,
-    detect_responses,
-    response_proportion,
-    summarize,
-)
 from talkmetrics.features import (
     FEATURE_COLUMNS,
+    FeatureSummary,
     ICC_FEATURES,
     InvalidCounts,
     ZeroDuration,
+    detect_responses,
     icc_feature_values,
+    response_proportion,
+    summarize,
 )
+from talkmetrics.transcript import SpeakerRole
 
 TEACHER, CHILD = SpeakerRole.TEACHER, SpeakerRole.CHILD
 
@@ -410,7 +408,10 @@ class TestSummarize:
         rng = random.Random(4)
         transcript = syn.random_transcript(rng, 60)
         summary = summarize(transcript, SpeakerRole.TEACHER)
-        spoken = [u for u in transcript.by_role(SpeakerRole.TEACHER) if u.word_count > 0]
+        spoken = [
+            u for u in transcript.utterances
+            if u.role is SpeakerRole.TEACHER and u.word_count > 0
+        ]
         total = sum(u.word_count for u in spoken)
         if summary.mlu_overall is not None:
             assert summary.mlu_overall * summary.n_utterances == pytest.approx(
@@ -424,7 +425,7 @@ class TestSummarize:
         responded = {t for t, _, _ in links}
         responders = {r for _, r, _ in links}
         for role in (SpeakerRole.TEACHER, SpeakerRole.CHILD):
-            spoken = [u for u in transcript.by_role(role) if u.word_count > 0]
+            spoken = [u for u in transcript.utterances if u.role is role and u.word_count > 0]
             questions = [u for u in spoken if u.question]
             summary = summarize(transcript, role)
             assert summary.n_utterances == len(spoken)
@@ -438,8 +439,9 @@ class TestSummarize:
             words = sum(u.word_count for u in spoken)
             assert summary.words_per_minute == pytest.approx(words / 12.0)
             types = set()
-            for u in transcript.by_role(role):
-                types.update(u.tokens)
+            for u in transcript.utterances:
+                if u.role is role:
+                    types.update(u.tokens)
             assert summary.lexical_diversity_pooled == pytest.approx(len(types) / 12.0)
 
     def test_deterministic(self, weather_machine):

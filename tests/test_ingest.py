@@ -1,28 +1,22 @@
-"""File parsing, validation warnings, and serialize/parse round trips."""
+"""File parsing, metadata and validation warnings."""
 
 import json
 
 import pytest
 
 import synthetic as syn
-from talkmetrics import (
+from talkmetrics.ingest import (
     InvalidTimestamps,
     MalformedRecord,
-    MissingHeader,
-    SpeakerRole,
-    UnknownSpeakerLabel,
-)
-from talkmetrics.ingest import (
     MetaError,
-    dump_meta,
+    MissingHeader,
+    UnknownSpeakerLabel,
     load_meta,
-    load_recording,
     parse_expert,
     parse_machine,
     validate,
-    write_expert_table,
-    write_machine_jsonl,
 )
+from talkmetrics.transcript import SpeakerRole
 
 META = syn.make_meta()
 
@@ -204,11 +198,11 @@ class TestParseExpert:
 
 
 class TestMeta:
-    def test_round_trip(self, tmp_path):
-        meta = syn.make_meta(recording_id="r7", wearer="child", duration_minutes=33.25)
-        path = tmp_path / "rec.meta.json"
-        dump_meta(meta, path)
-        assert load_meta(path) == meta
+    def test_reads_every_field(self, tmp_path):
+        path = syn.write_recording(tmp_path, "r7", [], wearer="child", duration_minutes=33.25)[2]
+        assert load_meta(path) == syn.make_meta(
+            recording_id="r7", wearer="child", duration_minutes=33.25
+        )
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "rec.meta.json"
@@ -217,34 +211,18 @@ class TestMeta:
             load_meta(path)
 
     def test_bad_wearer_role(self, tmp_path):
-        meta = syn.make_meta()
-        path = tmp_path / "rec.meta.json"
-        dump_meta(meta, path)
-        data = json.loads(path.read_text())
-        data["wearer_role"] = "robot"
-        path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(MetaError):
-            load_meta(path)
+            load_meta(syn.write_recording(tmp_path, "rec", [], wearer="robot")[2])
 
     def test_non_positive_duration(self, tmp_path):
-        meta = syn.make_meta()
-        path = tmp_path / "rec.meta.json"
-        dump_meta(meta, path)
-        data = json.loads(path.read_text())
-        data["duration_minutes"] = 0
-        path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(MetaError):
-            load_meta(path)
+            load_meta(syn.write_recording(tmp_path, "rec", [], duration_minutes=0)[2])
 
-    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), 1e307])
     def test_non_finite_duration(self, tmp_path, duration):
-        path = tmp_path / "rec.meta.json"
-        dump_meta(syn.make_meta(), path)
-        data = json.loads(path.read_text())
-        data["duration_minutes"] = duration
-        path.write_text(json.dumps(data), encoding="utf-8")  # writes NaN / Infinity
-        with pytest.raises(MetaError):
-            load_meta(path)
+        # 1e307 minutes is finite, but not in seconds
+        with pytest.raises(MetaError, match="duration must be positive and finite"):
+            load_meta(syn.write_recording(tmp_path, "rec", [], duration_minutes=duration)[2])
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "rec.meta.json"
@@ -299,68 +277,13 @@ class TestValidate:
 
 
 class TestRoundTrips:
-    def test_machine_serialize_parse(self, weather_machine, tmp_path):
-        path = tmp_path / "out.machine.jsonl"
-        write_machine_jsonl(weather_machine, path)
-        assert parse_machine(path, weather_machine.meta) == weather_machine
-
-    def test_expert_serialize_parse(self, weather_expert, tmp_path):
-        path = tmp_path / "out.expert.tsv"
-        write_expert_table(weather_expert, path)
-        assert parse_expert(path, weather_expert.meta) == weather_expert
-
     def test_awkward_floats_survive(self, tmp_path):
         onset = 0.1 + 0.2  # not exactly representable as a short decimal
-        original = syn.transcript([syn.utt("e1", onset, onset + 1.7, "x", source="expert")])
         path = tmp_path / "out.expert.tsv"
-        write_expert_table(original, path)
-        parsed = parse_expert(path, original.meta)
+        path.write_text(
+            f"start\tend\tspeaker\ttext\n{onset!r}\t{onset + 1.7!r}\tteacher\tx\n",
+            encoding="utf-8",
+        )
+        parsed = parse_expert(path, META)
         assert parsed.utterances[0].onset == onset
-
-    def test_expert_without_links_omits_column(self, tmp_path):
-        transcript = syn.transcript([syn.utt("e1", 0, 1, "x", source="expert")])
-        path = tmp_path / "out.expert.tsv"
-        write_expert_table(transcript, path)
-        assert "machine_id" not in path.read_text().splitlines()[0]
-
-    def test_delimiter_collisions_flattened(self, tmp_path):
-        transcript = syn.transcript(
-            [syn.utt("e1", 0, 1, "tab\there", source="expert")]
-        )
-        path = tmp_path / "out.expert.tsv"
-        write_expert_table(transcript, path)
-        parsed = parse_expert(path, transcript.meta)
-        assert parsed.utterances[0].raw_text == "tab here"
-
-    def test_confidence_round_trips(self, tmp_path):
-        transcript = syn.transcript([syn.utt(1, 0, 1, "x")])
-        # rebuild with a confidence value since the helper does not set one
-        from talkmetrics import Utterance, Source
-
-        with_conf = syn.transcript(
-            [
-                Utterance(
-                    id="1",
-                    onset=0.0,
-                    offset=1.0,
-                    raw_text="x",
-                    role=SpeakerRole.TEACHER,
-                    source=Source.MACHINE,
-                    confidence=0.5,
-                )
-            ],
-            transcript.meta,
-        )
-        path = tmp_path / "out.machine.jsonl"
-        write_machine_jsonl(with_conf, path)
-        assert parse_machine(path, with_conf.meta).utterances[0].confidence == 0.5
-
-
-class TestLoadRecording:
-    def test_three_file_load(self, tmp_path):
-        paths = syn.write_weather_recording(tmp_path)
-        machine, expert, meta = load_recording(*paths)
-        assert meta.recording_id == "weather"
-        assert len(machine.utterances) == 10
-        assert len(expert.utterances) == 10
-        assert expert.linked
+        assert parsed.utterances[0].offset == onset + 1.7

@@ -8,15 +8,16 @@ import math
 import pytest
 
 import synthetic as syn
-from talkmetrics import (
+from talkmetrics.ingest import (
     InvalidTimestamps,
     MalformedRecord,
     MissingHeader,
     ParseError,
-    SpeakerRole,
     UnknownSpeakerLabel,
+    parse_expert,
+    parse_machine,
 )
-from talkmetrics.ingest import parse_expert, parse_machine
+from talkmetrics.transcript import SpeakerRole
 
 META = syn.make_meta()
 GOOD = {"start": 0.5, "end": 1.0, "text": "hello", "speaker": "teacher"}

@@ -7,8 +7,7 @@ import re
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from talkmetrics import Source, SpeakerRole, normalize, tokenize
-from talkmetrics.transcript import Utterance, tokens_of
+from talkmetrics.transcript import Source, SpeakerRole, Utterance, normalize, tokenize, tokens_of
 
 
 def reference_normalize(raw_text):

@@ -17,25 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synthetic as syn
-from talkmetrics import (
-    ConfusionMatrix,
-    SpeakerRole,
-    accuracy,
-    cohen_kappa,
-    corpus_wer,
-    icc_absolute,
-    levenshtein,
-    time_weighted_mean,
-    utterance_wer,
-    weighted_f1,
-)
 from talkmetrics.align import align_by_index
 from talkmetrics.reliability import (
     BothAbsent,
+    ConfusionMatrix,
     DegenerateRatings,
     EmptyMatrix,
-    EmptySelection,
-    IccEntry,
     LengthMismatch,
     MetricSet,
     RecordingReliability,
@@ -43,11 +30,18 @@ from talkmetrics.reliability import (
     TooFewRows,
     ZeroTotalWeight,
     ZeroVarianceWarning,
+    accuracy,
     build_report,
+    cohen_kappa,
     drop_incomplete_rows,
+    icc_absolute,
     sequential_sum,
+    time_weighted_mean,
+    utterance_wer,
+    weighted_f1,
     wer_units,
 )
+from talkmetrics.transcript import SpeakerRole, levenshtein
 
 # --- oracles ---------------------------------------------------------------
 
@@ -240,12 +234,12 @@ def _paired_corpus(rows, wearer="teacher"):
     return align_by_index(machine, expert)
 
 
-class TestCorpusWer:
+class TestWerUnits:
     def test_all_exact_pairs(self):
         corpus = _paired_corpus([("hi there", "hi there", "teacher")] * 4)
-        assert corpus_wer(corpus, SpeakerRole.TEACHER) == 0.0
+        assert wer_units(corpus, SpeakerRole.TEACHER) == (0.0, 4)
 
-    def test_hand_computed_mean_with_residues(self):
+    def test_hand_computed_sum_with_residues(self):
         rows = [
             ("one two", "one two", "teacher"),      # 0
             ("one two", "one three", "teacher"),    # 1/2
@@ -253,8 +247,7 @@ class TestCorpusWer:
             ("one", None, "teacher"),               # residue -> 1
         ]
         corpus = _paired_corpus(rows)
-        expected = (0.0 + 0.5 + 1.0 + 1.0) / 4
-        assert corpus_wer(corpus, SpeakerRole.TEACHER) == pytest.approx(expected)
+        assert wer_units(corpus, SpeakerRole.TEACHER) == (0.0 + 0.5 + 1.0 + 1.0, 4)
 
     def test_scripted_tally_on_random_corpus(self):
         rng = random.Random(5)
@@ -277,26 +270,23 @@ class TestCorpusWer:
                     a = machine_text.split()
                     b = expert_text.split()
                     expected_units.append(lev_matrix(a, b) / len(b))
-            assert corpus_wer(corpus, role) == pytest.approx(
-                sum(expected_units) / len(expected_units)
-            )
+            total, count = wer_units(corpus, role)
+            assert count == len(expected_units)
+            assert total == pytest.approx(sum(expected_units))
 
     def test_wearer_filter(self):
         corpus = _paired_corpus([("a", "b", "child")], wearer="teacher")
-        with pytest.raises(EmptySelection):
-            corpus_wer(corpus, SpeakerRole.CHILD, wearer_match=True)
-        assert corpus_wer(corpus, SpeakerRole.CHILD, wearer_match=False) == 1.0
         assert wer_units(corpus, SpeakerRole.CHILD, wearer_match=True) == (0.0, 0)
+        assert wer_units(corpus, SpeakerRole.CHILD, wearer_match=False) == (1.0, 1)
 
     def test_machine_only_residue_counts_under_its_own_role(self):
         rows = [("hello", "hello", "teacher"), ("x y", None, "child")]
         corpus = _paired_corpus(rows, wearer="child")
-        assert corpus_wer(corpus, SpeakerRole.CHILD, wearer_match=True) == 1.0
+        assert wer_units(corpus, SpeakerRole.CHILD, wearer_match=True) == (1.0, 1)
 
     def test_empty_selection(self):
         corpus = _paired_corpus([("a", "a", "teacher")])
-        with pytest.raises(EmptySelection):
-            corpus_wer(corpus, SpeakerRole.CHILD)
+        assert wer_units(corpus, SpeakerRole.CHILD) == (0.0, 0)
 
 
 # --- confusion metrics -----------------------------------------------------
@@ -621,8 +611,3 @@ class TestBuildReport:
         clone = ReliabilityReport.from_dict(json.loads(json.dumps(report.to_dict())))
         assert clone == report
 
-    def test_per_recording_view(self):
-        rows = [_row("r1", ((1, 0), (0, 1)), 1.0)]
-        report = build_report(rows)
-        assert set(report.per_recording) == {"r1"}
-        assert isinstance(report.iccs.get("x", IccEntry(None, 0, 0)), IccEntry)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthetic as syn
-from talkmetrics import SpeakerRole, Transcript
 from talkmetrics.align import AlignConfig, AlignedCorpus, align_by_index, align_by_time
 from talkmetrics.reliability import (
     ConfusionMatrix,
@@ -17,6 +16,7 @@ from talkmetrics.reliability import (
     recording_reliability,
     utterance_wer,
 )
+from talkmetrics.transcript import SpeakerRole, Transcript
 
 TEXTS = (
     "How is the weather?",

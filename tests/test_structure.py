@@ -1,5 +1,6 @@
 """Module structure: the package's import graph stays a plain, acyclic
-layering, and worker processes hand back typed products.
+layering, each name has one import path (its module), and worker
+processes hand back typed products.
 
 For the import checks every package module is parsed, not imported, so a
 cycle shows here even where the import system would tolerate it through a
@@ -7,12 +8,18 @@ local import or a typing-only guard.
 """
 
 import ast
+import importlib
+import re
+import types
 import typing
 from pathlib import Path
 
+import talkmetrics
+import talkmetrics.align as align_module
 from talkmetrics.batch import RecordingOutcome
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "talkmetrics"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "talkmetrics"
 
 
 def parsed_modules() -> dict[str, ast.Module]:
@@ -124,3 +131,38 @@ def test_worker_outcome_holds_no_dict():
     for name, hint in typing.get_type_hints(RecordingOutcome).items():
         for kind in (hint, *typing.get_args(hint)):
             assert (typing.get_origin(kind) or kind) is not dict, name
+
+
+def test_submodule_import_gives_the_module():
+    assert isinstance(align_module, types.ModuleType)
+    assert align_module.__name__ == "talkmetrics.align"
+
+
+def test_package_exports_only_its_version():
+    """Every name is imported from its module; the package namespace holds
+    ``__version__`` and the submodules loaded so far."""
+    public = {
+        name: value for name, value in vars(talkmetrics).items() if not name.startswith("_")
+    }
+    for name, value in public.items():
+        assert isinstance(value, types.ModuleType), name
+        assert value.__name__ == f"talkmetrics.{name}", name
+    assert isinstance(talkmetrics.__version__, str)
+
+
+def test_readme_imports_resolve():
+    """Every ``from talkmetrics... import`` in a README ``python`` block names
+    a module and a name that exist; the blocks are parsed, not run."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    imports = [
+        node
+        for block in blocks
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("talkmetrics")
+    ]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"

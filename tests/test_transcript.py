@@ -1,21 +1,14 @@
 """Text normalization, tokenization, question detection, and the core
 domain types."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import synthetic as syn
-from talkmetrics import (
-    SpeakerRole,
-    Source,
-    Transcript,
-    Utterance,
-    is_question,
-    normalize,
-    tokenize,
-)
-from talkmetrics.transcript import iter_roles
+from talkmetrics.transcript import SpeakerRole, is_question, iter_roles, normalize, tokenize
 
 
 class TestNormalize:
@@ -100,6 +93,15 @@ class TestUtterance:
         with pytest.raises(ValueError):
             syn.utt(1, 2.0, 1.0, "hi")
 
+    @pytest.mark.parametrize(
+        "onset, offset",
+        [(-300.0, 1.0), (-1.0, -0.5), (math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan),
+         (0.0, math.inf), (-math.inf, math.inf), (math.inf, math.inf)],
+    )
+    def test_times_outside_the_parsers_rule_rejected(self, onset, offset):
+        with pytest.raises(ValueError, match="0 <= onset <= offset < inf"):
+            syn.utt(1, onset, offset, "hi")
+
     def test_zero_length_allowed(self):
         u = syn.utt(1, 1.0, 1.0, "hi")
         assert u.offset == u.onset == 1.0
@@ -133,7 +135,7 @@ class TestTranscript:
         rng.shuffle(shuffled)
         assert syn.transcript(utts).utterances == syn.transcript(shuffled).utterances
 
-    def test_by_role_and_word_count(self):
+    def test_role_and_word_counts(self):
         t = syn.transcript(
             [
                 syn.utt(1, 0, 1, "one two", "teacher"),
@@ -141,7 +143,7 @@ class TestTranscript:
                 syn.utt(3, 4, 5, "four five six", "teacher"),
             ]
         )
-        assert len(t.by_role(SpeakerRole.TEACHER)) == 2
+        assert [u.role for u in t.utterances].count(SpeakerRole.TEACHER) == 2
         assert t.word_count(SpeakerRole.TEACHER) == 5
         assert t.word_count() == 6
         assert len(t) == 3
