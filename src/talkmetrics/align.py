@@ -221,85 +221,178 @@ def align_by_index(machine: Transcript, expert: Transcript) -> AlignedCorpus:
 
 
 # Machine rows per distance block are sized so a block holds about this
-# many (machine, expert) cells; the block's uint64 state stays cache-sized.
-# The kernel keeps to a few numpy operations (bitwise operators, addition,
-# shifts, gathers) because each further kind of numpy call maps more of
-# numpy's library into memory, which shows in a run's peak RSS.
+# many (machine, expert) cells; the block's uint64 state, and the reward
+# temporaries computed from it, stay cache-sized. The kernel and the rewards
+# keep to a few kinds of numpy call, and the rewards to float64 alone,
+# because each further kind maps more of numpy's library into memory, which
+# shows in a run's peak RSS.
 _BLOCK_CELLS = 4096
 _WORD_BITS = 64
+_ALL_BITS = np.uint64((1 << _WORD_BITS) - 1)
+# The DP holds float64 rewards for one band of about this many machine rows
+# (8 bytes per expert utterance each) and walks the band's anti-diagonals.
+# A recording of n × m cells takes n + bands·(m - 1) diagonal steps of a few
+# numpy calls each, so taller bands run faster but hold more memory. Peak
+# RSS of `batch` on the unlinked_align bench corpus (recordings of 120-300
+# utterances): 31.6 MiB with the scalar recurrence, 31.75 MiB with these
+# bands, 32.1 MiB with one band per recording, and 38.3 MiB when the
+# kernel and rewards also ran over 64 Ki-cell blocks. At 2,000 × 1,964
+# utterances, _dp took 2.4 s with 32-row bands (64 Ki cells) and 1.2-1.5 s
+# with 256-row ones.
+_BAND_ROWS = 256
+
+
+def _band_rows(n: int, m: int) -> int:
+    """Machine rows per DP band: at most about ``_BAND_ROWS``, split evenly
+    over n, and whole blocks of :func:`_row_distances`."""
+    block = max(1, _BLOCK_CELLS // max(1, m))
+    bands = max(1, -(-n // _BAND_ROWS))
+    return -(-n // bands // block) * block if n else block
 
 
 def _row_distances(
     machine: Sequence[Utterance], expert: Sequence[Utterance]
-) -> Iterator[list[int]]:
+) -> Iterator[np.ndarray]:
     """Word edit distance from each machine utterance to every expert one.
 
-    Yields one list per machine row, in expert order. Hyyrö's bit-vector
-    form of Myers' algorithm runs with each machine utterance as the
-    pattern (one bit per word) and every expert utterance as a text, all
-    cells of a row block at once. Expert utterances are visited longest
-    first, so the texts still running at word ``k`` are a column prefix.
+    Yields one (rows, m) uint64 array per block of consecutive machine rows,
+    ``max(1, _BLOCK_CELLS // m)`` rows each (fewer in the last), with
+    columns in expert order. Hyyrö's bit-vector form of Myers' algorithm
+    runs with each machine utterance as the pattern (one bit per word) and
+    every expert utterance as a text, all cells of a block at once. The
+    patterns' token ids and bits are laid out in numpy once, so a block's
+    match table is one scatter. The state holds one row per text, longest
+    first, so the texts still running at word ``k`` are a row prefix; it
+    starts as one broadcast row. A text's distance is its word count plus
+    the vertical steps of its last column, counted when the text ends.
     Rows with no words or more than 64 take the scalar ``levenshtein``.
     """
-    m = len(expert)
+    texts = [utt.tokens for utt in expert]
+    m = len(texts)
     vocab: dict[str, int] = {}
-    for utt in expert:
-        for token in utt.tokens:
+    for tokens in texts:
+        for token in tokens:
             vocab.setdefault(token, len(vocab))
-    order = sorted(range(m), key=lambda j: -expert[j].word_count)
+    order = sorted(range(m), key=lambda j: -len(texts[j]))
     positions = [0] * m
     for position, j in enumerate(order):
         positions[j] = position
     inverse = np.array(positions, dtype=np.intp)
+    ordered = [texts[j] for j in order]
     steps = []  # token ids at word k of every text still running
-    for k in range(max((utt.word_count for utt in expert), default=0)):
-        active = [vocab[expert[j].tokens[k]] for j in order if expert[j].word_count > k]
-        steps.append(np.array(active, dtype=np.intp))
+    running = m
+    for k in range(len(ordered[0]) if ordered else 0):
+        while len(ordered[running - 1]) <= k:
+            running -= 1
+        steps.append(np.array([vocab[tokens[k]] for tokens in ordered[:running]], dtype=np.intp))
+    # A pattern of n words fills the top n bits, so every row's last word
+    # sits on bit 63; the zero bits below it stay inert.
+    patterns = [utt.tokens for utt in machine]
+    lengths = [min(len(tokens), _WORD_BITS) or 1 for tokens in patterns]
+    token_rows: list[int] = []
+    token_columns: list[int] = []
+    token_shifts: list[int] = []
+    ends = [0]  # machine row i's tokens are [ends[i], ends[i + 1])
+    for row, (tokens, length) in enumerate(zip(patterns, lengths)):
+        for shift, token in enumerate(tokens[:length], _WORD_BITS - length):
+            column = vocab.get(token)
+            if column is not None:  # a word no text holds matches nothing
+                token_rows.append(row)
+                token_columns.append(column)
+                token_shifts.append(shift)
+        ends.append(len(token_rows))
+    rows_of = np.array(token_rows, dtype=np.intp)
+    columns_of = np.array(token_columns, dtype=np.intp)
+    bits_of = np.uint64(1) << np.array(token_shifts, dtype=np.uint64)
+    length_of = np.array(lengths, dtype=np.uint64)
+    e_words = np.array([len(tokens) for tokens in texts], dtype=np.uint64)
+    ordered_words = e_words[order, None]
     block = max(1, _BLOCK_CELLS // max(1, m))
     for first in range(0, len(machine), block):
-        rows = machine[first : first + block]
-        # A pattern of n words fills the top n bits, so every row's last
-        # word sits on bit 63; the zero bits below it stay inert.
-        lengths = [min(utt.word_count, _WORD_BITS) or 1 for utt in rows]
-        peq = [[0] * len(vocab) for _ in rows]
-        for table, utt, length in zip(peq, rows, lengths):
-            for bit, token in enumerate(utt.tokens[:length], _WORD_BITS - length):
-                column = vocab.get(token)
-                if column is not None:
-                    table[column] |= 1 << bit
-        peq_array = np.array(peq, dtype=np.uint64)
-        pv = np.array(
-            [[(1 << _WORD_BITS) - (1 << (_WORD_BITS - length))] * m for length in lengths],
-            dtype=np.uint64,
-        )
-        mv = np.zeros((len(rows), m), dtype=np.uint64)
-        plus = np.zeros((len(rows), m), dtype=np.uint64)
-        minus = np.zeros((len(rows), m), dtype=np.uint64)
+        last = min(first + block, len(machine))
+        held = slice(ends[first], ends[last])  # the block's pattern words
+        # the match table: one row per vocabulary word, one column per pattern
+        peq = np.zeros((len(vocab), last - first), dtype=np.uint64)
+        np.bitwise_or.at(peq, (columns_of[held], rows_of[held] - first), bits_of[held])
+        shape = (m, last - first)  # the state: one row per text, one column per pattern
+        pv = np.broadcast_to(_ALL_BITS << (_WORD_BITS - length_of[first:last]), shape)
+        mv = np.broadcast_to(np.uint64(0), shape)
+        final_pv = np.empty(shape, dtype=np.uint64)
+        final_mv = np.empty(shape, dtype=np.uint64)
+        running = m
         for ids in steps:
             active = len(ids)
-            pv, mv = pv[:, :active], mv[:, :active]
-            eq = peq_array[:, ids]
+            if active < running:  # texts that ended keep their last column
+                final_pv[active:running] = pv[active:running]
+                final_mv[active:running] = mv[active:running]
+                pv, mv = pv[:active], mv[:active]
+                running = active
+            eq = peq[ids]
             xv = eq | mv
             xh = (((eq & pv) + pv) ^ pv) | eq
             ph = mv | ~(xh | pv)
             mh = pv & xh
-            up = plus[:, :active]
-            up += ph >> 63
-            down = minus[:, :active]
-            down += mh >> 63
             ph = (ph << 1) | 1
             mh = mh << 1
             pv = mh | ~(xv | ph)
             mv = ph & xv
-        start = np.array([[length] for length in lengths], dtype=np.uint64)
-        distances = (start + plus - minus)[:, inverse].tolist()
-        for utt, row in zip(rows, distances):
-            if utt.word_count == 0:
-                yield [e.word_count for e in expert]
-            elif utt.word_count > _WORD_BITS:
-                yield [levenshtein(utt.tokens, e.tokens) for e in expert]
-            else:
-                yield row
+        final_pv[:running] = pv
+        final_mv[:running] = mv
+        # D[len][n] = D[0][n] + the last column's vertical steps
+        distances = ordered_words + np.bitwise_count(final_pv)
+        distances -= np.bitwise_count(final_mv)
+        distances = distances[inverse].T
+        for row in range(first, last):
+            tokens = patterns[row]
+            if not tokens:
+                distances[row - first] = e_words
+            elif len(tokens) > _WORD_BITS:
+                distances[row - first] = [levenshtein(tokens, text) for text in texts]
+        yield distances
+
+
+def _spans(utterances: Sequence[Utterance]) -> np.ndarray:
+    """Rows of onsets, offsets, lengths and word counts, as float64.
+
+    Word counts are floats so that every comparison and division of a
+    reward runs in one dtype, which keeps numpy's integer loops unmapped.
+    """
+    onsets = [utt.onset for utt in utterances]
+    spans = np.array(
+        [onsets, [utt.offset for utt in utterances], onsets,
+         [utt.word_count for utt in utterances]],
+        dtype=np.float64,
+    )
+    spans[2] = spans[1] - spans[0]
+    return spans
+
+
+def _pair_scores(
+    machine: np.ndarray,
+    expert: np.ndarray,
+    distances: np.ndarray,
+    w_text: float,
+    out: np.ndarray,
+) -> None:
+    """:func:`pair_score` for a block of cells, written to ``out``.
+
+    ``machine`` holds the block rows' :func:`_spans` as (4, rows, 1)
+    columns and ``expert`` every expert utterance's as (4, m). The float operations are
+    :func:`time_iou`'s, :func:`text_similarity`'s and the blend's, in the
+    same order, with ``np.where`` on the same comparisons.
+    """
+    m_on, m_off, m_len, m_words = machine
+    e_on, e_off, e_len, e_words = expert
+    low = np.where(e_on > m_on, e_on, m_on)
+    intersection = np.where(e_off < m_off, e_off, m_off) - low
+    union = m_len + e_len - intersection
+    longest = np.where(e_words > m_words, e_words, m_words)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        iou = intersection / union
+        similarity = 1.0 - distances / longest
+    iou = np.where(intersection <= 0.0, 0.0, np.where(union <= 0.0, 0.0, iou))
+    similarity = np.where(longest == 0.0, 1.0, np.where(similarity < 0.0, 0.0, similarity))
+    np.add(w_text * similarity, (1.0 - w_text) * iou, out=out)
 
 
 def _dp(
@@ -308,63 +401,73 @@ def _dp(
     """Best monotone matching and its score.
 
     Maximizes sum of pair scores minus gap_penalty per unmatched utterance.
-    Each cell's reward is :func:`pair_score`, spelled out inline with the
-    same float operations and fed word distances from
-    :func:`_row_distances`. Backpointers are packed one byte per cell (0
-    match, 1 skip machine, 2 skip expert); score rows roll. Ties prefer
-    matching, then consuming machine utterances.
+    Machine rows are taken in bands (:func:`_band_rows`). A band's rewards
+    are :func:`pair_score` evaluated in numpy a distance block at a time
+    (:func:`_pair_scores`, fed by :func:`_row_distances`). The recurrence
+    then walks the band's anti-diagonals: cell (i, j) reads only diagonals
+    d - 1 and d - 2, so each diagonal is a few numpy calls over rolling 1-D
+    arrays, and the band's last row seeds the next band. A match wins
+    unless skipping the machine utterance scores strictly more, and
+    skipping the expert one wins only if strictly better still, as in a
+    cell-by-cell loop. Backpointers are packed one byte per cell (0 match,
+    1 skip machine, 2 skip expert) and traced back from the corner.
     """
     n, m = len(machine), len(expert)
     gap = config.gap_penalty
-    w_text = config.similarity_weight
-    w_time = 1.0 - w_text
-    spans = [(e.onset, e.offset, e.offset - e.onset, e.word_count) for e in expert]
-    moves = [bytearray([0] + [2] * m)]
-    previous = [-j * gap for j in range(m + 1)]
-    for i, distances in enumerate(_row_distances(machine, expert), 1):
-        utt_m = machine[i - 1]
-        m_on, m_off, m_words = utt_m.onset, utt_m.offset, utt_m.word_count
-        m_len = m_off - m_on
-        left = -i * gap
-        current = [left]
-        row = bytearray(b"\x01")
-        diagonal = previous[0]
-        for (e_on, e_off, e_len, e_words), distance, up in zip(
-            spans, distances, previous[1:]
-        ):
-            # pair_score: time_iou and text_similarity with their own float steps
-            low = e_on if e_on > m_on else m_on
-            intersection = (e_off if e_off < m_off else m_off) - low
-            if intersection <= 0.0:
-                iou = 0.0
-            else:
-                union = m_len + e_len - intersection
-                iou = 0.0 if union <= 0.0 else intersection / union
-            longest = e_words if e_words > m_words else m_words
-            if longest == 0:
-                similarity = 1.0
-            else:
-                similarity = 1.0 - distance / longest
-                if similarity < 0.0:
-                    similarity = 0.0
-            best = diagonal + (w_text * similarity + w_time * iou)
-            move = 0
-            if up - gap > best:
-                best = up - gap
-                move = 1
-            if left - gap > best:
-                best = left - gap
-                move = 2
-            current.append(best)
-            row.append(move)
-            diagonal = up
-            left = best
-        moves.append(row)
-        previous = current
+    width = m + 1
+    machine_spans, expert_spans = _spans(machine), _spans(expert)
+    band = _band_rows(n, m)
+    rewards = np.empty((min(band, n), width))  # column 0 is never read
+    lefts = np.zeros((min(band, n), width), dtype=np.bool_)  # skip-expert cells
+    flat_rewards, flat_lefts = rewards.reshape(-1), lefts.reshape(-1)
+    moves = bytearray((n + 1) * width)
+    # skip-machine comparisons land in the bytes as 0 or 1 through a bool
+    # view; after each band, its skip-expert cells are overwritten with 2
+    grid = np.frombuffer(moves, dtype=np.bool_)
+    # the band's top row of scores; the walk overwrites it with its bottom row
+    edge = np.array([-j * gap for j in range(width)], dtype=np.float64)
+    diagonals = [np.empty(min(band, n) + 1) for _ in range(3)]  # indexed by band row
+    distances = _row_distances(machine, expert)
+    for first in range(0, n, band):
+        height = min(band, n - first)
+        top = 0
+        while top < height:  # a band holds whole distance blocks
+            words = next(distances)
+            rows = slice(first + top, first + top + len(words))
+            _pair_scores(
+                machine_spans[:, rows, None], expert_spans, words, config.similarity_weight,
+                out=rewards[top : top + len(words), 1:],
+            )
+            top += len(words)
+        # Band row r holds cell (first + r, d - r) of diagonal d; in the
+        # row-major band tables it sits at (r - 1) * width + d - r, so a
+        # diagonal's cells are m apart and one slice indexes all three.
+        band_moves = grid[(first + 1) * width :]
+        before, previous, current = diagonals
+        for d in range(height + m + 1):
+            low_row, high_row = max(1, d - m), min(height, d - 1)
+            if low_row <= high_row:
+                offset = d - width
+                cells = slice(low_row * m + offset, high_row * m + offset + 1, m)
+                best = current[low_row : high_row + 1]
+                np.add(before[low_row - 1 : high_row], flat_rewards[cells], out=best)
+                skips = previous[low_row - 1 : high_row + 1] - gap
+                up, left = skips[:-1], skips[1:]
+                np.copyto(best, up, where=np.greater(up, best, out=band_moves[cells]))
+                np.copyto(best, left, where=np.greater(left, best, out=flat_lefts[cells]))
+            if d <= m:
+                current[0] = edge[d]
+            if 0 < d <= height:
+                current[d] = -(first + d) * gap
+            if d >= height:
+                edge[d - height] = current[height]
+            before, previous, current = previous, current, before
+        band_grid = band_moves[: height * width].view(np.uint8).reshape(height, width)
+        np.copyto(band_grid, 2, where=lefts[:height])
     matched: list[tuple[int, int]] = []
     i, j = n, m
     while i > 0 or j > 0:
-        move = moves[i][j] if i > 0 and j > 0 else (1 if i > 0 else 2)
+        move = moves[i * width + j] if i > 0 and j > 0 else (1 if i > 0 else 2)
         if move == 0:
             matched.append((i - 1, j - 1))
             i -= 1
@@ -374,7 +477,7 @@ def _dp(
         else:
             j -= 1
     matched.reverse()
-    return matched, previous[m]
+    return matched, float(edge[m])
 
 
 def align_by_time(

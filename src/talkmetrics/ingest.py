@@ -86,6 +86,8 @@ def _parse_time(value: object, path: Path | str, line: int, column: str) -> floa
         parsed = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
         raise MalformedRecord(path, line, f"{column} is not a number: {value!r}") from None
+    except OverflowError:  # an integer past the float range
+        raise InvalidTimestamps(path, line, f"{column} is out of range: {value!r}") from None
     if 0.0 <= parsed < _INF:
         return parsed
     if parsed != parsed or parsed in (_INF, -_INF):
@@ -111,12 +113,14 @@ def _load_record(text: str, path: Path | str, line: int) -> object:
         record, end = _raw_decode(text)
         if end == len(text):
             return record
-    except json.JSONDecodeError:
+    except ValueError:
         pass
     try:  # json.loads words the error, or accepts what raw_decode did not
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedRecord(path, line, f"invalid JSON: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise MalformedRecord(path, line, f"invalid JSON: {exc}") from None
 
 
 def parse_machine(path: Path | str, meta: RecordingMeta) -> Transcript:
@@ -152,6 +156,10 @@ def parse_machine(path: Path | str, meta: RecordingMeta) -> Transcript:
                 except (TypeError, ValueError):
                     raise MalformedRecord(
                         path, line_no, f"confidence is not a number: {confidence!r}"
+                    ) from None
+                except OverflowError:
+                    raise MalformedRecord(
+                        path, line_no, f"confidence is out of range: {confidence!r}"
                     ) from None
             role = _parse_role(record["speaker"], path, line_no)
             rows.append(
@@ -218,10 +226,13 @@ def parse_expert(path: Path | str, meta: RecordingMeta) -> Transcript:
 def load_meta(path: Path | str) -> RecordingMeta:
     """Read the metadata sidecar."""
     with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise MetaError(f"{path}: invalid JSON: {exc.msg}") from None
+        text = handle.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MetaError(f"{path}: invalid JSON: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise MetaError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise MetaError(f"{path}: metadata must be a JSON object")
     for key in ("recording_id", "wearer_role", "classroom_id", "academic_year", "duration_minutes"):
@@ -236,6 +247,10 @@ def load_meta(path: Path | str) -> RecordingMeta:
     except (TypeError, ValueError):
         raise MetaError(
             f"{path}: duration_minutes is not a number: {data['duration_minutes']!r}"
+        ) from None
+    except OverflowError:  # an integer past the float range
+        raise MetaError(
+            f"{path}: duration_minutes is out of range: {data['duration_minutes']!r}"
         ) from None
     try:
         return RecordingMeta(

@@ -1,6 +1,7 @@
 """File parsing, metadata and validation warnings."""
 
 import json
+import re
 
 import pytest
 
@@ -228,6 +229,18 @@ class TestMeta:
         path = tmp_path / "rec.meta.json"
         path.write_text("{", encoding="utf-8")
         with pytest.raises(MetaError):
+            load_meta(path)
+
+    def test_duration_past_float_range(self, tmp_path):
+        path = syn.write_recording(tmp_path, "rec", [], duration_minutes=10**400)[2]
+        with pytest.raises(MetaError) as excinfo:
+            load_meta(path)
+        assert str(excinfo.value) == f"{path}: duration_minutes is out of range: {10**400}"
+
+    def test_integer_literal_past_digit_limit(self, tmp_path):
+        path = syn.write_recording(tmp_path, "rec", [], duration_minutes=12345)[2]
+        path.write_text(path.read_text().replace("12345", "1" * 5000), encoding="utf-8")
+        with pytest.raises(MetaError, match=f"^{re.escape(str(path))}: "):
             load_meta(path)
 
 

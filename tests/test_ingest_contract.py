@@ -37,6 +37,14 @@ def line(**changes):
     return json.dumps({key: value for key, value in record.items() if value is not DROP})
 
 
+HUGE = 10**400  # an integer past the float range
+LONG = "1" * 5000  # an integer literal past the interpreter's digit limit
+try:
+    int(LONG)
+    LONG_FAILURE = (InvalidTimestamps, f"start is out of range: {LONG}")
+except ValueError as exc:  # the JSON decoder stops at the same limit
+    LONG_FAILURE = (MalformedRecord, f"invalid JSON: {exc}")
+
 MACHINE_FAILURES = [
     ("{not json", MalformedRecord,
      "invalid JSON: Expecting property name enclosed in double quotes"),
@@ -57,12 +65,16 @@ MACHINE_FAILURES = [
     (line(start=-1), InvalidTimestamps, "start is negative: -1"),
     (line(start=-0.5), InvalidTimestamps, "start is negative: -0.5"),
     (line(end=math.inf), InvalidTimestamps, "end is not finite: inf"),
+    (line(start=HUGE), InvalidTimestamps, f"start is out of range: {HUGE}"),
+    (line(end=HUGE), InvalidTimestamps, f"end is out of range: {HUGE}"),
+    (line(start=0).replace('"start": 0', f'"start": {LONG}'), *LONG_FAILURE),
     (line(start=5.0, end=4.0), InvalidTimestamps, "end 4.0 before start 5.0"),
     (line(start=2, end=1), InvalidTimestamps, "end 1.0 before start 2.0"),
     (line(text=5), MalformedRecord, "text is not a string: 5"),
     (line(text=None), MalformedRecord, "text is not a string: None"),
     (line(confidence="high"), MalformedRecord, "confidence is not a number: 'high'"),
     (line(confidence=[0.5]), MalformedRecord, "confidence is not a number: [0.5]"),
+    (line(confidence=HUGE), MalformedRecord, f"confidence is out of range: {HUGE}"),
     (line(speaker="robot"), UnknownSpeakerLabel, "unknown speaker label: 'robot'"),
     (line(speaker=3), MalformedRecord, "speaker is not a string: 3"),
     # the first failing check wins
