@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -55,6 +56,8 @@ class AlignConfig:
                 raise ValueError(f"{name} must be in [0, 1]: {getattr(self, name)}")
         if not self.gap_penalty >= 0.0:
             raise ValueError(f"gap_penalty must be non-negative: {self.gap_penalty}")
+        if self.gap_penalty > sys.float_info.max:  # infinite, or an integer past the floats
+            raise ValueError(f"gap_penalty is out of range: {self.gap_penalty}")
 
 
 def time_iou(a: Utterance, b: Utterance) -> float:

@@ -34,7 +34,6 @@ from .features import (
     DEFAULT_LD_WINDOW,
     DEFAULT_RESPONSE_WINDOW,
     FEATURE_COLUMNS,
-    ICC_FEATURES,
     FeatureSummary,
     detect_responses,
     icc_feature_values,
@@ -159,10 +158,12 @@ class RunConfig:
     wer_wearer_match: bool = True
 
     def __post_init__(self) -> None:
-        if not self.response_window > 0:
-            raise ValueError(f"response_window must be positive: {self.response_window}")
-        if not self.ld_window > 0:
-            raise ValueError(f"ld_window must be positive: {self.ld_window}")
+        for name in ("response_window", "ld_window"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive: {value}")
+            if value > sys.float_info.max:  # infinite, or an integer past the floats
+                raise ValueError(f"{name} is out of range: {value}")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be at least 1: {self.parallelism}")
 
@@ -250,8 +251,9 @@ def discover(
                 data = json.load(handle)
         except OSError as exc:
             raise MissingFile(f"cannot read manifest: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"{manifest_path}: invalid JSON: {exc.msg}") from None
+        except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an overlong integer
+            detail = getattr(exc, "msg", exc)  # a JSONDecodeError's, without the position
+            raise ManifestError(f"{manifest_path}: invalid JSON: {detail}") from None
         records = data.get("entries") if isinstance(data, dict) else data
         if not isinstance(records, list):
             raise ManifestError(f"{manifest_path}: expected a list of entries")
@@ -297,8 +299,7 @@ class RecordingOutcome:
     """What one worker hands back for its recording.
 
     A field keeps its default unless a stage that ran fills it.
-    ``features`` is empty when the machine side failed. ``total_words``
-    holds each feature row's role word count, for exact pooling.
+    ``features`` is empty when the machine side failed.
     """
 
     recording_id: str
@@ -306,7 +307,6 @@ class RecordingOutcome:
     n_machine_utterances: int = 0
     n_expert_utterances: int = 0
     features: tuple[FeatureSummary, ...] = ()
-    total_words: tuple[int, ...] = ()
     alignment: AlignedCorpus | None = None
     reliability: RecordingReliability | None = None
     findings: tuple[tuple[str, ValidationWarning], ...] = ()
@@ -325,31 +325,13 @@ def load_entry_meta(entry: ManifestEntry) -> RecordingMeta:
     return meta
 
 
-def _source_features(
-    transcript: Transcript, cfg: RunConfig
-) -> tuple[tuple[FeatureSummary, ...], tuple[int, ...]]:
-    """Both roles' feature rows for one transcript, and each role's word total."""
+def _source_features(transcript: Transcript, cfg: RunConfig) -> tuple[FeatureSummary, ...]:
+    """Both roles' feature rows for one transcript, in ``iter_roles`` order."""
     links = detect_responses(transcript, cfg.response_window)
-    summaries = tuple(
+    return tuple(
         summarize(transcript, role, links, cfg.response_window, cfg.ld_window)
         for role in iter_roles()
     )
-    return summaries, tuple(transcript.word_count(summary.role) for summary in summaries)
-
-
-# each role's ICC grid key of each feature
-_ICC_KEYS = {
-    role: {feature: f"{role.value}_{feature}" for feature in ICC_FEATURES} for role in iter_roles()
-}
-
-
-def _icc_grid(summaries: Sequence[FeatureSummary], minutes: float) -> dict[str, float | None]:
-    grid = {}
-    for summary in summaries:
-        keys = _ICC_KEYS[summary.role]
-        for feature, value in icc_feature_values(summary, minutes).items():
-            grid[keys[feature]] = value
-    return grid
 
 
 def _findings(done: dict) -> tuple[tuple[str, ValidationWarning], ...]:
@@ -382,17 +364,13 @@ _INGEST_STAGES = {name for name, side, _ in _STAGES if side == "ingest"}
 
 def _outcome(recording_id: str, done: dict) -> RecordingOutcome:
     """The reported fields of one recording's stage products."""
-    features, words = done.get("machine_features", ((), ()))
-    if "expert_features" in done:
-        expert_features, expert_words = done["expert_features"]
-        features, words = features + expert_features, words + expert_words
+    features = done.get("machine_features", ()) + done.get("expert_features", ())
     return RecordingOutcome(
         recording_id,
         duration_minutes=done["meta"].duration_minutes,
         n_machine_utterances=len(done.get("machine", ())),
         n_expert_utterances=len(done.get("expert", ())),
         features=features,
-        total_words=words,
         alignment=done.get("align"),
         reliability=done.get("reliability"),
         findings=done.get("validate", ()),
@@ -457,19 +435,21 @@ _POOLED_COUNTS = (
 )
 
 
-def _pool_source(rows: Sequence[tuple[FeatureSummary, int, float]]) -> dict:
+def _pool_source(rows: Sequence[tuple[FeatureSummary, float]]) -> dict:
     """Pool one source's per-recording feature rows into corpus-level features.
 
-    Each row comes with its role's word total and its recording's minutes.
+    Each row comes with its recording's minutes.
     """
     pooled: dict = {}
     for role in iter_roles():
         mine = [row for row in rows if row[0].role is role]
-        counts = {key: sum(getattr(s, key) for s, _, _ in mine) for key in _POOLED_COUNTS}
-        counts["total_words"] = sum(words for _, words, _ in mine)
-        minutes = sequential_sum(row_minutes for _, _, row_minutes in mine)
-        pct_values = [s.pct_questions for s, _, _ in mine if s.pct_questions is not None]
-        ld_values = [s.lexical_diversity_per_minute for s, _, _ in mine]
+        counts = {key: sum(getattr(s, key) for s, _ in mine) for key in _POOLED_COUNTS}
+        counts["total_words"] = sum(
+            round(s.mlu_overall * s.n_utterances) if s.n_utterances else 0 for s, _ in mine
+        )
+        minutes = sequential_sum(row_minutes for _, row_minutes in mine)
+        pct_values = [s.pct_questions for s, _ in mine if s.pct_questions is not None]
+        ld_values = [s.lexical_diversity_per_minute for s, _ in mine]
         pooled[role.value] = {
             "n_recordings": len(mine),
             **counts,
@@ -538,21 +518,19 @@ def run_pipeline(
     errors = tuple(error for outcome in outcomes for error in outcome.errors)
     rows = [outcome.reliability for outcome in done if outcome.reliability is not None]
     feature_pairs: dict[str, list[tuple[float | None, float | None]]] = {}
-    pooled: dict[str, list[tuple[FeatureSummary, int, float]]] = {"machine": []}
+    pooled: dict[str, list[tuple[FeatureSummary, float]]] = {"machine": []}
     for outcome in done:
+        minutes = outcome.duration_minutes
         if outcome.reliability is not None:
-            machine, expert = (
-                _icc_grid(
-                    [s for s in outcome.features if s.source == source], outcome.duration_minutes
-                )
-                for source in ("machine", "expert")
-            )
-            for key, value in machine.items():
-                feature_pairs.setdefault(key, []).append((value, expert[key]))
-        for summary, words in zip(outcome.features, outcome.total_words):
-            pooled.setdefault(summary.source, []).append(
-                (summary, words, outcome.duration_minutes)
-            )
+            # the machine rows, then the expert rows, each in iter_roles order
+            half = len(outcome.features) // 2
+            for machine, expert in zip(outcome.features[:half], outcome.features[half:]):
+                expert_values = icc_feature_values(expert, minutes)
+                for name, value in icc_feature_values(machine, minutes).items():
+                    key = f"{machine.role.value}_{name}"
+                    feature_pairs.setdefault(key, []).append((value, expert_values[name]))
+        for summary in outcome.features:
+            pooled.setdefault(summary.source, []).append((summary, minutes))
     corpus = {
         "n_recordings": len(done),
         "n_failed": len({error.recording_id for error in errors}),
@@ -631,7 +609,7 @@ def reliability_table(report: ReliabilityReport | None) -> list[list[object]]:
         return []
 
     def row(label: str, minutes: float | None, metrics: MetricSet) -> list[object]:
-        return [label, minutes, *(getattr(metrics, name) for name in RELIABILITY_COLUMNS[2:])]
+        return [label, minutes, *field_values(metrics)]
 
     rows = [row(r.recording_id, r.duration_minutes, r.metrics) for r in report.rows]
     total_minutes = sequential_sum(r.duration_minutes for r in report.rows)
@@ -644,10 +622,7 @@ def icc_table(report: ReliabilityReport | None) -> list[list[object]]:
     """One row per feature in the rater-agreement grid; none without a report."""
     if report is None:
         return []
-    return [
-        [name, entry.value, entry.n_used, entry.n_dropped, entry.zero_variance]
-        for name, entry in report.iccs.items()
-    ]
+    return [[name, *field_values(entry)] for name, entry in report.iccs.items()]
 
 
 def aggregate_table(aggregate: Mapping[str, dict]) -> list[list[object]]:

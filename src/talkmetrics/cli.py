@@ -68,6 +68,8 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text}")
+    if value > sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"out of range: {text}")
     return value
 
 
@@ -303,8 +305,9 @@ def _cmd_report(args: argparse.Namespace, parser: _Parser) -> int:
             data = json.load(handle)
     except OSError as exc:
         raise TalkmetricsError(f"cannot read {args.results}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise TalkmetricsError(f"{args.results}: invalid JSON: {exc.msg}") from None
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an overlong integer
+        detail = getattr(exc, "msg", exc)  # a JSONDecodeError's, without the position
+        raise TalkmetricsError(f"{args.results}: invalid JSON: {detail}") from None
     try:
         result = PipelineResult.from_dict(data)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -3,9 +3,10 @@
 Encoding walks ``dataclasses.fields`` in declaration order, so a class's
 field order is its JSON key order: enums become their values, tuples become
 lists, nested dataclasses and dicts recurse. What to do with a value is
-worked out once per type and cached. ``json_chunks`` writes the JSON
-text of that encoding straight from the objects, in pieces, so no encoded
-copy of a large result is ever built. Decoding reads the declared
+worked out once per type and cached. ``json_chunks`` is the one encoder:
+it writes the JSON text of that encoding straight from the objects, in
+pieces, so no encoded copy of a large result is ever built, and
+``Codec.to_dict`` parses that text back. Decoding reads the declared
 types back through ``typing.get_type_hints``; it understands ``X | None``,
 ``tuple[T, ...]``, fixed-length tuples and ``dict[str, T]``, and lets field
 defaults fill missing keys. Malformed input raises KeyError, TypeError or
@@ -14,6 +15,7 @@ ValueError.
 
 from __future__ import annotations
 
+import json
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -31,7 +33,7 @@ class Codec:
     """Mixin giving a dataclass ``to_dict`` and ``from_dict``."""
 
     def to_dict(self) -> dict:
-        return _encode(self)
+        return json.loads("".join(json_chunks(self)))
 
     @classmethod
     def from_dict(cls: type[_T], data: Mapping) -> _T:
@@ -60,19 +62,6 @@ def _plan(cls: type) -> tuple[str, ...] | str:
     if issubclass(cls, dict):
         return _MAPPING
     return _LEAF
-
-
-def _encode(value: Any) -> Any:
-    plan = _plan(type(value))
-    if plan is _LEAF:
-        return value
-    if plan is _SEQUENCE:
-        return [_encode(item) for item in value]
-    if plan is _MAPPING:
-        return {key: _encode(item) for key, item in value.items()}
-    if plan is _ENUM:
-        return value.value
-    return {name: _encode(getattr(value, name)) for name in plan}
 
 
 def _decode(hint: Any, value: Any) -> Any:
@@ -112,12 +101,9 @@ def _getter(cls: type) -> Callable[[Any], tuple]:
 
 
 def field_values(value: Any) -> list:
-    """A dataclass instance's ``to_dict`` values, in field order, without
-    building the dict: one table row."""
-    return [
-        item if _plan(type(item)) is _LEAF else _encode(item)
-        for item in _getter(type(value))(value)
-    ]
+    """A dataclass instance's field values, in field order, each enum as its
+    value: one table row of a class whose fields are scalars or enums."""
+    return [item.value if isinstance(item, Enum) else item for item in _getter(type(value))(value)]
 
 
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -186,7 +172,7 @@ def _template(cls: type, newline: str) -> str:
 
 
 def json_chunks(value: Any) -> Iterator[str]:
-    """The text of ``json.dump(_encode(value), indent=2)``, in pieces.
+    """The encoding of ``value`` as ``json.dump(..., indent=2)`` writes it, in pieces.
 
     The pieces are read from ``value`` through the encode plan, so no
     encoded copy is built: a dataclass or container whose values are all

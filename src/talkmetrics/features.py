@@ -94,8 +94,8 @@ class FeatureSummary(Codec):
     """The language-feature battery for one (recording, role, source).
 
     Counts cover word-bearing utterances only; every proportion is None
-    when its denominator is zero; mlu_overall times n_utterances recovers
-    the exact total word count.
+    when its denominator is zero; mlu_overall times n_utterances, once
+    rounded, is the exact total word count.
     """
 
     recording_id: str
@@ -198,21 +198,6 @@ def summarize(
         lexical_diversity_per_minute=sum(map(len, windows.values())) / n_windows,
         lexical_diversity_pooled=len(set().union(*windows.values())) / minutes,
     )
-
-
-ICC_FEATURES = (
-    "questions_per_minute",
-    "non_questions_per_minute",
-    "responses_per_minute",
-    "response_proportion",
-    "mlu_overall",
-    "mlu_question",
-    "mlu_non_question",
-    "words_per_minute",
-    "pct_questions",
-    "lexical_diversity_per_minute",
-    "lexical_diversity_pooled",
-)
 
 
 def icc_feature_values(

@@ -438,7 +438,7 @@ def build_report(
     time_weighted = MetricSet(**{f.name: weighted(f.name) for f in fields(MetricSet)})
 
     iccs: dict[str, IccEntry] = {}
-    for name, pairs in sorted((feature_pairs or {}).items()):
+    for name, pairs in (feature_pairs or {}).items():
         clean, dropped = drop_incomplete_rows(pairs)
         if len(clean) < 2:
             iccs[name] = IccEntry(value=None, n_used=len(clean), n_dropped=dropped)

@@ -309,6 +309,12 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(parallelism=0)
 
+    @pytest.mark.parametrize("name", ["response_window", "ld_window"])
+    @pytest.mark.parametrize("value", [float("inf"), 10**400], ids=["inf", "past-float"])
+    def test_window_past_the_float_range_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} is out of range"):
+            RunConfig(**{name: value})
+
     def test_semantic_dict_excludes_execution_fields(self):
         cfg = RunConfig(parallelism=8)
         data = cfg.semantic_dict()

@@ -52,6 +52,17 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "must be positive: nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--response-window", "--ld-window"])
+    @pytest.mark.parametrize(
+        "value", ["inf", "1e400", "1" + "0" * 400], ids=["inf", "1e400", "past-float"]
+    )
+    def test_infinite_window(self, tmp_path, capsys, flag, value):
+        code = main(
+            ["features", "--root", str(tmp_path), "--out", str(tmp_path / "out"), flag, value]
+        )
+        assert code == EXIT_USAGE
+        assert f"out of range: {value}" in capsys.readouterr().err
+
     def test_bad_workers(self, tmp_path):
         code = main(
             ["batch", "--root", str(tmp_path), "--out", str(tmp_path / "out"),
@@ -104,6 +115,26 @@ class TestFatalErrors:
         code = main(["report", str(path), "--out", str(tmp_path / "out")])
         assert code == EXIT_FATAL
         assert "not a results file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["batch", "report"])
+    @pytest.mark.parametrize(
+        "content, detail",
+        [
+            (b"{", "Expecting property name enclosed in double quotes\n"),
+            (b"\xff[]", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            (b'[{"recording_id": ' + b"1" * 5000 + b"}]", "Exceeds the limit (4300 digits)"),
+        ],
+        ids=["bad-json", "not-utf8", "long-int"],
+    )
+    def test_undecodable_json_file(self, tmp_path, capsys, verb, content, detail):
+        path = tmp_path / "in.json"
+        path.write_bytes(content)
+        source = ["--manifest", str(path)] if verb == "batch" else [str(path)]
+        code = main([verb, *source, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_FATAL, "")
+        assert captured.err.startswith(f"talkmetrics: error: {path}: invalid JSON: {detail}")
+        assert captured.err.count("\n") == 1
 
     def test_report_wrong_shape_inside(self, weather_dir, tmp_path, capsys):
         code = main(["batch", "--root", str(weather_dir), "--out", str(tmp_path / "a")])
@@ -429,6 +460,18 @@ class TestBatch:
             (b'{"align": {"min_text_similarity": NaN}}', "min_text_similarity must be in [0, 1]"),
             (b'{"ld_window": 0}', "ld_window must be positive"),
             (b'{"response_window": NaN}', "response_window must be positive"),
+            (b'{"response_window": Infinity}', "response_window is out of range: inf"),
+            pytest.param(
+                b'{"ld_window": 1' + b"0" * 400 + b"}",
+                "ld_window is out of range: 1000",
+                id="ld_window-past-float",
+            ),
+            (b'{"align": {"gap_penalty": Infinity}}', "gap_penalty is out of range: inf"),
+            pytest.param(
+                b'{"align": {"gap_penalty": 1' + b"0" * 400 + b"}}",
+                "gap_penalty is out of range: 1000",
+                id="gap_penalty-past-float",
+            ),
         ],
     )
     def test_bad_config_is_fatal(self, weather_dir, tmp_path, capsys, verb, content, message):

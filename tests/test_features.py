@@ -17,7 +17,6 @@ import synthetic as syn
 from talkmetrics.features import (
     FEATURE_COLUMNS,
     FeatureSummary,
-    ICC_FEATURES,
     InvalidCounts,
     ZeroDuration,
     detect_responses,
@@ -55,6 +54,28 @@ class TestMlu:
 
     def test_all_wordless_is_none(self):
         assert summary_of([syn.utt(1, 0, 1, "[coughs]")]).mlu_overall is None
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("teacher", "child", "other")),
+                st.integers(0, 3) | st.integers(64, 300),
+            ),
+            max_size=40,
+        ),
+        st.sampled_from(SpeakerRole),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rounded_product_is_the_word_count(self, rows, role):
+        # the corpus pooling reads each row's word total this way
+        utts = [
+            syn.utt(i, i, i + 0.5, " ".join(["word"] * words) or "[laughs]", label)
+            for i, (label, words) in enumerate(rows)
+        ]
+        transcript = syn.transcript(utts, syn.make_meta(duration_minutes=1.0))
+        summary = summarize(transcript, role)
+        total = summary.n_utterances and round(summary.mlu_overall * summary.n_utterances)
+        assert total == transcript.word_count(role)
 
 
 class TestWordsPerMinute:
@@ -478,7 +499,19 @@ class TestIccFeatureValues:
     def test_covers_declared_features(self, weather_machine):
         summary = summarize(weather_machine, SpeakerRole.CHILD)
         values = icc_feature_values(summary, duration_minutes=1.0)
-        assert set(values) == set(ICC_FEATURES)
+        assert list(values) == [
+            "questions_per_minute",
+            "non_questions_per_minute",
+            "responses_per_minute",
+            "response_proportion",
+            "mlu_overall",
+            "mlu_question",
+            "mlu_non_question",
+            "words_per_minute",
+            "pct_questions",
+            "lexical_diversity_per_minute",
+            "lexical_diversity_pooled",
+        ]
 
     def test_zero_duration_rejected(self, weather_machine):
         summary = summarize(weather_machine, SpeakerRole.CHILD)
