@@ -417,6 +417,8 @@ def _dp(
     """
     n, m = len(machine), len(expert)
     gap = config.gap_penalty
+    if (n + m) * gap > sys.float_info.max:  # the lowest score a path can reach
+        raise ValueError(f"gap_penalty {gap} overflows the scores of a {n} x {m} alignment")
     width = m + 1
     machine_spans, expert_spans = _spans(machine), _spans(expert)
     band = _band_rows(n, m)

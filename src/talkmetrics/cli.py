@@ -51,16 +51,6 @@ EXIT_PARTIAL = 2
 EXIT_FATAL = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; this tool reserves 2 for partial
-    failures, so remap to 1."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _positive_float(text: str) -> float:
     try:
         value = float(text)
@@ -110,8 +100,8 @@ def _add_out_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="talkmetrics",
         description="Alignment, language features and reliability statistics for"
         " classroom speech transcripts.",
@@ -151,7 +141,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_manifest(args: argparse.Namespace, parser: _Parser) -> CorpusManifest:
+def _load_manifest(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CorpusManifest:
     if (args.root is None) == (args.manifest is None):
         parser.error("exactly one of --root or --manifest is required")
     return discover(root_dir=args.root, manifest_path=args.manifest)
@@ -179,7 +169,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         raise TalkmetricsError(f"{path}: {exc}") from None
 
 
-def _cmd_ingest_check(args: argparse.Namespace, parser: _Parser) -> int:
+def _cmd_ingest_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     manifest = _load_manifest(args, parser)
     stages = ("meta", "machine", "expert", "validate")
     outcomes = process_recordings(manifest.entries, RunConfig(), stages)
@@ -218,7 +208,7 @@ def _cmd_ingest_check(args: argparse.Namespace, parser: _Parser) -> int:
     return EXIT_PARTIAL if n_failed else EXIT_OK
 
 
-def _cmd_align(args: argparse.Namespace, parser: _Parser) -> int:
+def _cmd_align(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     manifest = _load_manifest(args, parser)
     cfg = _load_run_config(args)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -248,7 +238,7 @@ def _cmd_align(args: argparse.Namespace, parser: _Parser) -> int:
     return EXIT_PARTIAL if n_failed else EXIT_OK
 
 
-def _cmd_features(args: argparse.Namespace, parser: _Parser) -> int:
+def _cmd_features(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     manifest = _load_manifest(args, parser)
     cfg = _load_run_config(args)
     result = run_pipeline(manifest, cfg, agreement=False)
@@ -260,7 +250,7 @@ def _cmd_features(args: argparse.Namespace, parser: _Parser) -> int:
     return EXIT_PARTIAL if result.errors else EXIT_OK
 
 
-def _cmd_reliability(args: argparse.Namespace, parser: _Parser) -> int:
+def _cmd_reliability(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     manifest = _load_manifest(args, parser)
     cfg = _load_run_config(args)
     result = run_pipeline(manifest, cfg)
@@ -286,7 +276,7 @@ def _cmd_reliability(args: argparse.Namespace, parser: _Parser) -> int:
     return EXIT_PARTIAL if result.errors else EXIT_OK
 
 
-def _cmd_batch(args: argparse.Namespace, parser: _Parser) -> int:
+def _cmd_batch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     manifest = _load_manifest(args, parser)
     cfg = _load_run_config(args)
     result = run_pipeline(manifest, cfg)
@@ -299,7 +289,7 @@ def _cmd_batch(args: argparse.Namespace, parser: _Parser) -> int:
     return EXIT_PARTIAL if result.errors else EXIT_OK
 
 
-def _cmd_report(args: argparse.Namespace, parser: _Parser) -> int:
+def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         with open(args.results, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -334,8 +324,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return _COMMANDS[args.verb](args, parser)
     except SystemExit as exc:
+        # argparse exits 2 on a usage error; this tool keeps 2 for runs with
+        # per-recording failures, so a usage error exits 1
         code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
+        return code if isinstance(code, int) and code != 2 else EXIT_USAGE
     except (TalkmetricsError, OSError) as exc:
         log.debug("fatal error", exc_info=True)
         print(f"talkmetrics: error: {exc}", file=sys.stderr)

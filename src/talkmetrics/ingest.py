@@ -226,13 +226,12 @@ def parse_expert(path: Path | str, meta: RecordingMeta) -> Transcript:
 def load_meta(path: Path | str) -> RecordingMeta:
     """Read the metadata sidecar."""
     with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MetaError(f"{path}: invalid JSON: {exc.msg}") from None
-    except ValueError as exc:  # an integer literal past the interpreter's digit limit
-        raise MetaError(f"{path}: invalid JSON: {exc}") from None
+        try:
+            data = json.loads(handle.read())
+        except json.JSONDecodeError as exc:
+            raise MetaError(f"{path}: invalid JSON: {exc.msg}") from None
+        except ValueError as exc:  # bytes that are not UTF-8, an overlong integer literal
+            raise MetaError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise MetaError(f"{path}: metadata must be a JSON object")
     for key in ("recording_id", "wearer_role", "classroom_id", "academic_year", "duration_minutes"):

@@ -21,9 +21,9 @@ Conventions, fixed once here so every report uses the same rules:
 
 from __future__ import annotations
 
-import math
 import operator
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
@@ -272,15 +272,15 @@ def time_weighted_mean(
 def drop_incomplete_rows(
     ratings: Sequence[Sequence[float | None]],
 ) -> tuple[np.ndarray, int]:
-    """Drop rows with a missing cell on either side; report the drop count."""
-    kept = [
-        (float(row[0]), float(row[1]))
-        for row in ratings
-        if row[0] is not None
-        and row[1] is not None
-        and not (math.isnan(row[0]) or math.isnan(row[1]))
-    ]
-    return np.asarray(kept, dtype=float).reshape(len(kept), 2), len(ratings) - len(kept)
+    """Drop rows with a None or NaN cell; report the drop count. Rows must be pairs."""
+    matrix = np.array(ratings, dtype=float).reshape(len(ratings), 2)
+    kept = matrix[~np.isnan(matrix).any(axis=1)]
+    return kept, len(ratings) - len(kept)
+
+
+def _all_equal(matrix: np.ndarray) -> bool:
+    """Whether every rating equals the first; the ICC is 1.0 by convention."""
+    return bool(np.all(matrix == matrix.flat[0]))
 
 
 def icc_absolute(ratings: Sequence[Sequence[float]] | np.ndarray) -> float:
@@ -305,7 +305,7 @@ def icc_absolute(ratings: Sequence[Sequence[float]] | np.ndarray) -> float:
     if n < 2:
         raise TooFewRows(f"ICC needs at least 2 recordings, got {n}")
     grand = matrix.mean()
-    if np.all(matrix == matrix.flat[0]):
+    if _all_equal(matrix):
         warnings.warn(
             "all ratings identical; ICC defined as 1.0", ZeroVarianceWarning, stacklevel=2
         )
@@ -411,7 +411,10 @@ def build_report(
 
     ``feature_pairs`` maps a feature name to (machine, expert) value pairs,
     one per recording; rows with a missing side are dropped pairwise and the
-    drop count kept in the report.
+    drop count kept in the report. Each feature's entry is decided from its
+    complete rows: fewer than two give no value; all-equal ratings give 1.0
+    flagged ``zero_variance``; otherwise the value is :func:`icc_absolute`'s,
+    or None where it raises :class:`DegenerateRatings`.
     """
     ordered = tuple(sorted(rows, key=lambda r: r.recording_id))
     overall = metric_set(
@@ -440,20 +443,14 @@ def build_report(
     iccs: dict[str, IccEntry] = {}
     for name, pairs in (feature_pairs or {}).items():
         clean, dropped = drop_incomplete_rows(pairs)
-        if len(clean) < 2:
-            iccs[name] = IccEntry(value=None, n_used=len(clean), n_dropped=dropped)
-            continue
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ZeroVarianceWarning)
-            try:
+        flat = len(clean) >= 2 and _all_equal(clean)
+        value = 1.0 if flat else None
+        if len(clean) >= 2 and not flat:
+            # a rate over a near-zero duration can be infinite: its ICC is NaN,
+            # reported without a float warning
+            with suppress(DegenerateRatings), np.errstate(all="ignore"):
                 value = icc_absolute(clean)
-            except DegenerateRatings:
-                iccs[name] = IccEntry(value=None, n_used=len(clean), n_dropped=dropped)
-                continue
-            flagged = any(issubclass(w.category, ZeroVarianceWarning) for w in caught)
-        iccs[name] = IccEntry(
-            value=value, n_used=len(clean), n_dropped=dropped, zero_variance=flagged
-        )
+        iccs[name] = IccEntry(value, len(clean), dropped, zero_variance=flat)
     return ReliabilityReport(
         rows=ordered, overall=overall, time_weighted=time_weighted, iccs=iccs
     )

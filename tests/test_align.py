@@ -363,6 +363,25 @@ class TestAlignConfig:
         AlignConfig(similarity_weight=0.0, min_iou=1.0, min_text_similarity=1.0)
 
 
+class TestGapPenaltyRange:
+    @staticmethod
+    def pair_of(n):
+        machine = syn.transcript([syn.utt(i, 2.0 * i, 2.0 * i + 1, "a b") for i in range(n)])
+        expert = syn.transcript(
+            [syn.utt(f"e{i}", 2.0 * i, 2.0 * i + 1, "a b", source="expert") for i in range(n)]
+        )
+        return machine, expert
+
+    def test_overflowing_penalty_names_the_size(self):
+        # 4 * 1e308 is past the float range: the all-skip path's score
+        with pytest.raises(ValueError, match=r"^gap_penalty 1e\+308 .* 2 x 2 alignment$"):
+            align_by_time(*self.pair_of(2), AlignConfig(gap_penalty=1e308))
+
+    def test_largest_penalty_in_range_still_aligns(self):
+        corpus = align_by_time(*self.pair_of(1), AlignConfig(gap_penalty=8e307))
+        assert [(p.machine_utt.id, p.expert_utt.id) for p in corpus.pairs] == [("0", "e0")]
+
+
 class TestAlignDispatch:
     def test_linked_expert_uses_identifiers(self, weather_machine, weather_expert):
         corpus = align(weather_machine, weather_expert)

@@ -738,3 +738,73 @@ class TestTalkmetricsLog:
         assert proc.returncode == EXIT_PARTIAL, proc.stderr
         assert "bad: ingest stage failed" in proc.stderr
         assert "Traceback" in proc.stderr
+
+
+class TestUsageErrorBytes:
+    """argparse writes the usage error and exits 2; ``main`` returns 1."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["batch", "--root", "r", "--out", "o", "--bogus"],
+                "unrecognized arguments: --bogus",
+            ),
+            (["batch", "--out", "x"], "exactly one of --root or --manifest is required"),
+        ],
+        ids=["unknown-flag", "no-corpus-flag"],
+    )
+    def test_stderr_pinned(self, argv, message, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"usage: talkmetrics [-h] VERB ...\ntalkmetrics: error: {message}\n"
+        )
+
+
+class TestUndecodableMeta:
+    def test_worded_as_invalid_json(self, tmp_path, capsys):
+        write_good_and_bad(tmp_path / "data")
+        path = tmp_path / "data" / "bad.meta.json"
+        path.write_bytes(b"\xff" + path.read_bytes())
+        message = (
+            f"{path}: invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0:"
+            " invalid start byte"
+        )
+        assert main(["ingest-check", "--root", str(tmp_path / "data")]) == EXIT_PARTIAL
+        assert f"bad: FAIL {message}\n" in capsys.readouterr().out
+        out = tmp_path / "out"
+        code = main(["batch", "--root", str(tmp_path / "data"), "--out", str(out)])
+        assert code == EXIT_PARTIAL
+        errors = json.loads((out / "errors.json").read_text())
+        assert errors == [{"recording_id": "bad", "stage": "ingest", "message": message}]
+
+
+class TestGapPenaltyOverflow:
+    def test_time_aligned_recording_fails_at_expert(self, tmp_path, capsys):
+        syn.write_weather_recording(tmp_path / "data", "linked")
+        syn.write_weather_recording(tmp_path / "data", "timed", linked=False)
+        config = tmp_path / "config.json"
+        config.write_text('{"align": {"gap_penalty": 1e308}}', encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            ["batch", "--root", str(tmp_path / "data"), "--config", str(config),
+             "--out", str(out), "--format", "json"]
+        )
+        assert code == EXIT_PARTIAL
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        errors = json.loads((out / "errors.json").read_text())
+        assert errors == [
+            {
+                "recording_id": "timed",
+                "stage": "expert",
+                "message": "ValueError: gap_penalty 1e+308 overflows the scores of a 10 x 10"
+                " alignment",
+            }
+        ]
+        results = json.loads((out / "results.json").read_text())
+        sides = {(row["recording_id"], row["source"]) for row in results["features"]}
+        assert sides == {("linked", "machine"), ("linked", "expert"), ("timed", "machine")}
+        assert [row["recording_id"] for row in results["reliability"]["rows"]] == ["linked"]

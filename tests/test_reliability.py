@@ -23,6 +23,7 @@ from talkmetrics.reliability import (
     ConfusionMatrix,
     DegenerateRatings,
     EmptyMatrix,
+    IccEntry,
     LengthMismatch,
     MetricSet,
     RecordingReliability,
@@ -530,6 +531,20 @@ class TestDropIncompleteRows:
         matrix, dropped = drop_incomplete_rows([(1.0, 2.0), (3.0, 4.0)])
         assert matrix.shape == (2, 2) and dropped == 0
 
+    def test_empty(self):
+        matrix, dropped = drop_incomplete_rows([])
+        assert matrix.shape == (0, 2) and dropped == 0
+
+    def test_drops_nan_rows(self):
+        nan = float("nan")
+        rows = [(nan, 1.0), (1.0, 2.0), (3.0, nan), (nan, nan)]
+        matrix, dropped = drop_incomplete_rows(rows)
+        assert matrix.tolist() == [[1.0, 2.0]] and dropped == 3
+
+    def test_rows_must_be_pairs(self):
+        with pytest.raises(ValueError):
+            drop_incomplete_rows([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)])
+
 
 # --- report assembly -------------------------------------------------------
 
@@ -611,3 +626,59 @@ class TestBuildReport:
         clone = ReliabilityReport.from_dict(json.loads(json.dumps(report.to_dict())))
         assert clone == report
 
+
+
+def captured_icc_entry(pairs):
+    """A reference ICC entry decided by capturing warnings: drop rows with a
+    None or NaN cell in Python, then run :func:`icc_absolute` under a
+    warnings capture and flag the entry if it warned."""
+    kept = [
+        (float(a), float(b))
+        for a, b in pairs
+        if a is not None and b is not None and not (math.isnan(a) or math.isnan(b))
+    ]
+    dropped = len(pairs) - len(kept)
+    if len(kept) < 2:
+        return IccEntry(value=None, n_used=len(kept), n_dropped=dropped)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a float warning is recorded, never raised
+        try:
+            value = icc_absolute(kept)
+        except DegenerateRatings:
+            return IccEntry(value=None, n_used=len(kept), n_dropped=dropped)
+    flagged = any(issubclass(w.category, ZeroVarianceWarning) for w in caught)
+    return IccEntry(value=value, n_used=len(kept), n_dropped=dropped, zero_variance=flagged)
+
+
+_cells = st.one_of(
+    st.none(),
+    st.just(float("nan")),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5]),  # repeats, for all-equal and tied ratings
+)
+_pair_lists = st.one_of(
+    st.lists(st.tuples(_cells, _cells), max_size=8),
+    st.lists(
+        st.tuples(st.sampled_from([1.0, 2.5, None]), st.sampled_from([1.0, 2.5])), max_size=6
+    ),
+    # the mirrored two-row case, where the ICC denominator can vanish
+    st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)).map(lambda t: [t, t[::-1]]),
+)
+
+
+class TestIccEntries:
+    @given(_pair_lists)
+    @settings(max_examples=300)
+    @example([(0.0, 1.0), (1.0, 0.0)])
+    @example([(3.0, 3.0), (3.0, 3.0), (None, 4.0)])
+    @example([(1e308, -1e308), (1.0, 2.0)])
+    def test_matches_captured_warning_reference(self, pairs):
+        got = build_report([], {"f": pairs}).iccs["f"]
+        expected = captured_icc_entry(pairs)
+        assert (got.n_used, got.n_dropped, got.zero_variance) == (
+            expected.n_used, expected.n_dropped, expected.zero_variance
+        )
+        if expected.value is not None and math.isnan(expected.value):
+            assert math.isnan(got.value)
+        else:
+            assert got.value == expected.value
