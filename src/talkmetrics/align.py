@@ -25,10 +25,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .errors import TalkmetricsError
 from .transcript import RecordingMeta, Transcript, Utterance, levenshtein
+
+# The functions that call numpy import it as ``np``, so a run that neither
+# aligns by time nor takes an ICC never loads it.
 
 
 class NotLinked(TalkmetricsError):
@@ -231,7 +232,6 @@ def align_by_index(machine: Transcript, expert: Transcript) -> AlignedCorpus:
 # shows in a run's peak RSS.
 _BLOCK_CELLS = 4096
 _WORD_BITS = 64
-_ALL_BITS = np.uint64((1 << _WORD_BITS) - 1)
 # The DP holds float64 rewards for one band of about this many machine rows
 # (8 bytes per expert utterance each) and walks the band's anti-diagonals.
 # A recording of n × m cells takes n + bands·(m - 1) diagonal steps of a few
@@ -270,6 +270,7 @@ def _row_distances(
     the vertical steps of its last column, counted when the text ends.
     Rows with no words or more than 64 take the scalar ``levenshtein``.
     """
+    import numpy as np
     texts = [utt.tokens for utt in expert]
     m = len(texts)
     vocab: dict[str, int] = {}
@@ -318,7 +319,7 @@ def _row_distances(
         peq = np.zeros((len(vocab), last - first), dtype=np.uint64)
         np.bitwise_or.at(peq, (columns_of[held], rows_of[held] - first), bits_of[held])
         shape = (m, last - first)  # the state: one row per text, one column per pattern
-        pv = np.broadcast_to(_ALL_BITS << (_WORD_BITS - length_of[first:last]), shape)
+        pv = np.broadcast_to(~np.uint64(0) << (_WORD_BITS - length_of[first:last]), shape)
         mv = np.broadcast_to(np.uint64(0), shape)
         final_pv = np.empty(shape, dtype=np.uint64)
         final_mv = np.empty(shape, dtype=np.uint64)
@@ -360,6 +361,7 @@ def _spans(utterances: Sequence[Utterance]) -> np.ndarray:
     Word counts are floats so that every comparison and division of a
     reward runs in one dtype, which keeps numpy's integer loops unmapped.
     """
+    import numpy as np
     onsets = [utt.onset for utt in utterances]
     spans = np.array(
         [onsets, [utt.offset for utt in utterances], onsets,
@@ -384,6 +386,7 @@ def _pair_scores(
     :func:`time_iou`'s, :func:`text_similarity`'s and the blend's, in the
     same order, with ``np.where`` on the same comparisons.
     """
+    import numpy as np
     m_on, m_off, m_len, m_words = machine
     e_on, e_off, e_len, e_words = expert
     low = np.where(e_on > m_on, e_on, m_on)
@@ -415,6 +418,7 @@ def _dp(
     cell-by-cell loop. Backpointers are packed one byte per cell (0 match,
     1 skip machine, 2 skip expert) and traced back from the corner.
     """
+    import numpy as np
     n, m = len(machine), len(expert)
     gap = config.gap_penalty
     if (n + m) * gap > sys.float_info.max:  # the lowest score a path can reach

@@ -20,6 +20,7 @@ import concurrent.futures
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -102,6 +103,11 @@ class ManifestError(TalkmetricsError):
 
 class IoError(TalkmetricsError):
     """Report emission failed at the filesystem."""
+
+
+class NonFiniteFeature(TalkmetricsError):
+    """A feature row holds an infinite or NaN value, as a rate over a
+    near-zero duration does."""
 
 
 @dataclass(frozen=True)
@@ -326,12 +332,24 @@ def load_entry_meta(entry: ManifestEntry) -> RecordingMeta:
 
 
 def _source_features(transcript: Transcript, cfg: RunConfig) -> tuple[FeatureSummary, ...]:
-    """Both roles' feature rows for one transcript, in ``iter_roles`` order."""
+    """Both roles' feature rows for one transcript, in ``iter_roles`` order.
+
+    Raises :class:`NonFiniteFeature` for a row holding a non-finite float,
+    so no report carries one.
+    """
     links = detect_responses(transcript, cfg.response_window)
-    return tuple(
+    rows = tuple(
         summarize(transcript, role, links, cfg.response_window, cfg.ld_window)
         for role in iter_roles()
     )
+    for row in rows:
+        for name, value in zip(FEATURE_COLUMNS, field_values(row)):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise NonFiniteFeature(
+                    f"{row.source} {row.role.value} {name} is {value} over a duration of"
+                    f" {transcript.meta.duration_minutes} minutes"
+                )
+    return rows
 
 
 def _findings(done: dict) -> tuple[tuple[str, ValidationWarning], ...]:
@@ -417,6 +435,8 @@ def process_recordings(
             yield _process_entry(entry, cfg, stages)
         return
     chunk = max(1, len(entries) // (workers * 4))
+    if "align" in stages and any(entry.expert_path for entry in entries):
+        import numpy  # noqa: F401 -- loaded once here, so forked workers inherit it
     # this attribute lookup is what loads concurrent.futures.process, and
     # with it multiprocessing, so a serial run never pays for either
     with concurrent.futures.ProcessPoolExecutor(

@@ -21,6 +21,7 @@ Conventions, fixed once here so every report uses the same rules:
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from contextlib import suppress
@@ -28,12 +29,13 @@ from dataclasses import dataclass, field, fields
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .align import AlignedCorpus
 from .codec import Codec
 from .errors import TalkmetricsError
 from .transcript import SpeakerRole, Utterance, levenshtein
+
+# The functions that call numpy import it as ``np``, so a run that neither
+# aligns by time nor takes an ICC never loads it.
 
 
 class BothAbsent(TalkmetricsError):
@@ -57,8 +59,9 @@ class TooFewRows(TalkmetricsError):
 
 
 class DegenerateRatings(TalkmetricsError):
-    """The ICC denominator vanished on unequal ratings (only possible for
-    n=2 with mirrored values); the statistic is undefined there."""
+    """The ICC is undefined: its denominator vanished on unequal ratings
+    (only possible for n=2 with mirrored values), or its sums of squares
+    left the float range."""
 
 
 class ZeroVarianceWarning(UserWarning):
@@ -273,6 +276,7 @@ def drop_incomplete_rows(
     ratings: Sequence[Sequence[float | None]],
 ) -> tuple[np.ndarray, int]:
     """Drop rows with a None or NaN cell; report the drop count. Rows must be pairs."""
+    import numpy as np
     matrix = np.array(ratings, dtype=float).reshape(len(ratings), 2)
     kept = matrix[~np.isnan(matrix).any(axis=1)]
     return kept, len(ratings) - len(kept)
@@ -280,7 +284,7 @@ def drop_incomplete_rows(
 
 def _all_equal(matrix: np.ndarray) -> bool:
     """Whether every rating equals the first; the ICC is 1.0 by convention."""
-    return bool(np.all(matrix == matrix.flat[0]))
+    return bool((matrix == matrix.flat[0]).all())
 
 
 def icc_absolute(ratings: Sequence[Sequence[float]] | np.ndarray) -> float:
@@ -294,8 +298,11 @@ def icc_absolute(ratings: Sequence[Sequence[float]] | np.ndarray) -> float:
 
     Absolute agreement: a constant offset between the raters lowers the
     value. An all-equal matrix is defined as 1.0 by convention and flagged
-    with :class:`ZeroVarianceWarning`.
+    with :class:`ZeroVarianceWarning`. Raises :class:`DegenerateRatings`
+    where the value is undefined, or not finite because a sum of squares
+    overflowed.
     """
+    import numpy as np
     matrix = np.asarray(ratings, dtype=float)
     if matrix.ndim != 2 or matrix.shape[1] != 2:
         raise ValueError(f"ratings must be n x 2, got shape {matrix.shape}")
@@ -304,7 +311,6 @@ def icc_absolute(ratings: Sequence[Sequence[float]] | np.ndarray) -> float:
     n, k = matrix.shape
     if n < 2:
         raise TooFewRows(f"ICC needs at least 2 recordings, got {n}")
-    grand = matrix.mean()
     if _all_equal(matrix):
         warnings.warn(
             "all ratings identical; ICC defined as 1.0", ZeroVarianceWarning, stacklevel=2
@@ -315,11 +321,13 @@ def icc_absolute(ratings: Sequence[Sequence[float]] | np.ndarray) -> float:
         # exactly 1; computing it through the sums of squares would leave
         # cancellation residue on the order of 1e-16
         return 1.0
-    row_means = matrix.mean(axis=1)
-    col_means = matrix.mean(axis=0)
-    ss_rows = k * float(((row_means - grand) ** 2).sum())
-    ss_cols = n * float(((col_means - grand) ** 2).sum())
-    ss_total = float(((matrix - grand) ** 2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the value below
+        grand = matrix.mean()
+        row_means = matrix.mean(axis=1)
+        col_means = matrix.mean(axis=0)
+        ss_rows = k * float(((row_means - grand) ** 2).sum())
+        ss_cols = n * float(((col_means - grand) ** 2).sum())
+        ss_total = float(((matrix - grand) ** 2).sum())
     ss_error = max(ss_total - ss_rows - ss_cols, 0.0)
     msr = ss_rows / (n - 1)
     msc = ss_cols / (k - 1)
@@ -327,7 +335,10 @@ def icc_absolute(ratings: Sequence[Sequence[float]] | np.ndarray) -> float:
     denominator = msr + (k - 1) * mse + (k / n) * (msc - mse)
     if denominator == 0.0:
         raise DegenerateRatings("ICC denominator is zero on unequal ratings")
-    return float((msr - mse) / denominator)
+    value = (msr - mse) / denominator
+    if not math.isfinite(value):
+        raise DegenerateRatings("ICC sums of squares leave the float range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -446,9 +457,7 @@ def build_report(
         flat = len(clean) >= 2 and _all_equal(clean)
         value = 1.0 if flat else None
         if len(clean) >= 2 and not flat:
-            # a rate over a near-zero duration can be infinite: its ICC is NaN,
-            # reported without a float warning
-            with suppress(DegenerateRatings), np.errstate(all="ignore"):
+            with suppress(DegenerateRatings):
                 value = icc_absolute(clean)
         iccs[name] = IccEntry(value, len(clean), dropped, zero_variance=flat)
     return ReliabilityReport(

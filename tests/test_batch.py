@@ -455,6 +455,43 @@ class TestRunPipeline:
         assert result.aggregate == expected.aggregate
         assert result.corpus == {**expected.corpus, "n_failed": 1}
 
+    def test_non_finite_feature_rows_fail_their_recording(self, tmp_path):
+        # every per-minute rate over 1e-320 minutes is infinite
+        for recording_id in ("a", "b", "c"):
+            *_, meta_path = syn.write_weather_recording(tmp_path / "data", recording_id)
+            meta = json.loads(meta_path.read_text())
+            meta_path.write_text(json.dumps({**meta, "duration_minutes": 1e-320}))
+        out = tmp_path / "out"
+        code = main(["batch", "--root", str(tmp_path / "data"), "--out", str(out),
+                     "--format", "json"])
+        assert code == EXIT_PARTIAL
+
+        def reject(token):
+            raise ValueError(f"non-finite {token} in a report")
+
+        results = json.loads((out / "results.json").read_text(), parse_constant=reject)
+        assert results["corpus"]["n_recordings"] == 0
+        errors = json.loads((out / "errors.json").read_text(), parse_constant=reject)
+        assert [(e["recording_id"], e["stage"]) for e in errors] == [
+            ("a", "ingest"), ("b", "ingest"), ("c", "ingest")
+        ]
+        assert errors[0]["message"] == (
+            "machine teacher words_per_minute is inf over a duration of 1e-320 minutes"
+        )
+
+    def test_non_finite_expert_rows_drop_the_expert_side(self, tmp_path):
+        # the machine side has no words, so its rates are 0 over any duration
+        rows = [{"start": 0.0, "end": 1.0, "text": "w", "speaker": "teacher"}]
+        syn.write_recording(tmp_path, "r", [{**rows[0], "text": ""}], rows,
+                            duration_minutes=1e-320)
+        result = run_pipeline(discover(root_dir=tmp_path), RunConfig())
+        assert result.errors == (
+            EntryError("r", "expert", "expert teacher words_per_minute is inf over a"
+                       " duration of 1e-320 minutes"),
+        )
+        assert [row.source for row in result.features] == ["machine", "machine"]
+        assert result.reliability is None
+
     def test_repeat_runs_identical(self, tmp_path):
         root = corpus_dir(tmp_path, n=3, seed=9)
         manifest = discover(root_dir=root)

@@ -673,12 +673,21 @@ class TestIccEntries:
     @example([(3.0, 3.0), (3.0, 3.0), (None, 4.0)])
     @example([(1e308, -1e308), (1.0, 2.0)])
     def test_matches_captured_warning_reference(self, pairs):
-        got = build_report([], {"f": pairs}).iccs["f"]
-        expected = captured_icc_entry(pairs)
-        assert (got.n_used, got.n_dropped, got.zero_variance) == (
-            expected.n_used, expected.n_dropped, expected.zero_variance
+        assert build_report([], {"f": pairs}).iccs["f"] == captured_icc_entry(pairs)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=8,
         )
-        if expected.value is not None and math.isnan(expected.value):
-            assert math.isnan(got.value)
-        else:
-            assert got.value == expected.value
+    )
+    @settings(max_examples=300)
+    # the sums of squares overflow
+    @example([(1e300, -1e300), (-1e300, 1e300), (1e200, 3e200)])
+    @example([(1.7e308, -1.7e308), (1.0, 2.0)])
+    def test_finite_ratings_give_a_finite_value_or_none(self, pairs):
+        value = build_report([], {"f": pairs}).iccs["f"].value
+        assert value is None or math.isfinite(value)

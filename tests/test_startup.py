@@ -4,8 +4,10 @@ Each check runs a fresh interpreter, because the test process itself has
 long since imported numpy and multiprocessing.
 """
 
+import filecmp
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import synthetic as syn
+from talkmetrics.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -21,54 +24,142 @@ pytestmark = pytest.mark.skipif(
 )
 
 # Prints, as JSON, the process's (thread count, whether multiprocessing is
-# loaded, OPENBLAS_NUM_THREADS) after the import and after each command, and
-# the commands' exit codes.
+# loaded, whether numpy is loaded, OPENBLAS_NUM_THREADS) after the import
+# and after each command, and the commands' exit codes.
 SCRIPT = """
 import json, os, sys
 
 def state():
     return [len(os.listdir("/proc/self/task")), "multiprocessing" in sys.modules,
-            os.environ.get("OPENBLAS_NUM_THREADS")]
+            "numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS")]
 
 from talkmetrics.cli import main
 
-root, out = sys.argv[1:]
+root, results, out = sys.argv[1:]
 states, codes = [state()], []
 for argv in (["features", "--root", root, "--out", out + "/features"],
+             ["ingest-check", "--root", root, "--format", "json"],
+             ["report", results, "--out", out + "/report"],
              ["batch", "--root", root, "--out", out + "/batch", "--workers", "1"]):
     codes.append(main(argv))
     states.append(state())
 print(json.dumps({"states": states, "codes": codes}))
 """
 
+COMMANDS = ["import", "features", "ingest-check", "report", "batch"]
+
+
+def fresh_env(**env_vars) -> dict:
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    env.update(env_vars)
+    return env
+
 
 def run_fresh(tmp_path, **env_vars) -> dict:
     root = tmp_path / "corpus"
     syn.write_weather_recording(root, "linked")
     syn.write_weather_recording(root, "unlinked", linked=False)
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    env.update(env_vars)
+    # the saved results that ``report`` re-renders, made in this process
+    saved = tmp_path / "saved"
+    assert main(["batch", "--root", str(root), "--out", str(saved), "--format", "json"]) == 0
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(root), str(tmp_path / "out")],
+        [sys.executable, "-c", SCRIPT, str(root), str(saved / "results.json"),
+         str(tmp_path / "out")],
         capture_output=True,
         text=True,
-        env=env,
+        env=fresh_env(**env_vars),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     # the commands print their own lines first
-    return json.loads(proc.stdout.splitlines()[-1])
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0, 0]
+    return dict(zip(COMMANDS, report["states"]))
 
 
 def test_serial_run_starts_no_thread_and_no_pool_machinery(tmp_path):
-    report = run_fresh(tmp_path)
-    assert report["codes"] == [0, 0]
-    # after the import, after features, after batch
-    assert report["states"] == [[1, False, "1"]] * 3
+    states = run_fresh(tmp_path)
+    assert {command: state[:2] for command, state in states.items()} == dict.fromkeys(
+        COMMANDS, [1, False]
+    )
+
+
+def test_numpy_loads_only_for_agreement(tmp_path):
+    states = run_fresh(tmp_path)
+    # batch aligns the unlinked recording by time and takes ICCs
+    assert {command: state[2] for command, state in states.items()} == {
+        **dict.fromkeys(COMMANDS, False), "batch": True
+    }
+    # the package set the variable before numpy was first imported
+    assert states["batch"][3] == "1"
+
+
+def test_pooled_batch_without_expert_tables_never_loads_numpy(tmp_path):
+    root = tmp_path / "corpus"
+    for recording_id in ("a", "b"):
+        syn.write_weather_recording(root, recording_id)
+        (root / f"{recording_id}.expert.tsv").unlink()
+    script = (
+        "import sys\nfrom talkmetrics.cli import main\n"
+        "code = main(['batch', '--root', sys.argv[1], '--out', sys.argv[2], '--workers', '2'])\n"
+        "print(code, 'numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(root), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=fresh_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_preset_blas_thread_count_is_kept(tmp_path):
-    report = run_fresh(tmp_path, OPENBLAS_NUM_THREADS="3")
-    assert report["codes"] == [0, 0]
-    assert [variable for _, _, variable in report["states"]] == ["3"] * 3
+    states = run_fresh(tmp_path, OPENBLAS_NUM_THREADS="3")
+    assert [state[3] for state in states.values()] == ["3"] * len(COMMANDS)
+
+
+def write_unlinked_recording(root: Path, recording_id: str, rng: random.Random) -> None:
+    """Expert rows are the machine rows with shifted times, some words
+    swapped and some rows dropped, and no machine-id column."""
+    machine_rows, expert_rows = [], []
+    clock = 0.0
+    for _ in range(rng.randrange(8, 16)):
+        onset, clock = clock, clock + rng.uniform(1.0, 4.0)
+        row = {"start": round(onset, 2), "end": round(clock - 0.2, 2),
+               "text": rng.choice(syn.TEXT_POOL), "speaker": rng.choice(["teacher", "child"])}
+        machine_rows.append(row)
+        if rng.random() < 0.8:
+            words = row["text"].split()
+            if rng.random() < 0.3:
+                words[rng.randrange(len(words))] = "um"
+            expert_rows.append({**row, "start": round(onset + rng.uniform(0, 0.5), 2),
+                                "text": " ".join(words)})
+    syn.write_recording(root, recording_id, machine_rows, expert_rows, duration_minutes=1.0)
+
+
+def test_pooled_batch_on_unlinked_recordings_matches_serial(tmp_path):
+    rng = random.Random(16)
+    root = tmp_path / "corpus"
+    for index in range(5):
+        write_unlinked_recording(root, f"r{index}", rng)
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "talkmetrics.cli", "batch", "--root", str(root),
+             "--out", str(out), "--workers", workers],
+            capture_output=True,
+            text=True,
+            env=fresh_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert names == sorted(path.name for path in outs[1].iterdir())
+    assert "icc.csv" in names
+    _, mismatch, errors = filecmp.cmpfiles(*outs, names, shallow=False)
+    assert (mismatch, errors) == ([], [])

@@ -97,12 +97,16 @@ def test_no_type_checking_guard():
 
 
 def test_no_function_level_import():
-    """Every import, standard library included, sits at module level."""
+    """Every import, standard library included, sits at module level, except
+    numpy's: the functions that call numpy import it, so runs that neither
+    align by time nor take an ICC never load it."""
     for name, tree in parsed_modules().items():
         for function in ast.walk(tree):
             if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for node in ast.walk(function):
+                if isinstance(node, ast.Import) and [a.name for a in node.names] == ["numpy"]:
+                    continue
                 assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
                     f"{name}.{function.name} imports at line {node.lineno}"
                 )
