@@ -435,8 +435,6 @@ def process_recordings(
             yield _process_entry(entry, cfg, stages)
         return
     chunk = max(1, len(entries) // (workers * 4))
-    if "align" in stages and any(entry.expert_path for entry in entries):
-        import numpy  # noqa: F401 -- loaded once here, so forked workers inherit it
     # this attribute lookup is what loads concurrent.futures.process, and
     # with it multiprocessing, so a serial run never pays for either
     with concurrent.futures.ProcessPoolExecutor(

@@ -80,8 +80,9 @@ def run_fresh(tmp_path, **env_vars) -> dict:
 
 def test_serial_run_starts_no_thread_and_no_pool_machinery(tmp_path):
     states = run_fresh(tmp_path)
-    assert {command: state[:2] for command, state in states.items()} == dict.fromkeys(
-        COMMANDS, [1, False]
+    # the variable reads "1" from the import on, not only once numpy loads
+    assert {command: [state[0], state[1], state[3]] for command, state in states.items()} == (
+        dict.fromkeys(COMMANDS, [1, False, "1"])
     )
 
 
@@ -95,25 +96,37 @@ def test_numpy_loads_only_for_agreement(tmp_path):
     assert states["batch"][3] == "1"
 
 
-def test_pooled_batch_without_expert_tables_never_loads_numpy(tmp_path):
-    root = tmp_path / "corpus"
-    for recording_id in ("a", "b"):
-        syn.write_weather_recording(root, recording_id)
-        (root / f"{recording_id}.expert.tsv").unlink()
-    script = (
-        "import sys\nfrom talkmetrics.cli import main\n"
-        "code = main(['batch', '--root', sys.argv[1], '--out', sys.argv[2], '--workers', '2'])\n"
-        "print(code, 'numpy' in sys.modules)"
-    )
+def loads_numpy(argv: list[str]) -> str:
+    """Run ``argv`` through ``main`` in a fresh interpreter; return the
+    exit code and whether that (parent) process loaded numpy, as one line."""
+    script = "import sys\nfrom talkmetrics.cli import main\ncode = main(sys.argv[1:])\n"
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(root), str(tmp_path / "out")],
+        [sys.executable, "-c", script + "print(code, 'numpy' in sys.modules)", *argv],
         capture_output=True,
         text=True,
         env=fresh_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_pooled_batch_without_expert_tables_never_loads_numpy(tmp_path):
+    root = tmp_path / "corpus"
+    for recording_id in ("a", "b"):
+        syn.write_weather_recording(root, recording_id)
+        (root / f"{recording_id}.expert.tsv").unlink()
+    argv = ["batch", "--root", str(root), "--out", str(tmp_path / "out"), "--workers", "2"]
+    assert loads_numpy(argv) == "0 False"
+
+
+def test_align_on_linked_recordings_never_loads_numpy(tmp_path):
+    root = tmp_path / "corpus"
+    for recording_id in ("a", "b"):
+        syn.write_weather_recording(root, recording_id)
+    assert loads_numpy(["align", "--root", str(root), "--out", str(tmp_path / "out")]) == "0 False"
+    syn.write_weather_recording(root, "c", linked=False)
+    assert loads_numpy(["align", "--root", str(root), "--out", str(tmp_path / "out")]) == "0 True"
 
 
 def test_preset_blas_thread_count_is_kept(tmp_path):
