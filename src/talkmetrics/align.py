@@ -28,8 +28,8 @@ from typing import Iterator, Sequence
 from .errors import TalkmetricsError
 from .transcript import RecordingMeta, Transcript, Utterance, levenshtein
 
-# The functions that call numpy import it as ``np``, so a run that neither
-# aligns by time nor takes an ICC never loads it.
+# The functions that call numpy import it as ``np``, so a run that never
+# aligns by time never loads it. No other module uses numpy.
 
 
 class NotLinked(TalkmetricsError):

@@ -34,9 +34,6 @@ from .codec import Codec
 from .errors import TalkmetricsError
 from .transcript import SpeakerRole, Utterance, levenshtein
 
-# The functions that call numpy import it as ``np``, so a run that neither
-# aligns by time nor takes an ICC never loads it.
-
 
 class BothAbsent(TalkmetricsError):
     """utterance_wer needs at least one side of the pair."""
@@ -272,22 +269,66 @@ def time_weighted_mean(
     return weighted / weight
 
 
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """The sum of ``values`` in numpy's order for a contiguous float64 run,
+    so that the ICC keeps numpy's last bits: pairwise summation (Higham
+    1993) down to blocks of at most 128 values; a block of 8 or more is
+    summed as eight interleaved running sums, combined in pairs, and then
+    its leftover values; a shorter one left to right.
+    """
+    n = len(values)
+    if n < 8:
+        return reduce(operator.add, values, 0.0)
+    if n <= 128:
+        end = n - n % 8
+        r = [reduce(operator.add, values[j + 8 : end : 8], values[j]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(operator.add, values[end:], total)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _float_pairs(ratings: Sequence[Sequence[float | None]]) -> list[tuple[float, float]]:
+    """``ratings`` as (float, float) rows, a None cell read as NaN; raises
+    ValueError unless every row is a pair."""
+    rows = list(ratings)
+    pairs = []
+    for row in rows:
+        try:
+            a, b = row
+        except (TypeError, ValueError):
+            raise ValueError(f"ratings must be n x 2, got {_shape(rows)}") from None
+        pairs.append((math.nan if a is None else float(a), math.nan if b is None else float(b)))
+    return pairs
+
+
+def _shape(rows: Sequence) -> str:
+    """``rows``' shape as numpy would report it, for an error message."""
+    try:
+        widths = sorted({len(row) for row in rows})
+    except TypeError:  # rows that are single numbers
+        widths = []
+    if len(widths) > 1:
+        return f"rows of {widths} values"
+    return f"shape {(len(rows), *widths)}"
+
+
 def drop_incomplete_rows(
     ratings: Sequence[Sequence[float | None]],
-) -> tuple[np.ndarray, int]:
+) -> tuple[list[tuple[float, float]], int]:
     """Drop rows with a None or NaN cell; report the drop count. Rows must be pairs."""
-    import numpy as np
-    matrix = np.array(ratings, dtype=float).reshape(len(ratings), 2)
-    kept = matrix[~np.isnan(matrix).any(axis=1)]
-    return kept, len(ratings) - len(kept)
+    pairs = _float_pairs(ratings)
+    kept = [(a, b) for a, b in pairs if not (math.isnan(a) or math.isnan(b))]
+    return kept, len(pairs) - len(kept)
 
 
-def _all_equal(matrix: np.ndarray) -> bool:
+def _all_equal(pairs: Sequence[tuple[float, float]]) -> bool:
     """Whether every rating equals the first; the ICC is 1.0 by convention."""
-    return bool((matrix == matrix.flat[0]).all())
+    first = pairs[0][0]
+    return all(a == first and b == first for a, b in pairs)
 
 
-def icc_absolute(ratings: Sequence[Sequence[float]] | np.ndarray) -> float:
+def icc_absolute(ratings: Sequence[Sequence[float]]) -> float:
     """Two-way, absolute-agreement, single-measure intraclass correlation.
 
     ``ratings`` is an n x 2 matrix: rows are recordings, columns the two
@@ -301,33 +342,38 @@ def icc_absolute(ratings: Sequence[Sequence[float]] | np.ndarray) -> float:
     with :class:`ZeroVarianceWarning`. Raises :class:`DegenerateRatings`
     where the value is undefined, or not finite because a sum of squares
     overflowed.
+
+    The sums of squares add their terms in numpy's order (see
+    :func:`_pairwise_sum`), so the value is the one numpy's ``mean`` and
+    ``sum`` give, to the last bit.
     """
-    import numpy as np
-    matrix = np.asarray(ratings, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[1] != 2:
-        raise ValueError(f"ratings must be n x 2, got shape {matrix.shape}")
-    if np.isnan(matrix).any():
+    pairs = _float_pairs(ratings)
+    if not pairs:
+        raise ValueError("ratings must be n x 2, got shape (0,)")
+    if any(math.isnan(a) or math.isnan(b) for a, b in pairs):
         raise ValueError("ratings contain missing cells; drop them pairwise first")
-    n, k = matrix.shape
+    n, k = len(pairs), 2
     if n < 2:
         raise TooFewRows(f"ICC needs at least 2 recordings, got {n}")
-    if _all_equal(matrix):
+    if _all_equal(pairs):
         warnings.warn(
             "all ratings identical; ICC defined as 1.0", ZeroVarianceWarning, stacklevel=2
         )
         return 1.0
-    if np.array_equal(matrix[:, 0], matrix[:, 1]):
+    if all(a == b for a, b in pairs):
         # exact column agreement: MSE and MSC vanish, so the ratio is
         # exactly 1; computing it through the sums of squares would leave
         # cancellation residue on the order of 1e-16
         return 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # checked on the value below
-        grand = matrix.mean()
-        row_means = matrix.mean(axis=1)
-        col_means = matrix.mean(axis=0)
-        ss_rows = k * float(((row_means - grand) ** 2).sum())
-        ss_cols = n * float(((col_means - grand) ** 2).sum())
-        ss_total = float(((matrix - grand) ** 2).sum())
+    # ``d * d``, not ``d ** 2``: a square past the float range is inf (checked
+    # on the value below), where ``**`` raises OverflowError
+    cells = [x for pair in pairs for x in pair]
+    grand = _pairwise_sum(cells) / (n * k)
+    row_deviations = [(0.0 + a + b) / k - grand for a, b in pairs]
+    col_deviations = [reduce(operator.add, column) / n - grand for column in zip(*pairs)]
+    ss_rows = k * _pairwise_sum([d * d for d in row_deviations])
+    ss_cols = n * _pairwise_sum([d * d for d in col_deviations])
+    ss_total = _pairwise_sum([(x - grand) * (x - grand) for x in cells])
     ss_error = max(ss_total - ss_rows - ss_cols, 0.0)
     msr = ss_rows / (n - 1)
     msc = ss_cols / (k - 1)

@@ -210,6 +210,11 @@ class Utterance:
         return is_question(self.raw_text)
 
 
+# The longest recording accepted, far beyond any real one (about 694 days),
+# so that report sums weighted by duration stay inside the float range.
+MAX_DURATION_MINUTES = 1e6
+
+
 @dataclass(frozen=True)
 class RecordingMeta:
     """Recording-level metadata: who wore the recorder, where, and how long."""
@@ -226,6 +231,11 @@ class RecordingMeta:
             raise ValueError(
                 f"recording {self.recording_id}: duration must be positive and finite, "
                 f"got {self.duration_minutes}"
+            )
+        if self.duration_minutes > MAX_DURATION_MINUTES:
+            raise ValueError(
+                f"recording {self.recording_id}: duration must be at most "
+                f"{MAX_DURATION_MINUTES:,.0f} minutes, got {self.duration_minutes}"
             )
 
     @property

@@ -408,6 +408,18 @@ class TestBatch:
         errors = json.loads((out / "errors.json").read_text())
         assert [(e["recording_id"], e["stage"]) for e in errors] == [("bad", "ingest")]
 
+    def test_duration_above_bound_is_partial(self, tmp_path):
+        for recording_id in ("good", "long"):
+            syn.write_weather_recording(tmp_path / "data", recording_id)
+        path = tmp_path / "data" / "long.meta.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "duration_minutes": 2.9e306}))
+        out = tmp_path / "out"
+        code = main(["batch", "--root", str(tmp_path / "data"), "--out", str(out)])
+        assert code == EXIT_PARTIAL
+        errors = json.loads((out / "errors.json").read_text())
+        assert [(e["recording_id"], e["stage"]) for e in errors] == [("long", "ingest")]
+        assert "at most 1,000,000 minutes" in errors[0]["message"]
+
     def test_manifest_input(self, weather_dir, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(

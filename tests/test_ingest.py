@@ -17,7 +17,7 @@ from talkmetrics.ingest import (
     parse_machine,
     validate,
 )
-from talkmetrics.transcript import SpeakerRole
+from talkmetrics.transcript import MAX_DURATION_MINUTES, SpeakerRole
 
 META = syn.make_meta()
 
@@ -224,6 +224,20 @@ class TestMeta:
         # 1e307 minutes is finite, but not in seconds
         with pytest.raises(MetaError, match="duration must be positive and finite"):
             load_meta(syn.write_recording(tmp_path, "rec", [], duration_minutes=duration)[2])
+
+    @pytest.mark.parametrize("duration", [1_000_000.0000001, 2.9e306])
+    def test_duration_above_bound(self, tmp_path, duration):
+        # finite in seconds, but 70 such recordings overflow a duration-weighted sum
+        path = syn.write_recording(tmp_path, "rec", [], duration_minutes=duration)[2]
+        with pytest.raises(MetaError) as excinfo:
+            load_meta(path)
+        assert str(excinfo.value) == (
+            f"{path}: recording rec: duration must be at most 1,000,000 minutes, got {duration}"
+        )
+
+    def test_duration_at_bound(self, tmp_path):
+        path = syn.write_recording(tmp_path, "rec", [], duration_minutes=MAX_DURATION_MINUTES)[2]
+        assert load_meta(path).duration_minutes == MAX_DURATION_MINUTES
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "rec.meta.json"

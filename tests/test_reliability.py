@@ -8,6 +8,7 @@ definitional sum-of-squares ANOVA for the intraclass correlation.
 
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -521,25 +522,134 @@ class TestIccAbsolute:
             icc_absolute([[1.0, float("nan")], [2.0, 3.0]])
 
 
+def numpy_icc(ratings):
+    """:func:`icc_absolute`'s formula through numpy's ``mean`` and ``sum``,
+    as the library computed it before it summed in plain Python: the oracle
+    for the summation order, to the last bit."""
+    matrix = np.asarray(ratings, dtype=float)
+    n, k = matrix.shape
+    if n < 2:
+        raise TooFewRows(f"ICC needs at least 2 recordings, got {n}")
+    if (matrix == matrix.flat[0]).all():
+        warnings.warn("all ratings identical", ZeroVarianceWarning, stacklevel=2)
+        return 1.0
+    if np.array_equal(matrix[:, 0], matrix[:, 1]):
+        return 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        grand = matrix.mean()
+        ss_rows = k * float(((matrix.mean(axis=1) - grand) ** 2).sum())
+        ss_cols = n * float(((matrix.mean(axis=0) - grand) ** 2).sum())
+        ss_total = float(((matrix - grand) ** 2).sum())
+    ss_error = max(ss_total - ss_rows - ss_cols, 0.0)
+    msr = ss_rows / (n - 1)
+    msc = ss_cols / (k - 1)
+    mse = ss_error / ((n - 1) * (k - 1))
+    denominator = msr + (k - 1) * mse + (k / n) * (msc - mse)
+    if denominator == 0.0:
+        raise DegenerateRatings("ICC denominator is zero on unequal ratings")
+    value = (msr - mse) / denominator
+    if not math.isfinite(value):
+        raise DegenerateRatings("ICC sums of squares leave the float range")
+    return value
+
+
+def icc_outcome(icc, ratings):
+    """(value, warning categories) of ``icc(ratings)``, or (exception type, None)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = icc(ratings)
+        except (DegenerateRatings, TooFewRows) as exc:
+            return type(exc), None
+    return value, [w.category for w in caught]
+
+
+# Pairwise summation changes course below 8 values, at 8-value blocks, and
+# past 128 values, where it splits the run in two.
+_SUM_SIZES = (2, 3, 4, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 130, 256, 257, 1004)
+
+
+@st.composite
+def _icc_grids(draw):
+    """An n x 2 grid from a seeded generator, so that grids of thousands of
+    rows cost Hypothesis a few draws: rows of one magnitude (1e-300 to
+    1e300) whose expert side is the machine side plus noise, an offset, an
+    independent draw, or a few tied values and signed zeros."""
+    n = draw(st.one_of(st.sampled_from(_SUM_SIZES), st.integers(2, 3000)))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    kind = draw(st.sampled_from(("noise", "offset", "independent", "ties")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ties = (0.0, -0.0, scale, 2.0 * scale)
+    rows = []
+    for _ in range(n):
+        if kind == "ties":
+            rows.append((rng.choice(ties), rng.choice(ties)))
+            continue
+        machine = rng.gauss(0.0, scale)
+        expert = {
+            "noise": lambda: machine + rng.gauss(0.0, 0.3 * scale),
+            "offset": lambda: machine + scale,
+            "independent": lambda: rng.gauss(0.0, scale),
+        }[kind]()
+        rows.append((machine, expert))
+    return rows
+
+
+class TestIccMatchesNumpy:
+    """The ICC is summed in plain Python, in numpy's order, so it keeps
+    every bit numpy's ``mean`` and ``sum`` gave it."""
+
+    @given(_icc_grids())
+    @settings(max_examples=200, deadline=None)
+    def test_seeded_grids(self, rows):
+        assert icc_outcome(icc_absolute, rows) == icc_outcome(numpy_icc, rows)
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)), min_size=1, max_size=20
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    @example([(1e308, -1e308), (1.0, 2.0)])  # the squares overflow
+    @example([(0.0, 1.0), (1.0, 0.0)])  # the denominator vanishes
+    @example([(-0.0, 0.0), (0.0, -0.0)])  # signed zeros are equal ratings
+    @example([(math.inf, 1.0), (2.0, 3.0)])
+    def test_any_floats(self, rows):
+        assert icc_outcome(icc_absolute, rows) == icc_outcome(numpy_icc, rows)
+
+    def test_numpy_array_input(self):
+        rows = np.array([[1.0, 2.0], [2.0, 3.5], [3.0, 3.0]])
+        assert icc_absolute(rows) == numpy_icc(rows)
+
+    @pytest.mark.parametrize(
+        "ratings, shape",
+        [([], "(0,)"), ([1.0, 2.0], "(2,)"), ([[1.0, 2.0, 3.0]], "(1, 3)")],
+    )
+    def test_not_n_by_2(self, ratings, shape):
+        with pytest.raises(ValueError, match=re.escape(f"ratings must be n x 2, got shape {shape}")):
+            icc_absolute(ratings)
+
+
 class TestDropIncompleteRows:
     def test_drops_pairwise(self):
-        matrix, dropped = drop_incomplete_rows([(1.0, 2.0), (None, 3.0), (4.0, None)])
-        assert matrix.shape == (1, 2)
+        kept, dropped = drop_incomplete_rows([(1.0, 2.0), (None, 3.0), (4.0, None)])
+        assert kept == [(1.0, 2.0)]
         assert dropped == 2
 
     def test_keeps_complete(self):
-        matrix, dropped = drop_incomplete_rows([(1.0, 2.0), (3.0, 4.0)])
-        assert matrix.shape == (2, 2) and dropped == 0
+        kept, dropped = drop_incomplete_rows([(1.0, 2.0), (3, 4.0)])
+        assert kept == [(1.0, 2.0), (3.0, 4.0)] and dropped == 0
+        assert all(type(cell) is float for row in kept for cell in row)
 
     def test_empty(self):
-        matrix, dropped = drop_incomplete_rows([])
-        assert matrix.shape == (0, 2) and dropped == 0
+        kept, dropped = drop_incomplete_rows([])
+        assert kept == [] and dropped == 0
 
     def test_drops_nan_rows(self):
         nan = float("nan")
         rows = [(nan, 1.0), (1.0, 2.0), (3.0, nan), (nan, nan)]
-        matrix, dropped = drop_incomplete_rows(rows)
-        assert matrix.tolist() == [[1.0, 2.0]] and dropped == 3
+        kept, dropped = drop_incomplete_rows(rows)
+        assert kept == [(1.0, 2.0)] and dropped == 3
 
     def test_rows_must_be_pairs(self):
         with pytest.raises(ValueError):

@@ -88,7 +88,7 @@ def test_serial_run_starts_no_thread_and_no_pool_machinery(tmp_path):
 
 def test_numpy_loads_only_for_agreement(tmp_path):
     states = run_fresh(tmp_path)
-    # batch aligns the unlinked recording by time and takes ICCs
+    # batch aligns the unlinked recording by time, the one step that uses numpy
     assert {command: state[2] for command, state in states.items()} == {
         **dict.fromkeys(COMMANDS, False), "batch": True
     }
@@ -118,6 +118,31 @@ def test_pooled_batch_without_expert_tables_never_loads_numpy(tmp_path):
         (root / f"{recording_id}.expert.tsv").unlink()
     argv = ["batch", "--root", str(root), "--out", str(tmp_path / "out"), "--workers", "2"]
     assert loads_numpy(argv) == "0 False"
+
+
+def test_agreement_on_linked_recordings_never_loads_numpy(tmp_path):
+    # the ICC grid is summed in plain Python; only alignment by time needs numpy
+    root = tmp_path / "corpus"
+    for recording_id in ("a", "b"):
+        syn.write_weather_recording(root, recording_id)
+    for verb in ("batch", "reliability"):
+        argv = [verb, "--root", str(root), "--out", str(tmp_path / verb), "--workers", "1"]
+        assert loads_numpy(argv) == "0 False"
+
+
+def test_pooled_batch_parent_never_loads_numpy(tmp_path):
+    # the worker that aligns "c" by time loads numpy; the parent, which
+    # merges and takes the ICCs, does not
+    root = tmp_path / "corpus"
+    for recording_id in ("a", "b"):
+        syn.write_weather_recording(root, recording_id)
+    syn.write_weather_recording(root, "c", linked=False)
+    out = tmp_path / "out"
+    assert loads_numpy(["batch", "--root", str(root), "--out", str(out), "--workers", "2"]) == (
+        "0 False"
+    )
+    rows = (out / "reliability_per_recording.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[0] for row in rows[1:4]] == ["a", "b", "c"]
 
 
 def test_align_on_linked_recordings_never_loads_numpy(tmp_path):
