@@ -531,4 +531,4 @@ def write_alignment_jsonl(corpus: AlignedCorpus, path: Path | str) -> None:
     records += [{"kind": "expert_only", "expert_id": u.id} for u in corpus.expert_only]
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            handle.write(json.dumps(record, ensure_ascii=False, allow_nan=False) + "\n")

@@ -20,7 +20,6 @@ import concurrent.futures
 import csv
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -35,6 +34,7 @@ from .features import (
     DEFAULT_LD_WINDOW,
     DEFAULT_RESPONSE_WINDOW,
     FEATURE_COLUMNS,
+    MIN_LD_WINDOW,
     FeatureSummary,
     detect_responses,
     icc_feature_values,
@@ -105,11 +105,6 @@ class IoError(TalkmetricsError):
     """Report emission failed at the filesystem."""
 
 
-class NonFiniteFeature(TalkmetricsError):
-    """A feature row holds an infinite or NaN value, as a rate over a
-    near-zero duration does."""
-
-
 @dataclass(frozen=True)
 class ManifestEntry:
     """One recording's file triple."""
@@ -164,12 +159,14 @@ class RunConfig:
     wer_wearer_match: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("response_window", "ld_window"):
+        for name, least in (("response_window", 0.0), ("ld_window", MIN_LD_WINDOW)):
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive: {value}")
             if value > sys.float_info.max:  # infinite, or an integer past the floats
                 raise ValueError(f"{name} is out of range: {value}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least:g} second: {value}")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be at least 1: {self.parallelism}")
 
@@ -332,24 +329,12 @@ def load_entry_meta(entry: ManifestEntry) -> RecordingMeta:
 
 
 def _source_features(transcript: Transcript, cfg: RunConfig) -> tuple[FeatureSummary, ...]:
-    """Both roles' feature rows for one transcript, in ``iter_roles`` order.
-
-    Raises :class:`NonFiniteFeature` for a row holding a non-finite float,
-    so no report carries one.
-    """
+    """Both roles' feature rows for one transcript, in ``iter_roles`` order."""
     links = detect_responses(transcript, cfg.response_window)
-    rows = tuple(
+    return tuple(
         summarize(transcript, role, links, cfg.response_window, cfg.ld_window)
         for role in iter_roles()
     )
-    for row in rows:
-        for name, value in zip(FEATURE_COLUMNS, field_values(row)):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise NonFiniteFeature(
-                    f"{row.source} {row.role.value} {name} is {value} over a duration of"
-                    f" {transcript.meta.duration_minutes} minutes"
-                )
-    return rows
 
 
 def _findings(done: dict) -> tuple[tuple[str, ValidationWarning], ...]:

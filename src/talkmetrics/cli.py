@@ -23,12 +23,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from .align import write_alignment_jsonl
 from .batch import (
+    TABLES,
     CorpusManifest,
     PipelineResult,
     RunConfig,
@@ -42,6 +44,7 @@ from .batch import (
 )
 from .codec import json_chunks
 from .errors import TalkmetricsError
+from .features import MIN_LD_WINDOW
 
 log = logging.getLogger(__name__)
 
@@ -60,6 +63,13 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"must be positive: {text}")
     if value > sys.float_info.max:
         raise argparse.ArgumentTypeError(f"out of range: {text}")
+    return value
+
+
+def _ld_window(text: str) -> float:
+    value = _positive_float(text)
+    if value < MIN_LD_WINDOW:
+        raise argparse.ArgumentTypeError(f"must be at least {MIN_LD_WINDOW:g} second: {text}")
     return value
 
 
@@ -87,8 +97,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--ld-window",
-        type=_positive_float,
-        help="lexical diversity window length in seconds (default 60)",
+        type=_ld_window,
+        help="lexical diversity window length in seconds, at least 1 (default 60)",
     )
     parser.add_argument("--workers", type=_positive_int, help="parallel worker count")
 
@@ -289,10 +299,18 @@ def _cmd_batch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return EXIT_PARTIAL if result.errors else EXIT_OK
 
 
+def _finite_number(text: str) -> float:
+    """A JSON number's value, which RFC 8259 requires to be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text}")
+    return value
+
+
 def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         with open(args.results, encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_constant=_finite_number, parse_float=_finite_number)
     except OSError as exc:
         raise TalkmetricsError(f"cannot read {args.results}: {exc}") from None
     except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an overlong integer
@@ -300,6 +318,8 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         raise TalkmetricsError(f"{args.results}: invalid JSON: {detail}") from None
     try:
         result = PipelineResult.from_dict(data)
+        for _, rows in TABLES.values():  # so a malformed aggregate fails before any write
+            list(rows(result))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise TalkmetricsError(f"{args.results}: not a results file: {exc}") from None
     written = emit_report(result, args.out, args.format)

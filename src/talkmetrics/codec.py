@@ -106,12 +106,11 @@ def field_values(value: Any) -> list:
     return [item.value if isinstance(item, Enum) else item for item in _getter(type(value))(value)]
 
 
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _float_text(value: float) -> str:
     text = float.__repr__(value)
-    return _FLOAT_WORDS.get(text, text)
+    if text in ("nan", "inf", "-inf"):  # RFC 8259 has no NaN or Infinity
+        raise ValueError(f"Out of range float values are not JSON compliant: {text}")
+    return text
 
 
 def _enum_text(member: Enum) -> str | None:
@@ -177,8 +176,9 @@ def json_chunks(value: Any) -> Iterator[str]:
     The pieces are read from ``value`` through the encode plan, so no
     encoded copy is built: a dataclass or container whose values are all
     scalars comes out as one string, anything larger as a piece per member.
-    Mapping keys must be strings; like ``json``, a leaf that is not a string,
-    number, bool or None raises TypeError.
+    Like ``json`` with ``allow_nan=False``, a NaN or infinite float raises
+    ValueError, and a key that is not a string, or a leaf that is not a
+    string, number, bool or None, raises TypeError.
     """
     return _chunks(value, "\n")
 

@@ -24,6 +24,7 @@ from .transcript import SpeakerRole, Transcript
 
 DEFAULT_RESPONSE_WINDOW = 2.5
 DEFAULT_LD_WINDOW = 60.0
+MIN_LD_WINDOW = 1.0  # seconds; any shorter, and a large onset's window index overflows
 
 
 class ZeroDuration(TalkmetricsError):
@@ -141,8 +142,6 @@ def summarize(
     if links is None:
         links = detect_responses(transcript, response_window)
     minutes = transcript.meta.duration_minutes
-    if minutes <= 0:
-        raise ZeroDuration(f"duration must be positive, got {minutes}")
     if ld_window <= 0:
         raise ValueError(f"window must be positive, got {ld_window}")
     responded = {link.target_utt_id for link in links}

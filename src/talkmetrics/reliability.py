@@ -288,38 +288,22 @@ def _pairwise_sum(values: Sequence[float]) -> float:
     return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
-def _float_pairs(ratings: Sequence[Sequence[float | None]]) -> list[tuple[float, float]]:
-    """``ratings`` as (float, float) rows, a None cell read as NaN; raises
-    ValueError unless every row is a pair."""
-    rows = list(ratings)
-    pairs = []
-    for row in rows:
-        try:
-            a, b = row
-        except (TypeError, ValueError):
-            raise ValueError(f"ratings must be n x 2, got {_shape(rows)}") from None
-        pairs.append((math.nan if a is None else float(a), math.nan if b is None else float(b)))
-    return pairs
-
-
-def _shape(rows: Sequence) -> str:
-    """``rows``' shape as numpy would report it, for an error message."""
-    try:
-        widths = sorted({len(row) for row in rows})
-    except TypeError:  # rows that are single numbers
-        widths = []
-    if len(widths) > 1:
-        return f"rows of {widths} values"
-    return f"shape {(len(rows), *widths)}"
-
-
 def drop_incomplete_rows(
     ratings: Sequence[Sequence[float | None]],
 ) -> tuple[list[tuple[float, float]], int]:
-    """Drop rows with a None or NaN cell; report the drop count. Rows must be pairs."""
-    pairs = _float_pairs(ratings)
-    kept = [(a, b) for a, b in pairs if not (math.isnan(a) or math.isnan(b))]
-    return kept, len(pairs) - len(kept)
+    """``ratings`` as (float, float) rows, without those holding a None or
+    NaN cell, and the count dropped. Raises ValueError for a row that is
+    not a pair."""
+    kept = []
+    for row in ratings:
+        try:
+            a, b = row
+        except (TypeError, ValueError):
+            raise ValueError(f"ratings must be n x 2, got the row {row!r}") from None
+        a, b = (math.nan if x is None else float(x) for x in (a, b))
+        if not (math.isnan(a) or math.isnan(b)):
+            kept.append((a, b))
+    return kept, len(ratings) - len(kept)
 
 
 def _all_equal(pairs: Sequence[tuple[float, float]]) -> bool:
@@ -347,19 +331,24 @@ def icc_absolute(ratings: Sequence[Sequence[float]]) -> float:
     :func:`_pairwise_sum`), so the value is the one numpy's ``mean`` and
     ``sum`` give, to the last bit.
     """
-    pairs = _float_pairs(ratings)
+    pairs, dropped = drop_incomplete_rows(ratings)
+    if dropped:
+        raise ValueError("ratings contain missing cells; drop them pairwise first")
     if not pairs:
         raise ValueError("ratings must be n x 2, got shape (0,)")
-    if any(math.isnan(a) or math.isnan(b) for a, b in pairs):
-        raise ValueError("ratings contain missing cells; drop them pairwise first")
-    n, k = len(pairs), 2
-    if n < 2:
-        raise TooFewRows(f"ICC needs at least 2 recordings, got {n}")
+    if len(pairs) < 2:
+        raise TooFewRows(f"ICC needs at least 2 recordings, got {len(pairs)}")
     if _all_equal(pairs):
         warnings.warn(
             "all ratings identical; ICC defined as 1.0", ZeroVarianceWarning, stacklevel=2
         )
         return 1.0
+    return _icc(pairs)
+
+
+def _icc(pairs: Sequence[tuple[float, float]]) -> float:
+    """:func:`icc_absolute` of two or more complete rows that are not all equal."""
+    n, k = len(pairs), 2
     if all(a == b for a, b in pairs):
         # exact column agreement: MSE and MSC vanish, so the ratio is
         # exactly 1; computing it through the sums of squares would leave
@@ -504,7 +493,7 @@ def build_report(
         value = 1.0 if flat else None
         if len(clean) >= 2 and not flat:
             with suppress(DegenerateRatings):
-                value = icc_absolute(clean)
+                value = _icc(clean)
         iccs[name] = IccEntry(value, len(clean), dropped, zero_variance=flat)
     return ReliabilityReport(
         rows=ordered, overall=overall, time_weighted=time_weighted, iccs=iccs

@@ -210,8 +210,9 @@ class Utterance:
         return is_question(self.raw_text)
 
 
-# The longest recording accepted, far beyond any real one (about 694 days),
-# so that report sums weighted by duration stay inside the float range.
+# One second to about 694 days: a per-minute rate is then at most 60 times its
+# count, and sums weighted by duration stay inside the float range.
+MIN_DURATION_MINUTES = 1 / 60
 MAX_DURATION_MINUTES = 1e6
 
 
@@ -231,6 +232,11 @@ class RecordingMeta:
             raise ValueError(
                 f"recording {self.recording_id}: duration must be positive and finite, "
                 f"got {self.duration_minutes}"
+            )
+        if self.duration_minutes < MIN_DURATION_MINUTES:
+            raise ValueError(
+                f"recording {self.recording_id}: duration must be at least one second "
+                f"({MIN_DURATION_MINUTES!r} minutes), got {self.duration_minutes}"
             )
         if self.duration_minutes > MAX_DURATION_MINUTES:
             raise ValueError(

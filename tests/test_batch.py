@@ -455,8 +455,8 @@ class TestRunPipeline:
         assert result.aggregate == expected.aggregate
         assert result.corpus == {**expected.corpus, "n_failed": 1}
 
-    def test_non_finite_feature_rows_fail_their_recording(self, tmp_path):
-        # every per-minute rate over 1e-320 minutes is infinite
+    def test_sub_second_duration_fails_its_recording_on_read(self, tmp_path):
+        # every per-minute rate over 1e-320 minutes would be infinite
         for recording_id in ("a", "b", "c"):
             *_, meta_path = syn.write_weather_recording(tmp_path / "data", recording_id)
             meta = json.loads(meta_path.read_text())
@@ -476,20 +476,20 @@ class TestRunPipeline:
             ("a", "ingest"), ("b", "ingest"), ("c", "ingest")
         ]
         assert errors[0]["message"] == (
-            "machine teacher words_per_minute is inf over a duration of 1e-320 minutes"
+            f"{tmp_path / 'data' / 'a.meta.json'}: recording a: duration must be at least"
+            " one second (0.016666666666666666 minutes), got 1e-320"
         )
 
-    def test_non_finite_expert_rows_drop_the_expert_side(self, tmp_path):
-        # the machine side has no words, so its rates are 0 over any duration
+    def test_sub_second_duration_voids_the_expert_side_too(self, tmp_path):
+        # the machine side has no words, so its rates would be 0 over any
+        # duration; the metadata fails on read before either side is parsed
         rows = [{"start": 0.0, "end": 1.0, "text": "w", "speaker": "teacher"}]
-        syn.write_recording(tmp_path, "r", [{**rows[0], "text": ""}], rows,
-                            duration_minutes=1e-320)
+        *_, meta_path = syn.write_recording(tmp_path, "r", [{**rows[0], "text": ""}], rows,
+                                            duration_minutes=1e-320)
         result = run_pipeline(discover(root_dir=tmp_path), RunConfig())
-        assert result.errors == (
-            EntryError("r", "expert", "expert teacher words_per_minute is inf over a"
-                       " duration of 1e-320 minutes"),
-        )
-        assert [row.source for row in result.features] == ["machine", "machine"]
+        assert [(e.recording_id, e.stage) for e in result.errors] == [("r", "ingest")]
+        assert result.errors[0].message.startswith(f"{meta_path}: recording r: duration must")
+        assert result.features == ()
         assert result.reliability is None
 
     def test_repeat_runs_identical(self, tmp_path):

@@ -63,6 +63,19 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert f"out of range: {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0.5", "0.9999999999999999", "1e-320"])
+    def test_ld_window_under_one_second(self, tmp_path, capsys, value):
+        # a window index onset // ld_window overflows for a large onset
+        code = main(
+            ["features", "--root", str(tmp_path), "--out", str(tmp_path / "out"),
+             "--ld-window", value]
+        )
+        assert code == EXIT_USAGE
+        assert f"argument --ld-window: must be at least 1 second: {value}" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_bad_workers(self, tmp_path):
         code = main(
             ["batch", "--root", str(tmp_path), "--out", str(tmp_path / "out"),
@@ -135,6 +148,44 @@ class TestFatalErrors:
         assert (code, captured.out) == (EXIT_FATAL, "")
         assert captured.err.startswith(f"talkmetrics: error: {path}: invalid JSON: {detail}")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    def test_report_non_finite_number(self, weather_dir, tmp_path, capsys, token):
+        # RFC 8259 has no NaN or Infinity; json reads 1e400 as inf
+        assert main(["batch", "--root", str(weather_dir), "--out", str(tmp_path / "a")]) == EXIT_OK
+        capsys.readouterr()
+        data = json.loads((tmp_path / "a" / "results.json").read_text())
+        data["corpus"]["hours"] = "__hours__"
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(data).replace('"__hours__"', token), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["report", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_FATAL, "")
+        assert captured.err == (
+            f"talkmetrics: error: {path}: invalid JSON: not a finite number: {token}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", ["missing-role", "list"])
+    def test_report_malformed_aggregate(self, weather_dir, tmp_path, capsys, damage):
+        assert main(["batch", "--root", str(weather_dir), "--out", str(tmp_path / "a")]) == EXIT_OK
+        capsys.readouterr()
+        data = json.loads((tmp_path / "a" / "results.json").read_text())
+        if damage == "missing-role":
+            del data["aggregate"]["machine"]["teacher"]
+        else:
+            data["aggregate"] = {"machine": [1, 2]}
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "out"
+        for format in ("csv", "json"):
+            code = main(["report", str(path), "--out", str(out), "--format", format])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (EXIT_FATAL, "")
+            assert captured.err.startswith(f"talkmetrics: error: {path}: not a results file: ")
+            assert captured.err.count("\n") == 1
+            assert not out.exists()
 
     def test_report_wrong_shape_inside(self, weather_dir, tmp_path, capsys):
         code = main(["batch", "--root", str(weather_dir), "--out", str(tmp_path / "a")])
@@ -471,6 +522,8 @@ class TestBatch:
             (b'{"align": {"min_text_similarity": 7}}', "min_text_similarity must be in [0, 1]: 7"),
             (b'{"align": {"min_text_similarity": NaN}}', "min_text_similarity must be in [0, 1]"),
             (b'{"ld_window": 0}', "ld_window must be positive"),
+            (b'{"ld_window": 0.5}', "ld_window must be at least 1 second: 0.5"),
+            (b'{"ld_window": 1e-320}', "ld_window must be at least 1 second: 1e-320"),
             (b'{"response_window": NaN}', "response_window must be positive"),
             (b'{"response_window": Infinity}', "response_window is out of range: inf"),
             pytest.param(

@@ -1,6 +1,7 @@
 """The JSON codec: the cached encode plan gives what the plain recursive walk
 gives, for every result class, results survive a round trip, and the
-streaming writer writes exactly what ``json.dump`` writes."""
+streaming writer writes exactly what ``json.dump(..., allow_nan=False)``
+writes, refusing NaN and infinities as it does."""
 
 import json
 import math
@@ -191,23 +192,48 @@ json_values = st.recursive(
 )
 
 
+def strict(encode, *args, **kwargs):
+    """What ``encode(*args, **kwargs)`` gives, or ValueError where it raises
+    that, as ``json`` does with ``allow_nan=False`` on a NaN or infinite float."""
+    try:
+        return encode(*args, **kwargs)
+    except ValueError:
+        return ValueError
+
+
 @settings(max_examples=300, deadline=None)
 @given(json_values)
 def test_json_chunks_is_json_dump(value):
-    assert "".join(json_chunks(value)) == json.dumps(reference_encode(value), indent=2)
-
-
-def test_write_json_is_json_dump(tmp_path):
-    value = Whole(
-        parts=(Part("a"), Heavier("b", math.nan, ballast=3)),
-        mood=Mixed.LOUD,
-        extra={"flags": [True, False, None], "e": {}, "l": [], "x": -math.inf},
+    assert strict(lambda: "".join(json_chunks(value))) == strict(
+        json.dumps, reference_encode(value), indent=2, allow_nan=False
     )
-    path = write_json(tmp_path / "value.json", value)
-    with open(tmp_path / "expected.json", "w", encoding="utf-8") as handle:
-        json.dump(value.to_dict(), handle, indent=2)
-        handle.write("\n")
-    assert path.read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "weight, x", [(0.5, -2.25), (math.nan, 1.0), (0.5, -math.inf)], ids=["finite", "nan", "-inf"]
+)
+def test_write_json_is_json_dump(tmp_path, weight, x):
+    value = Whole(
+        parts=(Part("a"), Heavier("b", weight, ballast=3)),
+        mood=Mixed.LOUD,
+        extra={"flags": [True, False, None], "e": {}, "l": [], "x": x},
+    )
+
+    def expected():
+        with open(tmp_path / "expected.json", "w", encoding="utf-8") as handle:
+            json.dump(reference_encode(value), handle, indent=2, allow_nan=False)
+            handle.write("\n")
+        return (tmp_path / "expected.json").read_bytes()
+
+    written = strict(lambda: write_json(tmp_path / "value.json", value).read_bytes())
+    assert written == strict(expected)
+    assert (written is ValueError) == (math.isnan(weight) or math.isinf(x))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_float_refused(value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        "".join(json_chunks({"rate": [1.0, value]}))
 
 
 @pytest.mark.parametrize(

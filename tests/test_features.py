@@ -7,15 +7,16 @@ import itertools
 import math
 import random
 import tracemalloc
-from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import synthetic as syn
+from talkmetrics.codec import field_values
 from talkmetrics.features import (
     FEATURE_COLUMNS,
+    MIN_LD_WINDOW,
     FeatureSummary,
     InvalidCounts,
     ZeroDuration,
@@ -24,7 +25,12 @@ from talkmetrics.features import (
     response_proportion,
     summarize,
 )
-from talkmetrics.transcript import SpeakerRole
+from talkmetrics.transcript import (
+    MAX_DURATION_MINUTES,
+    MIN_DURATION_MINUTES,
+    SpeakerRole,
+    iter_roles,
+)
 
 TEACHER, CHILD = SpeakerRole.TEACHER, SpeakerRole.CHILD
 
@@ -83,12 +89,6 @@ class TestWordsPerMinute:
         utts = [syn.utt(1, 0, 1, "one two three"), syn.utt(2, 2, 3, "four five six seven eight")]
         assert summary_of(utts, duration_minutes=2.0).words_per_minute == 4.0
         assert summary_of(utts, duration_minutes=2.0, role=CHILD).words_per_minute == 0.0
-
-    def test_zero_duration_rejected(self):
-        # RecordingMeta refuses a zero duration, so only a stand-in carries one
-        fake = SimpleNamespace(meta=SimpleNamespace(duration_minutes=0.0))
-        with pytest.raises(ZeroDuration):
-            summarize(fake, TEACHER, links=())
 
 
 # --- responses ---------------------------------------------------------------
@@ -517,3 +517,50 @@ class TestIccFeatureValues:
         summary = summarize(weather_machine, SpeakerRole.CHILD)
         with pytest.raises(ZeroDuration):
             icc_feature_values(summary, duration_minutes=0.0)
+
+
+# --- every feature value is finite ---------------------------------------------
+
+finite_times = st.floats(min_value=0.0, allow_infinity=False)
+# every positive float: the bounds, Hypothesis's own mix, and a draw uniform
+# in the exponent, which reaches the subnormals
+positive_floats = (
+    st.sampled_from((MIN_DURATION_MINUTES, MAX_DURATION_MINUTES))
+    | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    | st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1023))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    duration=positive_floats,
+    ld_window=st.sampled_from((MIN_LD_WINDOW, 60.0))
+    | st.floats(min_value=MIN_LD_WINDOW, allow_infinity=False),
+    rows=st.lists(
+        st.tuples(
+            finite_times,
+            finite_times,
+            st.sampled_from((*syn.TEXT_POOL, "", "[noise]")),
+            st.sampled_from(("teacher", "child", "other")),
+        ),
+        max_size=12,
+    ),
+)
+@example(duration=1e-320, ld_window=60.0, rows=[(0.0, 1.0, "It's sunny outside.", "teacher")])
+def test_feature_values_finite_for_every_accepted_duration(duration, ld_window, rows):
+    # any positive float is drawn; the metadata's own bounds decide which
+    # durations a run can ever see
+    try:
+        meta = syn.make_meta(duration_minutes=duration)
+    except ValueError:
+        reject()
+    utterances = [
+        syn.utt(i, min(a, b), max(a, b), text, role) for i, (a, b, text, role) in enumerate(rows)
+    ]
+    transcript = syn.transcript(utterances, meta)
+    links = detect_responses(transcript)
+    for role in iter_roles():
+        summary = summarize(transcript, role, links, ld_window=ld_window)
+        values = [*field_values(summary), *icc_feature_values(summary, duration).values()]
+        floats = [value for value in values if isinstance(value, float)]
+        assert all(map(math.isfinite, floats)), (summary, floats)

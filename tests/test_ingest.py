@@ -17,7 +17,7 @@ from talkmetrics.ingest import (
     parse_machine,
     validate,
 )
-from talkmetrics.transcript import MAX_DURATION_MINUTES, SpeakerRole
+from talkmetrics.transcript import MAX_DURATION_MINUTES, MIN_DURATION_MINUTES, SpeakerRole
 
 META = syn.make_meta()
 
@@ -235,9 +235,21 @@ class TestMeta:
             f"{path}: recording rec: duration must be at most 1,000,000 minutes, got {duration}"
         )
 
-    def test_duration_at_bound(self, tmp_path):
-        path = syn.write_recording(tmp_path, "rec", [], duration_minutes=MAX_DURATION_MINUTES)[2]
-        assert load_meta(path).duration_minutes == MAX_DURATION_MINUTES
+    @pytest.mark.parametrize("duration", [MAX_DURATION_MINUTES, MIN_DURATION_MINUTES])
+    def test_duration_at_bound(self, tmp_path, duration):
+        path = syn.write_recording(tmp_path, "rec", [], duration_minutes=duration)[2]
+        assert load_meta(path).duration_minutes == duration
+
+    @pytest.mark.parametrize("duration", [1e-320, 5e-324, 0.016666666666666664, 0.01])
+    def test_duration_under_one_second(self, tmp_path, duration):
+        # a per-minute rate over 1e-320 minutes is infinite
+        path = syn.write_recording(tmp_path, "rec", [], duration_minutes=duration)[2]
+        with pytest.raises(MetaError) as excinfo:
+            load_meta(path)
+        assert str(excinfo.value) == (
+            f"{path}: recording rec: duration must be at least one second"
+            f" (0.016666666666666666 minutes), got {duration}"
+        )
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "rec.meta.json"

@@ -622,11 +622,15 @@ class TestIccMatchesNumpy:
         assert icc_absolute(rows) == numpy_icc(rows)
 
     @pytest.mark.parametrize(
-        "ratings, shape",
-        [([], "(0,)"), ([1.0, 2.0], "(2,)"), ([[1.0, 2.0, 3.0]], "(1, 3)")],
+        "ratings, detail",
+        [
+            ([], "shape (0,)"),
+            ([1.0, 2.0], "the row 1.0"),
+            ([[1.0, 2.0, 3.0]], "the row [1.0, 2.0, 3.0]"),
+        ],
     )
-    def test_not_n_by_2(self, ratings, shape):
-        with pytest.raises(ValueError, match=re.escape(f"ratings must be n x 2, got shape {shape}")):
+    def test_not_n_by_2(self, ratings, detail):
+        with pytest.raises(ValueError, match=re.escape(f"ratings must be n x 2, got {detail}")):
             icc_absolute(ratings)
 
 
