@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
-import json
 import logging
 import os
 import sys
@@ -28,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .align import AlignConfig, AlignedCorpus, align
-from .codec import Codec, field_values, json_chunks
+from .codec import Codec, decode, field_values, json_chunks, read_json
 from .errors import TalkmetricsError, describe
 from .features import (
     DEFAULT_LD_WINDOW,
@@ -134,16 +133,6 @@ class CorpusManifest:
         return len(self.entries)
 
 
-# What each key of a config file must hold; an ``align`` object's keys are
-# under ("align", key).
-_CONFIG_KEYS = {
-    ("response_window",): "a number",
-    ("ld_window",): "a number",
-    ("wer_wearer_match",): "true or false",
-    **{("align", f.name): "a number" for f in fields(AlignConfig)},
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a pipeline run needs beyond the manifest.
@@ -179,28 +168,12 @@ class RunConfig:
     @classmethod
     def from_mapping(cls, data: Mapping, **overrides) -> "RunConfig":
         """Build from a config-file mapping, which holds the keys of
-        ``semantic_dict`` or some of them; keyword overrides win. Raises
-        ValueError for an unknown key, a value of the wrong type, or one out
-        of range."""
-        align_data = data.get("align", {})
-        if not isinstance(align_data, Mapping):
-            raise ValueError(f"align must be an object: {align_data!r}")
-        flat = {(key,): value for key, value in data.items() if key != "align"}
-        flat.update((("align", key), value) for key, value in align_data.items())
-        for key, value in flat.items():
-            name = ".".join(map(str, key))
-            kind = _CONFIG_KEYS.get(key)
-            if kind is None:
-                raise ValueError(f"unknown key {name!r}")
-            # a bool is an int to isinstance, so it is told apart first
-            if isinstance(value, bool) != (kind == "true or false") or not isinstance(
-                value, (int, float)
-            ):
-                raise ValueError(f"{name} must be {kind}: {value!r}")
-        kwargs = {key[0]: value for key, value in flat.items() if len(key) == 1}
-        kwargs["align"] = AlignConfig(**align_data)
-        kwargs.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**kwargs)
+        ``semantic_dict`` or some of them; keyword overrides that are not
+        None win. Raises ValueError for an unknown key, a value of the wrong
+        type, or one out of range."""
+        if "parallelism" in data:  # set by the caller, never by a file
+            raise ValueError("unknown key 'parallelism'")
+        return decode(cls, {**data, **{k: v for k, v in overrides.items() if v is not None}})
 
 
 def _entry_from_mapping(record: Mapping, base: Path) -> ManifestEntry:
@@ -250,13 +223,9 @@ def discover(
     if manifest_path is not None:
         manifest_path = Path(manifest_path)
         try:
-            with open(manifest_path, encoding="utf-8") as handle:
-                data = json.load(handle)
+            data = read_json(manifest_path, ManifestError)
         except OSError as exc:
             raise MissingFile(f"cannot read manifest: {exc}") from None
-        except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an overlong integer
-            detail = getattr(exc, "msg", exc)  # a JSONDecodeError's, without the position
-            raise ManifestError(f"{manifest_path}: invalid JSON: {detail}") from None
         records = data.get("entries") if isinstance(data, dict) else data
         if not isinstance(records, list):
             raise ManifestError(f"{manifest_path}: expected a list of entries")

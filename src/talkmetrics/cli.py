@@ -21,9 +21,7 @@ info, debug).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -42,7 +40,7 @@ from .batch import (
     write_json,
     write_report,
 )
-from .codec import json_chunks
+from .codec import json_chunks, read_json
 from .errors import TalkmetricsError
 from .features import MIN_LD_WINDOW
 
@@ -159,15 +157,9 @@ def _load_manifest(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     path = args.config
-    data = {}
-    if path is not None:
-        with open(path, encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except ValueError as exc:  # bad JSON or bytes that are not UTF-8
-                raise TalkmetricsError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise TalkmetricsError(f"{path}: config must be a JSON object")
+    data = {} if path is None else read_json(path, TalkmetricsError)
+    if not isinstance(data, dict):
+        raise TalkmetricsError(f"{path}: config must be a JSON object")
     try:
         return RunConfig.from_mapping(
             data,
@@ -299,23 +291,11 @@ def _cmd_batch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return EXIT_PARTIAL if result.errors else EXIT_OK
 
 
-def _finite_number(text: str) -> float:
-    """A JSON number's value, which RFC 8259 requires to be finite."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text}")
-    return value
-
-
 def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
-        with open(args.results, encoding="utf-8") as handle:
-            data = json.load(handle, parse_constant=_finite_number, parse_float=_finite_number)
+        data = read_json(args.results, TalkmetricsError)
     except OSError as exc:
         raise TalkmetricsError(f"cannot read {args.results}: {exc}") from None
-    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an overlong integer
-        detail = getattr(exc, "msg", exc)  # a JSONDecodeError's, without the position
-        raise TalkmetricsError(f"{args.results}: invalid JSON: {detail}") from None
     try:
         result = PipelineResult.from_dict(data)
         for _, rows in TABLES.values():  # so a malformed aggregate fails before any write

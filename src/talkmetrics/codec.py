@@ -6,16 +6,18 @@ lists, nested dataclasses and dicts recurse. What to do with a value is
 worked out once per type and cached. ``json_chunks`` is the one encoder:
 it writes the JSON text of that encoding straight from the objects, in
 pieces, so no encoded copy of a large result is ever built, and
-``Codec.to_dict`` parses that text back. Decoding reads the declared
-types back through ``typing.get_type_hints``; it understands ``X | None``,
-``tuple[T, ...]``, fixed-length tuples and ``dict[str, T]``, and lets field
-defaults fill missing keys. Malformed input raises KeyError, TypeError or
-ValueError.
+``Codec.to_dict`` parses that text back. ``decode`` reads the declared
+types back through ``typing.get_type_hints``, checking each value's type;
+it understands ``X | None``, ``tuple[T, ...]``, fixed-length tuples and
+``dict[str, T]``, and lets field defaults fill missing keys. ``read_json``
+is the one reader of JSON input files, which must be strict RFC 8259 JSON.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -24,6 +26,7 @@ from functools import cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
+from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, TypeVar
 
 _T = TypeVar("_T", bound="Codec")
@@ -37,7 +40,7 @@ class Codec:
 
     @classmethod
     def from_dict(cls: type[_T], data: Mapping) -> _T:
-        return _decode(cls, data)
+        return decode(cls, data)
 
 
 @cache
@@ -64,31 +67,82 @@ def _plan(cls: type) -> tuple[str, ...] | str:
     return _LEAF
 
 
-def _decode(hint: Any, value: Any) -> Any:
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _check(fits: bool, path: str, kind: str, value: Any) -> None:
+    if not fits:
+        raise ValueError(f"{path or 'the value'} must be {kind}: {reprlib.repr(value)}")
+
+
+def decode(hint: Any, value: Any, path: str = "") -> Any:
+    """``value``, as ``json`` reads it, built as the declared type ``hint``:
+    ``bool``, ``int`` and ``str`` by exact type, a ``float`` from an int (kept
+    as it is) or a float, a tuple from an array, a dataclass or dict from an
+    object, whose keys must all be fields of a dataclass. A value that does
+    not fit raises ValueError naming its dotted ``path``."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
-        if value is None:
-            return None
         (inner,) = [arg for arg in args if arg is not type(None)]
-        return _decode(inner, value)
+        return None if value is None else decode(inner, value, path)
     if origin is tuple:
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(_decode(args[0], item) for item in value)
-        return tuple(_decode(arg, item) for arg, item in zip(args, value, strict=True))
+        _check(isinstance(value, list), path, "an array", value)
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        _check(len(value) == len(args), path, f"an array of {len(args)} items", value)
+        items = enumerate(zip(args, value))
+        return tuple(decode(arg, item, f"{path}[{i}]") for i, (arg, item) in items)
+    if hint is dict or origin is dict or is_dataclass(hint):
+        _check(isinstance(value, dict), path, "an object", value)
     if origin is dict:
-        return {key: _decode(args[1], item) for key, item in value.items()}
+        return {key: decode(args[1], item, f"{path}[{key!r}]") for key, item in value.items()}
     if is_dataclass(hint):
-        hints = _hints(hint)
-        return hint(
-            **{
-                f.name: _decode(hints[f.name], value[f.name])
-                for f in fields(hint)
-                if f.name in value or (f.default is MISSING and f.default_factory is MISSING)
-            }
-        )
+        hints, kwargs, prefix = _hints(hint), {}, f"{path}." if path else ""
+        for f in fields(hint):
+            if f.name in value:
+                kwargs[f.name] = decode(hints[f.name], value[f.name], prefix + f.name)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"missing key {prefix + f.name!r}")
+        for key in value:
+            if key not in kwargs:
+                raise ValueError(f"unknown key {prefix + key!r}")
+        return hint(**kwargs)
     if isinstance(hint, type) and issubclass(hint, Enum):
+        values = [member.value for member in hint]
+        _check(value in values, path, "one of " + ", ".join(map(repr, values)), value)
         return hint(value)
+    if hint in _KINDS:
+        fits = type(value) is hint or hint is float and type(value) is int
+        _check(fits, path, _KINDS[hint], value)
     return value
+
+
+def _finite_number(text: str) -> float:
+    """A JSON number's value, which RFC 8259 requires to be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text}")
+    return value
+
+
+# one decoder for every input file; ``json`` builds one per call when given options
+_DECODER = json.JSONDecoder(parse_float=_finite_number, parse_constant=_finite_number)
+
+
+def read_json(path: Path | str, error: type[Exception]) -> Any:
+    """The strict JSON value in the UTF-8 file at ``path``. A file that does
+    not decode (bad JSON or UTF-8, an integer past the interpreter's digit
+    limit, NaN or an infinity) raises ``error("{path}: invalid JSON: ...")``;
+    an OSError passes through."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            text = handle.read()
+            if text.startswith("\ufeff"):  # worded as json.loads words it
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+            return _DECODER.decode(text)
+        except ValueError as exc:
+            detail = getattr(exc, "msg", exc)  # a JSONDecodeError's, without the position
+            raise error(f"{path}: invalid JSON: {detail}") from None
 
 
 @cache

@@ -142,8 +142,8 @@ def summarize(
     if links is None:
         links = detect_responses(transcript, response_window)
     minutes = transcript.meta.duration_minutes
-    if ld_window <= 0:
-        raise ValueError(f"window must be positive, got {ld_window}")
+    if not ld_window >= MIN_LD_WINDOW:  # NaN included
+        raise ValueError(f"ld_window must be at least {MIN_LD_WINDOW:g} second: {ld_window}")
     responded = {link.target_utt_id for link in links}
     responders = {link.response_utt_id for link in links}
     # the windows partition [0, duration), extended to the last window any of

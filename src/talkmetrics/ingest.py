@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .codec import read_json
 from .errors import TalkmetricsError
 from .transcript import (
     Columns,
@@ -225,13 +226,7 @@ def parse_expert(path: Path | str, meta: RecordingMeta) -> Transcript:
 
 def load_meta(path: Path | str) -> RecordingMeta:
     """Read the metadata sidecar."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.loads(handle.read())
-        except json.JSONDecodeError as exc:
-            raise MetaError(f"{path}: invalid JSON: {exc.msg}") from None
-        except ValueError as exc:  # bytes that are not UTF-8, an overlong integer literal
-            raise MetaError(f"{path}: invalid JSON: {exc}") from None
+    data = read_json(path, MetaError)
     if not isinstance(data, dict):
         raise MetaError(f"{path}: metadata must be a JSON object")
     for key in ("recording_id", "wearer_role", "classroom_id", "academic_year", "duration_minutes"):

@@ -328,6 +328,11 @@ class TestRunConfig:
         assert cfg.ld_window == 30.0
         assert cfg.align.gap_penalty == 0.1
 
+    def test_override_replaces_a_bad_file_value(self):
+        data = {"response_window": "x", "ld_window": 0.5}
+        cfg = RunConfig.from_mapping(data, response_window=1.0, ld_window=2.0)
+        assert (cfg.response_window, cfg.ld_window) == (1.0, 2.0)
+
     def test_from_mapping_defaults(self):
         cfg = RunConfig.from_mapping({})
         assert cfg == RunConfig()

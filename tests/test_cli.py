@@ -187,6 +187,28 @@ class TestFatalErrors:
             assert captured.err.count("\n") == 1
             assert not out.exists()
 
+    def test_report_mistyped_leaf(self, tmp_path, capsys):
+        for i in range(3):
+            syn.write_weather_recording(tmp_path / "data", f"w{i}")
+        code = main(["batch", "--root", str(tmp_path / "data"), "--out", str(tmp_path / "a")])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        data = json.loads((tmp_path / "a" / "results.json").read_text())
+        data["features"][0]["n_utterances"] = "many"
+        data["features"][0]["words_per_minute"] = True
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "out"
+        for format in ("csv", "json"):
+            code = main(["report", str(path), "--out", str(out), "--format", format])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (EXIT_FATAL, "")
+            assert captured.err == (
+                f"talkmetrics: error: {path}: not a results file:"
+                " features[0].n_utterances must be an integer: 'many'\n"
+            )
+            assert not out.exists()
+
     def test_report_wrong_shape_inside(self, weather_dir, tmp_path, capsys):
         code = main(["batch", "--root", str(weather_dir), "--out", str(tmp_path / "a")])
         assert code == EXIT_OK
@@ -513,25 +535,29 @@ class TestBatch:
             (b'{"response_windw": 4.0}', "unknown key 'response_windw'"),
             (b'{"align": {"gap": 0.1}}', "unknown key 'align.gap'"),
             (b'{"align": [0.1]}', "align must be an object"),
+            (b'{"parallelism": 2}', "unknown key 'parallelism'"),
             (b'{"response_window": "x"}', "response_window must be a number: 'x'"),
             (b'{"ld_window": true}', "ld_window must be a number: True"),
             (b'{"wer_wearer_match": "no"}', "wer_wearer_match must be true or false"),
             (b'{"align": {"gap_penalty": -1}}', "gap_penalty must be non-negative"),
-            (b'{"align": {"min_iou": NaN}}', "min_iou must be in [0, 1]: nan"),
+            (b'{"align": {"min_iou": NaN}}', "invalid JSON: not a finite number: NaN"),
             (b'{"align": {"min_iou": -0.5}}', "min_iou must be in [0, 1]: -0.5"),
             (b'{"align": {"min_text_similarity": 7}}', "min_text_similarity must be in [0, 1]: 7"),
-            (b'{"align": {"min_text_similarity": NaN}}', "min_text_similarity must be in [0, 1]"),
+            (b'{"align": {"min_text_similarity": NaN}}', "invalid JSON: not a finite number: NaN"),
             (b'{"ld_window": 0}', "ld_window must be positive"),
             (b'{"ld_window": 0.5}', "ld_window must be at least 1 second: 0.5"),
             (b'{"ld_window": 1e-320}', "ld_window must be at least 1 second: 1e-320"),
-            (b'{"response_window": NaN}', "response_window must be positive"),
-            (b'{"response_window": Infinity}', "response_window is out of range: inf"),
+            (b'{"response_window": NaN}', "invalid JSON: not a finite number: NaN"),
+            (b'{"response_window": Infinity}', "invalid JSON: not a finite number: Infinity"),
             pytest.param(
                 b'{"ld_window": 1' + b"0" * 400 + b"}",
                 "ld_window is out of range: 1000",
                 id="ld_window-past-float",
             ),
-            (b'{"align": {"gap_penalty": Infinity}}', "gap_penalty is out of range: inf"),
+            (
+                b'{"align": {"gap_penalty": Infinity}}',
+                "invalid JSON: not a finite number: Infinity",
+            ),
             pytest.param(
                 b'{"align": {"gap_penalty": 1' + b"0" * 400 + b"}}",
                 "gap_penalty is out of range: 1000",
@@ -845,6 +871,45 @@ class TestUndecodableMeta:
         assert code == EXIT_PARTIAL
         errors = json.loads((out / "errors.json").read_text())
         assert errors == [{"recording_id": "bad", "stage": "ingest", "message": message}]
+
+
+class TestStrictJsonInput:
+    """Every JSON file the program reads is strict JSON: a NaN or an infinity
+    fails its file as invalid JSON, even under a key nothing reads."""
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e400"])
+    @pytest.mark.parametrize("kind", ["manifest", "config", "meta"])
+    def test_non_finite_number(self, weather_dir, tmp_path, capsys, kind, token):
+        flags = ["--root", str(weather_dir)]
+        if kind == "manifest":
+            path = tmp_path / "manifest.json"
+            entry = {
+                "recording_id": "weather",
+                "machine_path": str(weather_dir / "weather.machine.jsonl"),
+                "meta_path": str(weather_dir / "weather.meta.json"),
+                "note": "__token__",
+            }
+            path.write_text(json.dumps([entry]).replace('"__token__"', token), encoding="utf-8")
+            flags = ["--manifest", str(path)]
+        elif kind == "config":
+            path = tmp_path / "config.json"
+            path.write_text(f'{{"response_window": {token}}}', encoding="utf-8")
+            flags += ["--config", str(path)]
+        else:
+            path = weather_dir / "weather.meta.json"
+            path.write_text(path.read_text().replace("{", f'{{"note": {token}, ', 1))
+        out = tmp_path / "out"
+        code = main(["batch", *flags, "--out", str(out)])
+        captured = capsys.readouterr()
+        message = f"{path}: invalid JSON: not a finite number: {token}"
+        if kind == "meta":
+            assert code == EXIT_PARTIAL
+            errors = json.loads((out / "errors.json").read_text())
+            assert errors == [{"recording_id": "weather", "stage": "ingest", "message": message}]
+        else:
+            assert (code, captured.out) == (EXIT_FATAL, "")
+            assert captured.err == f"talkmetrics: error: {message}\n"
+            assert not out.exists()
 
 
 class TestGapPenaltyOverflow:

@@ -5,6 +5,7 @@ writes, refusing NaN and infinities as it does."""
 
 import json
 import math
+import re
 import types
 import typing
 from dataclasses import dataclass, fields, is_dataclass
@@ -147,6 +148,82 @@ def test_to_dict_matches_reference(data):
 def test_pipeline_result_round_trip(result):
     assert PipelineResult.from_dict(json.loads(json.dumps(result.to_dict()))) == result
     assert PipelineResult.from_dict(result.to_dict()) == result
+
+
+def checked_nodes(hint: Any, value: Any, path: str = "", keys: tuple = (), nullable=False):
+    """(path, keys, hint, nullable) of every value below the top one whose
+    declared type ``decode`` checks; the contents of an untyped ``dict`` are
+    not checked."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        yield from checked_nodes(inner, value, path, keys, nullable=True)
+        return
+    if keys:
+        yield path, keys, hint, nullable
+    if value is None:
+        return
+    if origin is tuple:
+        item_hints = args if args[-1] is not Ellipsis else [args[0]] * len(value)
+        for i, (item_hint, item) in enumerate(zip(item_hints, value)):
+            yield from checked_nodes(item_hint, item, f"{path}[{i}]", (*keys, i))
+    elif origin is dict:
+        for key, item in value.items():
+            yield from checked_nodes(args[1], item, f"{path}[{key!r}]", (*keys, key))
+    elif is_dataclass(hint):
+        for f in fields(hint):
+            where = f"{path}.{f.name}" if path else f.name
+            yield from checked_nodes(_hints(hint)[f.name], value[f.name], where, (*keys, f.name))
+
+
+def json_kinds(hint: Any) -> tuple[type, ...]:
+    """The JSON value types ``decode`` accepts for ``hint``, null aside."""
+    if typing.get_origin(hint) is tuple:
+        return (list,)
+    if hint is dict or typing.get_origin(hint) is dict or is_dataclass(hint):
+        return (dict,)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return (str,)
+    return (int, float) if hint is float else (hint,)
+
+
+ONE_OF_EACH_JSON_TYPE = [None, True, 7, 0.5, "x", [], {}]
+
+
+def get_at(value: Any, keys: tuple) -> Any:
+    for key in keys:
+        value = value[key]
+    return value
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_decode_checks_every_declared_type(data):
+    for cls in codec_classes():
+        encoded = data.draw(for_hint(cls, native=True), label=cls.__name__).to_dict()
+        assert cls.from_dict(encoded).to_dict() == encoded
+        nodes = list(checked_nodes(cls, encoded))
+        path, keys, hint, nullable = data.draw(st.sampled_from(nodes), label="leaf")
+        wrong = [
+            other
+            for other in ONE_OF_EACH_JSON_TYPE
+            if type(other) not in json_kinds(hint) and not (other is None and nullable)
+        ]
+        mistyped = json.loads(json.dumps(encoded))
+        get_at(mistyped, keys[:-1])[keys[-1]] = data.draw(st.sampled_from(wrong), label="value")
+        with pytest.raises((TypeError, ValueError)) as excinfo:
+            cls.from_dict(mistyped)
+        assert str(excinfo.value).startswith(f"{path} must be ")
+        objects = [((), "")] + [
+            (keys, path + ".")
+            for path, keys, hint, _ in nodes
+            if is_dataclass(hint) and get_at(encoded, keys) is not None
+        ]
+        object_keys, prefix = data.draw(st.sampled_from(objects), label="object")
+        extended = json.loads(json.dumps(encoded))
+        get_at(extended, object_keys)["unexpected"] = 0
+        with pytest.raises(ValueError, match=re.escape(f"unknown key {prefix + 'unexpected'!r}")):
+            cls.from_dict(extended)
 
 
 def test_mixin_enum_subclass_and_nesting():

@@ -316,6 +316,12 @@ class TestLexicalDiversity:
         with pytest.raises(ValueError):
             summary_of([syn.utt(1, 0, 1, "a")], ld_window=0.0)
 
+    @pytest.mark.parametrize("window", [1e-320, float("nan"), 0.5])
+    def test_sub_second_window_rejected(self, window):
+        # the words of RunConfig and --ld-window, not an overflow on the first onset
+        with pytest.raises(ValueError, match=f"^ld_window must be at least 1 second: {window}$"):
+            summary_of([syn.utt(1, 0, 1, "a")], ld_window=window)
+
     def test_wordless_utterance_extends_partition(self):
         # "[laughs]" has no words, but its onset at 170 s still makes three
         # windows of a one-minute recording

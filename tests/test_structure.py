@@ -123,6 +123,20 @@ def test_no_function_level_import():
                 )
 
 
+def test_no_unused_import():
+    """Every name a module-level import binds is read somewhere in its
+    module; ``from __future__`` imports are directives, not names."""
+    for name, tree in parsed_modules().items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    assert bound in read, f"{name} imports {bound} at line {node.lineno} unused"
+
+
 BROAD = ("Exception", "BaseException")
 
 
