@@ -463,7 +463,7 @@ class PipelineResult(Codec):
     """
 
     config: dict
-    corpus: dict
+    corpus: dict[str, float]
     features: tuple[FeatureSummary, ...]
     reliability: ReliabilityReport | None
     aggregate: dict
@@ -522,19 +522,12 @@ def run_pipeline(
 
 def _fmt(value: object) -> str:
     """CSV cell: blank None, 3-decimal floats, everything else verbatim."""
-    kind = type(value)
-    if kind is float:
-        return repr(round(value, 3))
-    if kind is str:
-        return value
-    if kind is int:
-        return str(value)
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return repr(round(value, 3))
+    if value is None:
+        return ""
+    if type(value) is bool:
+        return "true" if value else "false"
     return str(value)
 
 
@@ -612,6 +605,22 @@ def aggregate_table(aggregate: Mapping[str, dict]) -> list[list[object]]:
                 + [pooled[AGGREGATE_COLUMNS[-1]]]
             )
     return rows
+
+
+def check_aggregate(aggregate: Mapping[str, Mapping]) -> None:
+    """Raise KeyError, TypeError or ValueError unless each source of
+    ``aggregate`` holds every cell an empty pool holds, as a number, or as
+    null where the empty pool's is null."""
+    for source, pooled in aggregate.items():
+        _check_cells(pooled, _POOLED, f"aggregate[{source!r}]")
+
+
+def _check_cells(cells: Mapping, blank: Mapping, path: str) -> None:
+    for key, empty in blank.items():
+        if isinstance(empty, dict):
+            _check_cells(cells[key], empty, f"{path}[{key!r}]")
+        else:
+            decode(float if empty is not None else float | None, cells[key], f"{path}[{key!r}]")
 
 
 # Every CSV report: file name -> (header, rows of a result)

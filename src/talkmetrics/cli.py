@@ -28,10 +28,10 @@ from pathlib import Path
 
 from .align import write_alignment_jsonl
 from .batch import (
-    TABLES,
     CorpusManifest,
     PipelineResult,
     RunConfig,
+    check_aggregate,
     configure_logging,
     discover,
     emit_report,
@@ -42,7 +42,6 @@ from .batch import (
 )
 from .codec import json_chunks, read_json
 from .errors import TalkmetricsError
-from .features import MIN_LD_WINDOW
 
 log = logging.getLogger(__name__)
 
@@ -50,35 +49,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 EXIT_FATAL = 3
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text}")
-    if value > sys.float_info.max:
-        raise argparse.ArgumentTypeError(f"out of range: {text}")
-    return value
-
-
-def _ld_window(text: str) -> float:
-    value = _positive_float(text)
-    if value < MIN_LD_WINDOW:
-        raise argparse.ArgumentTypeError(f"must be at least {MIN_LD_WINDOW:g} second: {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {text}")
-    return value
 
 
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
@@ -90,15 +60,15 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON file of analysis parameters")
     parser.add_argument(
         "--response-window",
-        type=_positive_float,
+        type=float,
         help="seconds after an utterance ends in which a reply counts (default 2.5)",
     )
     parser.add_argument(
         "--ld-window",
-        type=_ld_window,
+        type=float,
         help="lexical diversity window length in seconds, at least 1 (default 60)",
     )
-    parser.add_argument("--workers", type=_positive_int, help="parallel worker count")
+    parser.add_argument("--workers", type=int, help="parallel worker count")
 
 
 def _add_out_flags(parser: argparse.ArgumentParser) -> None:
@@ -149,32 +119,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_manifest(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CorpusManifest:
+# each run flag's destination and the RunConfig field it sets
+_RUN_FLAGS = dict(response_window="response_window", ld_window="ld_window", workers="parallelism")
+
+
+def _load_run(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> tuple[CorpusManifest, RunConfig]:
+    """The corpus and run config a corpus verb names, checked in this order:
+    each run flag by RunConfig, a value it refuses being a usage error that
+    names the flag; the corpus flags; the corpus; the config file, whose
+    faults are fatal. A flag the verb lacks counts as not given."""
+    overrides = {name: getattr(args, dest, None) for dest, name in _RUN_FLAGS.items()}
+    for dest, name in _RUN_FLAGS.items():
+        try:
+            if overrides[name] is not None:
+                RunConfig(**{name: overrides[name]})
+        except ValueError as exc:
+            parser.error(f"argument --{dest.replace('_', '-')}: {exc}")
     if (args.root is None) == (args.manifest is None):
         parser.error("exactly one of --root or --manifest is required")
-    return discover(root_dir=args.root, manifest_path=args.manifest)
-
-
-def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    path = args.config
+    manifest = discover(root_dir=args.root, manifest_path=args.manifest)
+    path = getattr(args, "config", None)
     data = {} if path is None else read_json(path, TalkmetricsError)
     if not isinstance(data, dict):
         raise TalkmetricsError(f"{path}: config must be a JSON object")
     try:
-        return RunConfig.from_mapping(
-            data,
-            response_window=getattr(args, "response_window", None),
-            ld_window=getattr(args, "ld_window", None),
-            parallelism=getattr(args, "workers", None),
-        )
+        return manifest, RunConfig.from_mapping(data, **overrides)
     except ValueError as exc:
         raise TalkmetricsError(f"{path}: {exc}") from None
 
 
 def _cmd_ingest_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    manifest = _load_manifest(args, parser)
+    manifest, cfg = _load_run(args, parser)
     stages = ("meta", "machine", "expert", "validate")
-    outcomes = process_recordings(manifest.entries, RunConfig(), stages)
+    outcomes = process_recordings(manifest.entries, cfg, stages)
     records = []
     for entry, outcome in zip(manifest.entries, outcomes):
         if outcome.errors:
@@ -211,8 +190,7 @@ def _cmd_ingest_check(args: argparse.Namespace, parser: argparse.ArgumentParser)
 
 
 def _cmd_align(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    manifest = _load_manifest(args, parser)
-    cfg = _load_run_config(args)
+    manifest, cfg = _load_run(args, parser)
     args.out.mkdir(parents=True, exist_ok=True)
     with_expert = [entry for entry in manifest.entries if entry.expert_path is not None]
     outcomes = process_recordings(with_expert, cfg, ("meta", "machine", "expert", "align"))
@@ -241,8 +219,7 @@ def _cmd_align(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_features(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    manifest = _load_manifest(args, parser)
-    cfg = _load_run_config(args)
+    manifest, cfg = _load_run(args, parser)
     result = run_pipeline(manifest, cfg, agreement=False)
     if args.format == "json":
         write_report(result, args.out, {"features.json": {"features": result.features}}, ())
@@ -253,8 +230,7 @@ def _cmd_features(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _cmd_reliability(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    manifest = _load_manifest(args, parser)
-    cfg = _load_run_config(args)
+    manifest, cfg = _load_run(args, parser)
     result = run_pipeline(manifest, cfg)
     if result.reliability is None:
         if result.errors:
@@ -279,8 +255,7 @@ def _cmd_reliability(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 
 
 def _cmd_batch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    manifest = _load_manifest(args, parser)
-    cfg = _load_run_config(args)
+    manifest, cfg = _load_run(args, parser)
     result = run_pipeline(manifest, cfg)
     emit_report(result, args.out, args.format)
     n_failed = result.corpus["n_failed"]
@@ -298,9 +273,9 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         raise TalkmetricsError(f"cannot read {args.results}: {exc}") from None
     try:
         result = PipelineResult.from_dict(data)
-        for _, rows in TABLES.values():  # so a malformed aggregate fails before any write
-            list(rows(result))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        RunConfig.from_mapping(result.config)
+        check_aggregate(result.aggregate)
+    except (KeyError, TypeError, ValueError) as exc:
         raise TalkmetricsError(f"{args.results}: not a results file: {exc}") from None
     written = emit_report(result, args.out, args.format)
     print(f"wrote {len(written)} files to {args.out}")

@@ -216,14 +216,6 @@ def _field_keys(cls: type) -> tuple[str, ...]:
     return tuple(_key_text(name) for name in _plan(cls))
 
 
-@cache
-def _template(cls: type, newline: str) -> str:
-    """A ``%`` template of a dataclass object whose values are all scalars,
-    at the indent ``newline`` ends in."""
-    inner = newline + "  "
-    return "{" + inner + ("," + inner).join(key + "%s" for key in _field_keys(cls)) + newline + "}"
-
-
 def json_chunks(value: Any) -> Iterator[str]:
     """The encoding of ``value`` as ``json.dump(..., indent=2)`` writes it, in pieces.
 
@@ -258,17 +250,10 @@ def _chunks(value: Any, newline: str) -> Iterator[str]:
         yield opening + closing
         return
     inner = newline + "  "
-    texts = list(map(_scalar, items))
-    if None not in texts:
-        if plan is _SEQUENCE or plan is _MAPPING:
-            members = map(str.__add__, keys, texts)
-            yield opening + inner + ("," + inner).join(members) + newline + closing
-        else:
-            yield _template(cls, newline) % tuple(texts)
-        return
     # scalar members join the text around them; the rest recurse
     pending, separator = "", opening + inner
-    for key, item, text in zip(keys, items, texts):
+    for key, item in zip(keys, items):
+        text = _scalar(item)
         if text is None:
             yield pending + separator + key
             pending = ""

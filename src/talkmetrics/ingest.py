@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .codec import read_json
+from .codec import decode, read_json
 from .errors import TalkmetricsError
 from .transcript import (
     Columns,
@@ -248,10 +248,10 @@ def load_meta(path: Path | str) -> RecordingMeta:
         ) from None
     try:
         return RecordingMeta(
-            recording_id=str(data["recording_id"]),
+            recording_id=decode(str, data["recording_id"], "recording_id"),
             wearer_role=wearer,
-            classroom_id=str(data["classroom_id"]),
-            academic_year=str(data["academic_year"]),
+            classroom_id=decode(str, data["classroom_id"], "classroom_id"),
+            academic_year=decode(str, data["academic_year"], "academic_year"),
             duration_minutes=duration,
         )
     except ValueError as exc:

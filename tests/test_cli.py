@@ -61,7 +61,9 @@ class TestUsageErrors:
             ["features", "--root", str(tmp_path), "--out", str(tmp_path / "out"), flag, value]
         )
         assert code == EXIT_USAGE
-        assert f"out of range: {value}" in capsys.readouterr().err
+        field = flag[2:].replace("-", "_")
+        # the flag parses as a float first, so every spelling reads as inf
+        assert f"argument {flag}: {field} is out of range: inf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0.5", "0.9999999999999999", "1e-320"])
     def test_ld_window_under_one_second(self, tmp_path, capsys, value):
@@ -71,7 +73,7 @@ class TestUsageErrors:
              "--ld-window", value]
         )
         assert code == EXIT_USAGE
-        assert f"argument --ld-window: must be at least 1 second: {value}" in (
+        assert f"argument --ld-window: ld_window must be at least 1 second: {value}" in (
             capsys.readouterr().err
         )
         assert not (tmp_path / "out").exists()
@@ -82,6 +84,33 @@ class TestUsageErrors:
              "--workers", "0"]
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("verb", ["features", "reliability", "batch"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--response-window", "0", "response_window must be positive: 0.0"),
+            ("--ld-window", "0.5", "ld_window must be at least 1 second: 0.5"),
+            ("--workers", "0", "parallelism must be at least 1: 0"),
+        ],
+    )
+    @pytest.mark.parametrize("fault", ["missing-root", "invalid-config"])
+    def test_flags_checked_before_corpus_and_config(
+        self, tmp_path, capsys, verb, flag, value, message, fault
+    ):
+        # a bad flag is a usage error, whatever else is wrong with the run
+        if fault == "missing-root":
+            source = ["--root", str(tmp_path / "nowhere")]
+        else:
+            syn.write_weather_recording(tmp_path / "data")
+            (tmp_path / "config.json").write_bytes(b"{")
+            source = ["--root", str(tmp_path / "data"), "--config", str(tmp_path / "config.json")]
+        out = tmp_path / "out"
+        code = main([verb, *source, "--out", str(out), flag, value])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err.endswith(f"talkmetrics: error: argument {flag}: {message}\n")
+        assert not out.exists()
 
     def test_bad_format(self, tmp_path):
         code = main(
@@ -193,21 +222,41 @@ class TestFatalErrors:
         code = main(["batch", "--root", str(tmp_path / "data"), "--out", str(tmp_path / "a")])
         assert code == EXIT_OK
         capsys.readouterr()
-        data = json.loads((tmp_path / "a" / "results.json").read_text())
-        data["features"][0]["n_utterances"] = "many"
-        data["features"][0]["words_per_minute"] = True
+        saved = (tmp_path / "a" / "results.json").read_text()
+
+        def features(data):
+            data["features"][0]["n_utterances"] = "many"
+            data["features"][0]["words_per_minute"] = True
+
+        def config(data):
+            data["config"]["response_window"] = "x"
+
+        def corpus(data):
+            data["corpus"]["n_recordings"] = "many"
+
+        def aggregate(data):
+            data["aggregate"]["machine"]["teacher"]["mlu_pooled"] = "fast"
+
+        cases = [
+            (features, "features[0].n_utterances must be an integer: 'many'"),
+            (config, "response_window must be a number: 'x'"),
+            (corpus, "corpus['n_recordings'] must be a number: 'many'"),
+            (aggregate, "aggregate['machine']['teacher']['mlu_pooled'] must be a number: 'fast'"),
+        ]
         path = tmp_path / "odd.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
         out = tmp_path / "out"
-        for format in ("csv", "json"):
-            code = main(["report", str(path), "--out", str(out), "--format", format])
-            captured = capsys.readouterr()
-            assert (code, captured.out) == (EXIT_FATAL, "")
-            assert captured.err == (
-                f"talkmetrics: error: {path}: not a results file:"
-                " features[0].n_utterances must be an integer: 'many'\n"
-            )
-            assert not out.exists()
+        for damage, message in cases:
+            data = json.loads(saved)
+            damage(data)
+            path.write_text(json.dumps(data), encoding="utf-8")
+            for format in ("csv", "json"):
+                code = main(["report", str(path), "--out", str(out), "--format", format])
+                captured = capsys.readouterr()
+                assert (code, captured.out) == (EXIT_FATAL, "")
+                assert captured.err == (
+                    f"talkmetrics: error: {path}: not a results file: {message}\n"
+                )
+                assert not out.exists()
 
     def test_report_wrong_shape_inside(self, weather_dir, tmp_path, capsys):
         code = main(["batch", "--root", str(weather_dir), "--out", str(tmp_path / "a")])

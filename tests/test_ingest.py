@@ -254,6 +254,17 @@ class TestMeta:
             f" (0.016666666666666666 minutes), got {duration}"
         )
 
+    @pytest.mark.parametrize("key", ["recording_id", "classroom_id", "academic_year"])
+    @pytest.mark.parametrize("value", [None, 2023, ["a"], {"a": [1]}, True])
+    def test_text_field_must_be_a_string(self, tmp_path, key, value):
+        # never str()'d: a null classroom must not load as classroom 'None'
+        path = syn.write_recording(tmp_path, "rec", [])[2]
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data[key] = value
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(MetaError, match=re.escape(f"{key} must be a string: {value!r}")):
+            load_meta(path)
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "rec.meta.json"
         path.write_text("{", encoding="utf-8")

@@ -12,6 +12,7 @@ import importlib
 import re
 import types
 import typing
+from collections import Counter
 from pathlib import Path
 
 import talkmetrics
@@ -135,6 +136,43 @@ def test_no_unused_import():
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
                     assert bound in read, f"{name} imports {bound} at line {node.lineno} unused"
+
+
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+
+
+def read_names(node: ast.AST) -> Counter:
+    """How often each name is read below ``node``, as a name or an attribute."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        or isinstance(sub, ast.Attribute)
+    )
+
+
+def test_every_private_name_is_read():
+    """Every private module-level function, class or constant is read
+    somewhere in the package outside its own definition, so no helper
+    outlives its last caller."""
+    trees = parsed_modules()
+    read = sum((read_names(tree) for tree in trees.values()), Counter())
+    for module, tree in trees.items():
+        for node in tree.body:
+            for name in defined_names(node):
+                if name.startswith("_") and not name.startswith("__"):
+                    outside = read[name] - read_names(node)[name]
+                    assert outside > 0, f"{module}.{name} is never read"
 
 
 BROAD = ("Exception", "BaseException")
