@@ -607,56 +607,80 @@ def aggregate_table(aggregate: Mapping[str, dict]) -> list[list[object]]:
     return rows
 
 
-def check_aggregate(aggregate: Mapping[str, Mapping]) -> None:
-    """Raise KeyError, TypeError or ValueError unless each source of
-    ``aggregate`` holds every cell an empty pool holds, as a number, or as
-    null where the empty pool's is null."""
-    for source, pooled in aggregate.items():
-        _check_cells(pooled, _POOLED, f"aggregate[{source!r}]")
+def check_results(result: PipelineResult) -> None:
+    """Raise ValueError unless ``result`` holds what a run writes: a
+    ``config`` that ``RunConfig`` accepts and that names every analysis
+    parameter, and an ``aggregate`` of a ``machine`` source and,
+    optionally, an ``expert`` one, each holding every cell an empty pool
+    holds, as a number, or as null where the empty pool's is null."""
+    RunConfig.from_mapping(result.config)
+    # from_mapping typed every value (so any ``object`` passes below), but it
+    # fills in the keys a config file may leave out and a results file may not
+    _check_cells(result.config, RunConfig().semantic_dict(), "config", object)
+    sources = list(result.aggregate)
+    if "machine" not in sources or set(sources) - {"machine", "expert"}:
+        raise ValueError(f"aggregate sources must be machine and, optionally, expert: {sources}")
+    for source, pooled in result.aggregate.items():
+        _check_cells(pooled, _POOLED, f"aggregate[{source!r}]", float)
 
 
-def _check_cells(cells: Mapping, blank: Mapping, path: str) -> None:
+def _check_cells(cells: object, blank: Mapping, path: str, kind: type) -> None:
+    decode(dict, cells, path)
     for key, empty in blank.items():
+        if key not in cells:
+            raise ValueError(f"{path} is missing {key!r}")
         if isinstance(empty, dict):
-            _check_cells(cells[key], empty, f"{path}[{key!r}]")
+            _check_cells(cells[key], empty, f"{path}[{key!r}]", kind)
         else:
-            decode(float if empty is not None else float | None, cells[key], f"{path}[{key!r}]")
+            decode(kind if empty is not None else kind | None, cells[key], f"{path}[{key!r}]")
 
 
-# Every CSV report: file name -> (header, rows of a result)
-TABLES: dict[str, tuple[Sequence[str], Callable[[PipelineResult], Iterable[list[object]]]]] = {
-    "features.csv": (FEATURE_COLUMNS, lambda result: feature_table(result.features)),
-    "reliability_per_recording.csv": (
-        RELIABILITY_COLUMNS,
-        lambda result: reliability_table(result.reliability),
+# Every report file, and how it is written from a result
+_REPORT_FILES: dict[str, Callable[[Path, PipelineResult], Path]] = {
+    "results.json": write_json,
+    "features.json": lambda path, result: write_json(path, {"features": result.features}),
+    "reliability.json": lambda path, result: write_json(path, {"reliability": result.reliability}),
+    "errors.json": lambda path, result: write_json(path, result.errors),
+    "features.csv": lambda path, result: _write_csv(
+        path, FEATURE_COLUMNS, feature_table(result.features)
     ),
-    "icc.csv": (ICC_COLUMNS, lambda result: icc_table(result.reliability)),
-    "aggregate_features.csv": (
-        AGGREGATE_COLUMNS,
-        lambda result: aggregate_table(result.aggregate),
+    "reliability_per_recording.csv": lambda path, result: _write_csv(
+        path, RELIABILITY_COLUMNS, reliability_table(result.reliability)
+    ),
+    "icc.csv": lambda path, result: _write_csv(path, ICC_COLUMNS, icc_table(result.reliability)),
+    "aggregate_features.csv": lambda path, result: _write_csv(
+        path, AGGREGATE_COLUMNS, aggregate_table(result.aggregate)
     ),
 }
 
+# The report files of each pipeline verb, per format; ``report`` writes ``batch``'s
+VERB_REPORTS = {
+    "features": {"csv": ("features.csv",), "json": ("features.json",)},
+    "reliability": {
+        "csv": ("reliability_per_recording.csv", "icc.csv"),
+        "json": ("reliability.json",),
+    },
+    "batch": {
+        "csv": (
+            "results.json",
+            "features.csv",
+            "reliability_per_recording.csv",
+            "icc.csv",
+            "aggregate_features.csv",
+        ),
+        "json": ("results.json",),
+    },
+}
 
-def write_report(
-    result: PipelineResult,
-    out_dir: Path | str,
-    documents: Mapping[str, object],
-    tables: Sequence[str],
-) -> list[Path]:
-    """Write ``documents`` (file name -> data for ``write_json``),
-    ``errors.json`` when the run had failures, and the named ``TABLES`` to
-    ``out_dir``; returns the files written."""
+
+def write_report(result: PipelineResult, out_dir: Path | str, names: Sequence[str]) -> list[Path]:
+    """Write the named report files, and ``errors.json`` when the run had
+    failures, to ``out_dir``; returns the files written."""
     out = Path(out_dir)
+    names = (*names, "errors.json") if result.errors else names
     try:
         out.mkdir(parents=True, exist_ok=True)
-        written = [write_json(out / name, data) for name, data in documents.items()]
-        if result.errors:
-            written.append(write_json(out / "errors.json", result.errors))
-        for name in tables:
-            header, rows = TABLES[name]
-            written.append(_write_csv(out / name, header, rows(result)))
-        return written
+        return [_REPORT_FILES[name](out / name, result) for name in names]
     except OSError as exc:
         raise IoError(f"cannot write report to {out}: {exc}") from None
 
@@ -671,5 +695,4 @@ def emit_report(result: PipelineResult, out_dir: Path | str, format: str = "csv"
     """
     if format not in ("csv", "json"):
         raise ValueError(f"format must be csv or json: {format!r}")
-    tables = tuple(TABLES) if format == "csv" else ()
-    return write_report(result, out_dir, {"results.json": result}, tables)
+    return write_report(result, out_dir, VERB_REPORTS["batch"][format])

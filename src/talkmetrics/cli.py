@@ -28,10 +28,11 @@ from pathlib import Path
 
 from .align import write_alignment_jsonl
 from .batch import (
+    VERB_REPORTS,
     CorpusManifest,
     PipelineResult,
     RunConfig,
-    check_aggregate,
+    check_results,
     configure_logging,
     discover,
     emit_report,
@@ -50,25 +51,21 @@ EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 EXIT_FATAL = 3
 
+# The pipeline verbs: help, whether the run computes agreement, whether a run
+# without agreement statistics exits 3, and the line a successful run prints
+_PIPELINE_VERBS = {
+    "features": ("compute the language-feature table", False, False,
+                 "wrote features for {n_recordings} recordings to {out}"),
+    "reliability": ("compute agreement statistics", True, True,
+                    "wrote reliability for {n_agreement} recordings to {out}"),
+    "batch": ("run the whole pipeline and emit all reports", True, False,
+              "processed {n_recordings} recordings ({n_failed} failed), reports in {out}"),
+}
+
 
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--root", type=Path, help="directory tree of recording triples")
     parser.add_argument("--manifest", type=Path, help="explicit manifest JSON")
-
-
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="JSON file of analysis parameters")
-    parser.add_argument(
-        "--response-window",
-        type=float,
-        help="seconds after an utterance ends in which a reply counts (default 2.5)",
-    )
-    parser.add_argument(
-        "--ld-window",
-        type=float,
-        help="lexical diversity window length in seconds, at least 1 (default 60)",
-    )
-    parser.add_argument("--workers", type=int, help="parallel worker count")
 
 
 def _add_out_flags(parser: argparse.ArgumentParser) -> None:
@@ -98,20 +95,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, help="JSON file of analysis parameters")
     p.add_argument("--out", type=Path, required=True, help="output directory")
 
-    p = sub.add_parser("features", help="compute the language-feature table")
-    _add_corpus_flags(p)
-    _add_run_flags(p)
-    _add_out_flags(p)
-
-    p = sub.add_parser("reliability", help="compute agreement statistics")
-    _add_corpus_flags(p)
-    _add_run_flags(p)
-    _add_out_flags(p)
-
-    p = sub.add_parser("batch", help="run the whole pipeline and emit all reports")
-    _add_corpus_flags(p)
-    _add_run_flags(p)
-    _add_out_flags(p)
+    for verb, (summary, *_) in _PIPELINE_VERBS.items():
+        p = sub.add_parser(verb, help=summary)
+        _add_corpus_flags(p)
+        p.add_argument("--config", type=Path, help="JSON file of analysis parameters")
+        p.add_argument(
+            "--response-window",
+            type=float,
+            help="seconds after an utterance ends in which a reply counts (default 2.5)",
+        )
+        p.add_argument(
+            "--ld-window",
+            type=float,
+            help="lexical diversity window length in seconds, at least 1 (default 60)",
+        )
+        p.add_argument("--workers", type=int, help="parallel worker count")
+        _add_out_flags(p)
 
     p = sub.add_parser("report", help="re-render reports from a saved results file")
     p.add_argument("results", type=Path, help="results.json from a previous run")
@@ -218,23 +217,13 @@ def _cmd_align(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return EXIT_PARTIAL if n_failed else EXIT_OK
 
 
-def _cmd_features(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    _, agreement, needs_agreement, line = _PIPELINE_VERBS[args.verb]
     manifest, cfg = _load_run(args, parser)
-    result = run_pipeline(manifest, cfg, agreement=False)
-    if args.format == "json":
-        write_report(result, args.out, {"features.json": {"features": result.features}}, ())
-    else:
-        write_report(result, args.out, {}, ("features.csv",))
-    print(f"wrote features for {result.corpus['n_recordings']} recordings to {args.out}")
-    return EXIT_PARTIAL if result.errors else EXIT_OK
-
-
-def _cmd_reliability(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    manifest, cfg = _load_run(args, parser)
-    result = run_pipeline(manifest, cfg)
-    if result.reliability is None:
+    result = run_pipeline(manifest, cfg, agreement)
+    if needs_agreement and result.reliability is None:
         if result.errors:
-            write_report(result, args.out, {}, ())
+            write_report(result, args.out, ())
             print(
                 "talkmetrics: no recording yielded agreement statistics;"
                 f" {result.corpus['n_failed']} recordings failed, see errors.json",
@@ -243,26 +232,9 @@ def _cmd_reliability(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         else:
             print("talkmetrics: no recording has an expert transcript", file=sys.stderr)
         return EXIT_FATAL
-    if args.format == "json":
-        reliability = {"reliability": result.reliability}
-        write_report(result, args.out, {"reliability.json": reliability}, ())
-    else:
-        write_report(result, args.out, {}, ("reliability_per_recording.csv", "icc.csv"))
-    print(
-        f"wrote reliability for {len(result.reliability.rows)} recordings to {args.out}"
-    )
-    return EXIT_PARTIAL if result.errors else EXIT_OK
-
-
-def _cmd_batch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    manifest, cfg = _load_run(args, parser)
-    result = run_pipeline(manifest, cfg)
-    emit_report(result, args.out, args.format)
-    n_failed = result.corpus["n_failed"]
-    print(
-        f"processed {result.corpus['n_recordings']} recordings"
-        f" ({n_failed} failed), reports in {args.out}"
-    )
+    write_report(result, args.out, VERB_REPORTS[args.verb][args.format])
+    n_agreement = len(result.reliability.rows) if result.reliability else 0
+    print(line.format(**result.corpus, n_agreement=n_agreement, out=args.out))
     return EXIT_PARTIAL if result.errors else EXIT_OK
 
 
@@ -273,8 +245,7 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         raise TalkmetricsError(f"cannot read {args.results}: {exc}") from None
     try:
         result = PipelineResult.from_dict(data)
-        RunConfig.from_mapping(result.config)
-        check_aggregate(result.aggregate)
+        check_results(result)
     except (KeyError, TypeError, ValueError) as exc:
         raise TalkmetricsError(f"{args.results}: not a results file: {exc}") from None
     written = emit_report(result, args.out, args.format)
@@ -285,10 +256,8 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 _COMMANDS = {
     "ingest-check": _cmd_ingest_check,
     "align": _cmd_align,
-    "features": _cmd_features,
-    "reliability": _cmd_reliability,
-    "batch": _cmd_batch,
     "report": _cmd_report,
+    **dict.fromkeys(_PIPELINE_VERBS, _cmd_run),
 }
 
 

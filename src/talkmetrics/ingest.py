@@ -233,27 +233,18 @@ def load_meta(path: Path | str) -> RecordingMeta:
         if key not in data:
             raise MetaError(f"{path}: missing key {key!r}")
     try:
-        wearer = SpeakerRole.from_label(str(data["wearer_role"]))
-    except ValueError as exc:
-        raise MetaError(f"{path}: {exc}") from None
-    try:
-        duration = float(data["duration_minutes"])
-    except (TypeError, ValueError):
-        raise MetaError(
-            f"{path}: duration_minutes is not a number: {data['duration_minutes']!r}"
-        ) from None
+        return RecordingMeta(
+            recording_id=decode(str, data["recording_id"], "recording_id"),
+            wearer_role=SpeakerRole.from_label(decode(str, data["wearer_role"], "wearer_role")),
+            classroom_id=decode(str, data["classroom_id"], "classroom_id"),
+            academic_year=decode(str, data["academic_year"], "academic_year"),
+            # a float, as the reports print it
+            duration_minutes=float(decode(float, data["duration_minutes"], "duration_minutes")),
+        )
     except OverflowError:  # an integer past the float range
         raise MetaError(
             f"{path}: duration_minutes is out of range: {data['duration_minutes']!r}"
         ) from None
-    try:
-        return RecordingMeta(
-            recording_id=decode(str, data["recording_id"], "recording_id"),
-            wearer_role=wearer,
-            classroom_id=decode(str, data["classroom_id"], "classroom_id"),
-            academic_year=decode(str, data["academic_year"], "academic_year"),
-            duration_minutes=duration,
-        )
     except ValueError as exc:
         raise MetaError(f"{path}: {exc}") from None
 

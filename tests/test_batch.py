@@ -2,7 +2,11 @@
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -24,8 +28,19 @@ from talkmetrics.batch import (
     reliability_table,
     run_pipeline,
 )
-from talkmetrics.cli import EXIT_FATAL, EXIT_PARTIAL, main
+from talkmetrics.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, main
 from talkmetrics.transcript import Source, Transcript
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs the command line named by argv[2:] in a fresh interpreter whose
+# worker pools start by the method argv[1] names.
+START_METHOD_SCRIPT = """
+import multiprocessing, sys
+from talkmetrics.cli import main
+multiprocessing.set_start_method(sys.argv[1])
+sys.exit(main(sys.argv[2:]))
+"""
 
 
 def corpus_dir(tmp_path, n=3, seed=0, with_expert=True):
@@ -510,6 +525,31 @@ class TestRunPipeline:
         serial = run_pipeline(manifest, RunConfig(parallelism=1))
         parallel = run_pipeline(manifest, RunConfig(parallelism=2))
         assert serial.to_dict() == parallel.to_dict()
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_start_method_does_not_change_output(self, tmp_path, method):
+        # workers started from a fresh interpreter share nothing with the
+        # parent, so their bytes must come from the inputs alone
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        root = tmp_path / "data"
+        for i, linked in enumerate((True, False, True, False)):
+            syn.write_weather_recording(root, f"rec{i}", linked=linked)
+        serial = tmp_path / "serial"
+        assert main(["batch", "--root", str(root), "--out", str(serial)]) == EXIT_OK
+        pooled = tmp_path / method
+        argv = ["batch", "--root", str(root), "--out", str(pooled), "--workers", "2"]
+        path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        subprocess.run(
+            [sys.executable, "-c", START_METHOD_SCRIPT, method, *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+            timeout=120,
+        )
+        names = sorted(p.name for p in serial.iterdir())
+        assert sorted(p.name for p in pooled.iterdir()) == names
+        for name in names:
+            assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
 
     def test_no_more_workers_than_entries(self, tmp_path):
         # a fork-started pool launches all its workers at once

@@ -237,11 +237,34 @@ class TestFatalErrors:
         def aggregate(data):
             data["aggregate"]["machine"]["teacher"]["mlu_pooled"] = "fast"
 
+        def empty_config(data):
+            data["config"] = {}
+
+        def empty_align(data):
+            data["config"]["align"] = {}
+
+        def bogus_source(data):
+            data["aggregate"]["bogus"] = data["aggregate"]["machine"]
+
+        def no_machine_source(data):
+            del data["aggregate"]["machine"]
+
         cases = [
             (features, "features[0].n_utterances must be an integer: 'many'"),
             (config, "response_window must be a number: 'x'"),
             (corpus, "corpus['n_recordings'] must be a number: 'many'"),
             (aggregate, "aggregate['machine']['teacher']['mlu_pooled'] must be a number: 'fast'"),
+            (empty_config, "config is missing 'align'"),
+            (empty_align, "config['align'] is missing 'similarity_weight'"),
+            (
+                bogus_source,
+                "aggregate sources must be machine and, optionally, expert:"
+                " ['machine', 'expert', 'bogus']",
+            ),
+            (
+                no_machine_source,
+                "aggregate sources must be machine and, optionally, expert: ['expert']",
+            ),
         ]
         path = tmp_path / "odd.json"
         out = tmp_path / "out"
@@ -433,6 +456,50 @@ class TestFeaturesMatchBatch:
         assert len(results["features"]) == (6 if kind == "damaged" else 12)
 
 
+class TestPipelineVerbOutcomes:
+    """Each pipeline verb's exit code, stdout line and files, per format,
+    on a clean corpus and on one with an ingest and an expert failure."""
+
+    @pytest.mark.parametrize(
+        "kind, code, n_done, n_agreement, n_failed",
+        [("linked", EXIT_OK, 3, 3, 0), ("damaged", EXIT_PARTIAL, 2, 1, 2)],
+    )
+    def test_line_code_and_files(
+        self, tmp_path, capsys, kind, code, n_done, n_agreement, n_failed
+    ):
+        root = tmp_path / "data"
+        write_mixed_corpus(root, kind)
+        features = "wrote features for {n_done} recordings to {out}"
+        reliability = "wrote reliability for {n_agreement} recordings to {out}"
+        batch = "processed {n_done} recordings ({n_failed} failed), reports in {out}"
+        report = "wrote {n_files} files to {out}"
+        reliability_csv = ["icc.csv", "reliability_per_recording.csv"]
+        batch_csv = ["aggregate_features.csv", "features.csv", *reliability_csv, "results.json"]
+        expected = {
+            ("features", "csv"): (code, features, ["features.csv"]),
+            ("features", "json"): (code, features, ["features.json"]),
+            ("reliability", "csv"): (code, reliability, reliability_csv),
+            ("reliability", "json"): (code, reliability, ["reliability.json"]),
+            ("batch", "csv"): (code, batch, batch_csv),
+            ("batch", "json"): (code, batch, ["results.json"]),
+            ("report", "csv"): (EXIT_OK, report, batch_csv),
+            ("report", "json"): (EXIT_OK, report, ["results.json"]),
+        }
+        for (verb, fmt), (want_code, line, files) in expected.items():
+            source = ["--root", str(root)]
+            if verb == "report":
+                source = [str(tmp_path / "batch-json" / "results.json")]
+            out = tmp_path / f"{verb}-{fmt}"
+            got = main([verb, *source, "--out", str(out), "--format", fmt])
+            files = sorted(files + (["errors.json"] if n_failed else []))
+            line = line.format(
+                out=out, n_done=n_done, n_agreement=n_agreement, n_failed=n_failed,
+                n_files=len(files),
+            )
+            assert (got, capsys.readouterr().out) == (want_code, line + "\n"), (verb, fmt)
+            assert sorted(p.name for p in out.iterdir()) == files, (verb, fmt)
+
+
 class TestReliability:
     def test_csv_artifacts(self, weather_dir, tmp_path):
         out = tmp_path / "rel"
@@ -529,6 +596,29 @@ class TestBatch:
         assert code == EXIT_PARTIAL
         errors = json.loads((out / "errors.json").read_text())
         assert [(e["recording_id"], e["stage"]) for e in errors] == [("bad", "ingest")]
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("duration_minutes", "5", "duration_minutes must be a number: '5'"),
+            ("duration_minutes", True, "duration_minutes must be a number: True"),
+            ("wearer_role", None, "wearer_role must be a string: None"),
+            ("wearer_role", ["teacher"], "wearer_role must be a string: ['teacher']"),
+        ],
+    )
+    def test_mistyped_meta_value_is_partial(self, tmp_path, key, value, message):
+        # read as it is, never float()'d or str()'d: "5" is not five minutes
+        for recording_id in ("good", "bad"):
+            syn.write_weather_recording(tmp_path / "data", recording_id)
+        path = tmp_path / "data" / "bad.meta.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        out = tmp_path / "out"
+        code = main(["batch", "--root", str(tmp_path / "data"), "--out", str(out)])
+        assert code == EXIT_PARTIAL
+        errors = json.loads((out / "errors.json").read_text())
+        assert errors == [
+            {"recording_id": "bad", "stage": "ingest", "message": f"{path}: {message}"}
+        ]
 
     def test_duration_above_bound_is_partial(self, tmp_path):
         for recording_id in ("good", "long"):

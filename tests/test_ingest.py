@@ -254,7 +254,9 @@ class TestMeta:
             f" (0.016666666666666666 minutes), got {duration}"
         )
 
-    @pytest.mark.parametrize("key", ["recording_id", "classroom_id", "academic_year"])
+    @pytest.mark.parametrize(
+        "key", ["recording_id", "wearer_role", "classroom_id", "academic_year"]
+    )
     @pytest.mark.parametrize("value", [None, 2023, ["a"], {"a": [1]}, True])
     def test_text_field_must_be_a_string(self, tmp_path, key, value):
         # never str()'d: a null classroom must not load as classroom 'None'
@@ -264,6 +266,12 @@ class TestMeta:
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(MetaError, match=re.escape(f"{key} must be a string: {value!r}")):
             load_meta(path)
+
+    def test_wearer_role_folds_case_and_spaces(self, tmp_path):
+        path = syn.write_recording(tmp_path, "rec", [])[2]
+        data = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**data, "wearer_role": " Child\t"}), encoding="utf-8")
+        assert load_meta(path).wearer_role is SpeakerRole.CHILD
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "rec.meta.json"
