@@ -69,10 +69,8 @@ def time_iou(a: Utterance, b: Utterance) -> float:
     intersection = min(a.offset, b.offset) - max(a.onset, b.onset)
     if intersection <= 0.0:
         return 0.0
-    union = (a.offset - a.onset) + (b.offset - b.onset) - intersection
-    if union <= 0.0:
-        return 0.0
-    return intersection / union
+    # the union is at least the intersection: each length is, and rounding keeps order
+    return intersection / ((a.offset - a.onset) + (b.offset - b.onset) - intersection)
 
 
 def text_similarity(a: Utterance, b: Utterance) -> float:
@@ -84,8 +82,7 @@ def text_similarity(a: Utterance, b: Utterance) -> float:
     longest = max(a.word_count, b.word_count)
     if longest == 0:
         return 1.0
-    score = 1.0 - levenshtein(a.tokens, b.tokens) / longest
-    return max(score, 0.0)
+    return 1.0 - levenshtein(a.tokens, b.tokens) / longest
 
 
 def pair_score(machine: Utterance, expert: Utterance, config: AlignConfig) -> float:
@@ -391,13 +388,14 @@ def _pair_scores(
     e_on, e_off, e_len, e_words = expert
     low = np.where(e_on > m_on, e_on, m_on)
     intersection = np.where(e_off < m_off, e_off, m_off) - low
-    union = m_len + e_len - intersection
     longest = np.where(e_words > m_words, e_words, m_words)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a length sum past the float range is inf, as in Python, and silently so
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        union = m_len + e_len - intersection
         iou = intersection / union
         similarity = 1.0 - distances / longest
-    iou = np.where(intersection <= 0.0, 0.0, np.where(union <= 0.0, 0.0, iou))
-    similarity = np.where(longest == 0.0, 1.0, np.where(similarity < 0.0, 0.0, similarity))
+    iou = np.where(intersection <= 0.0, 0.0, iou)
+    similarity = np.where(longest == 0.0, 1.0, similarity)
     np.add(w_text * similarity, (1.0 - w_text) * iou, out=out)
 
 

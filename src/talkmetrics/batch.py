@@ -96,8 +96,8 @@ class EmptyCorpus(TalkmetricsError):
 
 
 class ManifestError(TalkmetricsError):
-    """The manifest is malformed (bad JSON, duplicate ids, missing or
-    mistyped keys)."""
+    """The manifest is malformed (bad JSON, duplicate ids, missing,
+    mistyped or unknown keys)."""
 
 
 class IoError(TalkmetricsError):
@@ -176,36 +176,34 @@ class RunConfig:
         return decode(cls, {**data, **{k: v for k, v in overrides.items() if v is not None}})
 
 
-def _entry_from_mapping(record: Mapping, base: Path) -> ManifestEntry:
-    for key in ("recording_id", "machine_path", "meta_path"):
-        if key not in record:
-            raise ManifestError(f"manifest entry is missing {key!r}: {record!r}")
-    recording_id = record["recording_id"]
-    # the id names the align audit file under --out, so it must be a plain
-    # file name that stays there
-    if not isinstance(recording_id, str) or recording_id in ("", ".", "..") or any(
-        c in recording_id for c in "/\\\0"
-    ):
-        raise ManifestError(
-            f"manifest entry recording_id must be a plain file name: {record!r}"
-        )
-    for key in ("machine_path", "meta_path", "expert_path"):
-        value = record.get(key)
-        if key == "expert_path" and value is None:
-            continue
-        if not isinstance(value, str) or not value:
-            raise ManifestError(f"manifest entry {key} must be a non-empty string: {record!r}")
-    expert = record.get("expert_path")
+@dataclass(frozen=True)
+class _ManifestRecord:
+    """One manifest entry as the file holds it: these keys and no others."""
 
-    def resolve(value: str) -> Path:
-        path = Path(value)
-        return path if path.is_absolute() else base / path
+    recording_id: str
+    machine_path: str
+    meta_path: str
+    expert_path: str | None = None
 
+
+def _entry_from_mapping(record: object, base: Path) -> ManifestEntry:
+    try:
+        raw = decode(_ManifestRecord, record)
+        # the id names the align audit file under --out, so it must be a plain
+        # file name that stays there
+        if raw.recording_id in ("", ".", "..") or any(c in raw.recording_id for c in "/\\\0"):
+            raise ValueError("recording_id must be a plain file name")
+        for key in ("machine_path", "meta_path", "expert_path"):
+            if getattr(raw, key) == "":  # it would name the manifest's directory
+                raise ValueError(f"{key} must not be empty")
+    except ValueError as exc:
+        raise ManifestError(f"manifest entry: {exc}: {record!r}") from None
+    # ``base / path`` is ``path`` itself when that is absolute
     return ManifestEntry(
-        recording_id=recording_id,
-        machine_path=resolve(record["machine_path"]),
-        meta_path=resolve(record["meta_path"]),
-        expert_path=None if expert is None else resolve(expert),
+        recording_id=raw.recording_id,
+        machine_path=base / raw.machine_path,
+        meta_path=base / raw.meta_path,
+        expert_path=None if raw.expert_path is None else base / raw.expert_path,
     )
 
 
@@ -229,11 +227,7 @@ def discover(
         records = data.get("entries") if isinstance(data, dict) else data
         if not isinstance(records, list):
             raise ManifestError(f"{manifest_path}: expected a list of entries")
-        base = manifest_path.parent
-        for record in records:
-            if not isinstance(record, Mapping):
-                raise ManifestError(f"{manifest_path}: entry is not an object: {record!r}")
-            entries.append(_entry_from_mapping(record, base))
+        entries = [_entry_from_mapping(record, manifest_path.parent) for record in records]
     elif root_dir is not None:
         root = Path(root_dir)
         if not root.is_dir():
@@ -470,6 +464,17 @@ class PipelineResult(Codec):
     errors: tuple[EntryError, ...]
 
 
+def _corpus(done: Sequence[RecordingOutcome], errors: Sequence[EntryError]) -> dict:
+    """The corpus counts of a run's recordings with features and its errors."""
+    return {
+        "n_recordings": len(done),
+        "n_failed": len({error.recording_id for error in errors}),
+        "hours": sequential_sum(outcome.duration_minutes / 60.0 for outcome in done),
+        "n_machine_utterances": sum(outcome.n_machine_utterances for outcome in done),
+        "n_expert_utterances": sum(outcome.n_expert_utterances for outcome in done),
+    }
+
+
 def run_pipeline(
     manifest: CorpusManifest, cfg: RunConfig, agreement: bool = True
 ) -> PipelineResult:
@@ -503,16 +508,9 @@ def run_pipeline(
                     feature_pairs.setdefault(key, []).append((value, expert_values[name]))
         for summary in outcome.features:
             pooled.setdefault(summary.source, []).append((summary, minutes))
-    corpus = {
-        "n_recordings": len(done),
-        "n_failed": len({error.recording_id for error in errors}),
-        "hours": sequential_sum(outcome.duration_minutes / 60.0 for outcome in done),
-        "n_machine_utterances": sum(outcome.n_machine_utterances for outcome in done),
-        "n_expert_utterances": sum(outcome.n_expert_utterances for outcome in done),
-    }
     return PipelineResult(
         config=cfg.semantic_dict(),
-        corpus=corpus,
+        corpus=_corpus(done, errors),
         features=tuple(summary for outcome in done for summary in outcome.features),
         reliability=build_report(rows, feature_pairs) if rows else None,
         aggregate={source: _pool_source(source_rows) for source, source_rows in pooled.items()},
@@ -610,13 +608,14 @@ def aggregate_table(aggregate: Mapping[str, dict]) -> list[list[object]]:
 def check_results(result: PipelineResult) -> None:
     """Raise ValueError unless ``result`` holds what a run writes: a
     ``config`` that ``RunConfig`` accepts and that names every analysis
-    parameter, and an ``aggregate`` of a ``machine`` source and,
-    optionally, an ``expert`` one, each holding every cell an empty pool
-    holds, as a number, or as null where the empty pool's is null."""
+    parameter, and a ``corpus`` and an ``aggregate`` (a ``machine`` source
+    and, optionally, an ``expert`` one) with exactly the keys of an empty
+    run's, each cell a number, or null where the empty run's is null."""
     RunConfig.from_mapping(result.config)
     # from_mapping typed every value (so any ``object`` passes below), but it
     # fills in the keys a config file may leave out and a results file may not
     _check_cells(result.config, RunConfig().semantic_dict(), "config", object)
+    _check_cells(result.corpus, _corpus((), ()), "corpus", float)
     sources = list(result.aggregate)
     if "machine" not in sources or set(sources) - {"machine", "expert"}:
         raise ValueError(f"aggregate sources must be machine and, optionally, expert: {sources}")
@@ -626,6 +625,9 @@ def check_results(result: PipelineResult) -> None:
 
 def _check_cells(cells: object, blank: Mapping, path: str, kind: type) -> None:
     decode(dict, cells, path)
+    for key in cells:
+        if key not in blank:
+            raise ValueError(f"{path} has an unknown key {key!r}")
     for key, empty in blank.items():
         if key not in cells:
             raise ValueError(f"{path} is missing {key!r}")

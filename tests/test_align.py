@@ -5,6 +5,7 @@ check the dynamic program finds the maximum-score one.
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,24 @@ class TestTextSimilarity:
         b = syn.utt(2, 0, 1, " ".join(wb))
         assert 0.0 <= text_similarity(a, b) <= 1.0
         assert text_similarity(a, b) == text_similarity(b, a)
+
+
+# the time range an utterance may take, its ends, and subnormals
+EXTREME_TIMES = st.floats(0.0, sys.float_info.max) | st.sampled_from(
+    [0.0, 5e-324, sys.float_info.min, 1.0, sys.float_info.max / 2, sys.float_info.max]
+)
+TEXTS = st.lists(st.sampled_from(["a", "b", "cc", "[laughs]", "?"]), max_size=70).map(" ".join)
+
+
+@settings(max_examples=300)
+@given(st.lists(EXTREME_TIMES, min_size=4, max_size=4), TEXTS, TEXTS)
+def test_scores_stay_in_unit_interval(times, text_a, text_b):
+    # no clamp keeps them there: an overlap's union is at least its
+    # intersection, and a word edit distance at most the longer word count
+    a = syn.utt(1, *sorted(times[:2]), text_a)
+    b = syn.utt(2, *sorted(times[2:]), text_b, source="expert")
+    assert 0.0 <= time_iou(a, b) <= 1.0
+    assert 0.0 <= text_similarity(a, b) <= 1.0
 
 
 # --- identifier alignment --------------------------------------------------

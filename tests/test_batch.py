@@ -236,6 +236,67 @@ class TestDiscover:
             assert main([verb, "--manifest", str(manifest_path), "--out", str(out)]) == EXIT_FATAL
             assert not out.exists()
 
+    def test_manifest_unknown_key_rejected(self, tmp_path, capsys):
+        # a misspelled expert_path must not read as "no expert table"
+        corpus_dir(tmp_path, n=1)
+        entry = {
+            "recording_id": "rec00",
+            "machine_path": "corpus/rec00.machine.jsonl",
+            "meta_path": "corpus/rec00.meta.json",
+            "expert_pth": "corpus/rec00.expert.tsv",
+        }
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps([entry]), encoding="utf-8")
+        with pytest.raises(ManifestError) as excinfo:
+            discover(manifest_path=manifest_path)
+        assert str(excinfo.value) == f"manifest entry: unknown key 'expert_pth': {entry!r}"
+        for verb in ("batch", "features", "align", "ingest-check"):
+            out = tmp_path / verb
+            code = main([verb, "--manifest", str(manifest_path), "--out", str(out)])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (EXIT_FATAL, "")
+            assert captured.err == f"talkmetrics: error: {excinfo.value}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("record", [3, "rec00", None, ["rec00"]])
+    def test_manifest_entry_not_an_object(self, tmp_path, record):
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps({"entries": [record]}), encoding="utf-8")
+        with pytest.raises(ManifestError, match="must be an object") as excinfo:
+            discover(manifest_path=manifest_path)
+        assert str(excinfo.value).endswith(f": {record!r}")
+
+    def test_manifest_absolute_paths_kept(self, tmp_path):
+        root = corpus_dir(tmp_path, n=1)
+        entry = {
+            "recording_id": "rec00",
+            "machine_path": str(root / "rec00.machine.jsonl"),
+            "meta_path": "corpus/rec00.meta.json",
+            "expert_path": str(root / "rec00.expert.tsv"),
+        }
+        manifest_path = tmp_path / "elsewhere" / "manifest.json"
+        manifest_path.parent.mkdir()
+        manifest_path.write_text(json.dumps([entry]), encoding="utf-8")
+        (found,) = discover(manifest_path=manifest_path).entries
+        assert found == ManifestEntry(
+            "rec00",
+            root / "rec00.machine.jsonl",
+            tmp_path / "elsewhere" / "corpus" / "rec00.meta.json",
+            root / "rec00.expert.tsv",
+        )
+
+    def test_manifest_missing_file(self, tmp_path):
+        with pytest.raises(MissingFile, match="^cannot read manifest: "):
+            discover(manifest_path=tmp_path / "gone.json")
+
+    @pytest.mark.parametrize("data", [{"entries": 3}, {"entry": []}, "entries", 7])
+    def test_manifest_without_entry_list(self, tmp_path, data):
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ManifestError) as excinfo:
+            discover(manifest_path=manifest_path)
+        assert str(excinfo.value) == f"{manifest_path}: expected a list of entries"
+
     def test_manifest_id_cannot_leave_out_dir(self, tmp_path, capsys):
         root = corpus_dir(tmp_path, n=1)
         entry = {

@@ -249,6 +249,15 @@ class TestFatalErrors:
         def no_machine_source(data):
             del data["aggregate"]["machine"]
 
+        def bogus_corpus(data):
+            data["corpus"] = {"bogus": 1}
+
+        def extra_pool_key(data):
+            data["aggregate"]["machine"]["bogus"] = 1
+
+        def extra_role_key(data):
+            data["aggregate"]["machine"]["teacher"]["bogus"] = 1
+
         cases = [
             (features, "features[0].n_utterances must be an integer: 'many'"),
             (config, "response_window must be a number: 'x'"),
@@ -265,6 +274,9 @@ class TestFatalErrors:
                 no_machine_source,
                 "aggregate sources must be machine and, optionally, expert: ['expert']",
             ),
+            (bogus_corpus, "corpus has an unknown key 'bogus'"),
+            (extra_pool_key, "aggregate['machine'] has an unknown key 'bogus'"),
+            (extra_role_key, "aggregate['machine']['teacher'] has an unknown key 'bogus'"),
         ]
         path = tmp_path / "odd.json"
         out = tmp_path / "out"
@@ -280,6 +292,16 @@ class TestFatalErrors:
                     f"talkmetrics: error: {path}: not a results file: {message}\n"
                 )
                 assert not out.exists()
+
+    def test_out_is_a_file(self, weather_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("kept", encoding="utf-8")
+        code = main(["batch", "--root", str(weather_dir), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_FATAL, "")
+        assert captured.err.startswith(f"talkmetrics: error: cannot write report to {out}: ")
+        assert captured.err.count("\n") == 1
+        assert out.read_text(encoding="utf-8") == "kept"
 
     def test_report_wrong_shape_inside(self, weather_dir, tmp_path, capsys):
         code = main(["batch", "--root", str(weather_dir), "--out", str(tmp_path / "a")])
@@ -620,6 +642,23 @@ class TestBatch:
             {"recording_id": "bad", "stage": "ingest", "message": f"{path}: {message}"}
         ]
 
+    def test_meta_not_an_object_is_partial(self, tmp_path):
+        for recording_id in ("good", "bad"):
+            syn.write_weather_recording(tmp_path / "data", recording_id)
+        path = tmp_path / "data" / "bad.meta.json"
+        path.write_text(json.dumps([json.loads(path.read_text())]))
+        out = tmp_path / "out"
+        code = main(["batch", "--root", str(tmp_path / "data"), "--out", str(out)])
+        assert code == EXIT_PARTIAL
+        errors = json.loads((out / "errors.json").read_text())
+        assert errors == [
+            {
+                "recording_id": "bad",
+                "stage": "ingest",
+                "message": f"{path}: metadata must be a JSON object",
+            }
+        ]
+
     def test_duration_above_bound_is_partial(self, tmp_path):
         for recording_id in ("good", "long"):
             syn.write_weather_recording(tmp_path / "data", recording_id)
@@ -670,6 +709,7 @@ class TestBatch:
         [
             (b"{", "invalid JSON"),
             (b"\xff{}", "invalid JSON"),
+            (b"\xef\xbb\xbf{}", "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
             (b"[]", "config must be a JSON object"),
             (b'{"response_windw": 4.0}', "unknown key 'response_windw'"),
             (b'{"align": {"gap": 0.1}}', "unknown key 'align.gap'"),
