@@ -186,7 +186,9 @@ class _ManifestRecord:
     expert_path: str | None = None
 
 
-def _entry_from_mapping(record: object, base: Path) -> ManifestEntry:
+def _entry_from_mapping(record: object, manifest_path: Path) -> ManifestEntry:
+    if not isinstance(record, dict):
+        raise ManifestError(f"{manifest_path}: manifest entry must be an object: {record!r}")
     try:
         raw = decode(_ManifestRecord, record)
         # the id names the align audit file under --out, so it must be a plain
@@ -197,8 +199,9 @@ def _entry_from_mapping(record: object, base: Path) -> ManifestEntry:
             if getattr(raw, key) == "":  # it would name the manifest's directory
                 raise ValueError(f"{key} must not be empty")
     except ValueError as exc:
-        raise ManifestError(f"manifest entry: {exc}: {record!r}") from None
+        raise ManifestError(f"{manifest_path}: manifest entry: {exc}: {record!r}") from None
     # ``base / path`` is ``path`` itself when that is absolute
+    base = manifest_path.parent
     return ManifestEntry(
         recording_id=raw.recording_id,
         machine_path=base / raw.machine_path,
@@ -227,7 +230,7 @@ def discover(
         records = data.get("entries") if isinstance(data, dict) else data
         if not isinstance(records, list):
             raise ManifestError(f"{manifest_path}: expected a list of entries")
-        entries = [_entry_from_mapping(record, manifest_path.parent) for record in records]
+        entries = [_entry_from_mapping(record, manifest_path) for record in records]
     elif root_dir is not None:
         root = Path(root_dir)
         if not root.is_dir():
@@ -610,20 +613,21 @@ def check_results(result: PipelineResult) -> None:
     ``config`` that ``RunConfig`` accepts and that names every analysis
     parameter, and a ``corpus`` and an ``aggregate`` (a ``machine`` source
     and, optionally, an ``expert`` one) with exactly the keys of an empty
-    run's, each cell a number, or null where the empty run's is null."""
+    run's, each count (``n_*``, ``total_words``) an integer and each other
+    cell a number, or null where the empty run's is null."""
     RunConfig.from_mapping(result.config)
-    # from_mapping typed every value (so any ``object`` passes below), but it
-    # fills in the keys a config file may leave out and a results file may not
-    _check_cells(result.config, RunConfig().semantic_dict(), "config", object)
-    _check_cells(result.corpus, _corpus((), ()), "corpus", float)
+    # from_mapping typed every value, but it fills in the keys a config file
+    # may leave out and a results file may not
+    _check_cells(result.config, RunConfig().semantic_dict(), "config", typed=False)
+    _check_cells(result.corpus, _corpus((), ()), "corpus")
     sources = list(result.aggregate)
     if "machine" not in sources or set(sources) - {"machine", "expert"}:
         raise ValueError(f"aggregate sources must be machine and, optionally, expert: {sources}")
     for source, pooled in result.aggregate.items():
-        _check_cells(pooled, _POOLED, f"aggregate[{source!r}]", float)
+        _check_cells(pooled, _POOLED, f"aggregate[{source!r}]")
 
 
-def _check_cells(cells: object, blank: Mapping, path: str, kind: type) -> None:
+def _check_cells(cells: object, blank: Mapping, path: str, typed: bool = True) -> None:
     decode(dict, cells, path)
     for key in cells:
         if key not in blank:
@@ -632,8 +636,9 @@ def _check_cells(cells: object, blank: Mapping, path: str, kind: type) -> None:
         if key not in cells:
             raise ValueError(f"{path} is missing {key!r}")
         if isinstance(empty, dict):
-            _check_cells(cells[key], empty, f"{path}[{key!r}]", kind)
-        else:
+            _check_cells(cells[key], empty, f"{path}[{key!r}]", typed)
+        elif typed:  # by name: an empty run's hours is the int 0
+            kind = int if key.startswith("n_") or key == "total_words" else float
             decode(kind if empty is not None else kind | None, cells[key], f"{path}[{key!r}]")
 
 

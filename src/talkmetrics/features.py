@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 from .codec import Codec
 from .errors import TalkmetricsError
-from .transcript import SpeakerRole, Transcript
+from .transcript import SpeakerRole, Transcript, is_question
 
 DEFAULT_RESPONSE_WINDOW = 2.5
 DEFAULT_LD_WINDOW = 60.0
@@ -154,8 +154,8 @@ def summarize(
     n_questions = n_non_questions = question_words = non_question_words = 0
     n_responded_questions = n_responded_non_questions = n_responses_given = 0
     columns = transcript.columns
-    for utt_id, onset, utt_role, tokens, question in zip(
-        columns.id, columns.onset, columns.role, columns.tokens, columns.question
+    for utt_id, onset, utt_role, tokens, raw_text in zip(
+        columns.id, columns.onset, columns.role, columns.tokens, columns.raw_text
     ):
         if utt_role is not role:
             continue
@@ -163,7 +163,7 @@ def summarize(
         if not tokens:
             continue
         windows.setdefault(slot, set()).update(tokens)
-        if question:
+        if is_question(raw_text):
             n_questions += 1
             question_words += len(tokens)
             n_responded_questions += utt_id in responded

@@ -164,8 +164,7 @@ def parse_machine(path: Path | str, meta: RecordingMeta) -> Transcript:
                     ) from None
             role = _parse_role(record["speaker"], path, line_no)
             rows.append(
-                (onset, offset, str(line_no), role, tokens_of(text), "?" in text, text,
-                 confidence, None)
+                (onset, offset, str(line_no), role, tokens_of(text), text, confidence, None)
             )
     rows.sort()  # ids are unique, so (onset, offset, id) decides every comparison
     return Transcript(meta, Columns.from_rows(rows), False, Source.MACHINE)
@@ -216,8 +215,7 @@ def parse_expert(path: Path | str, meta: RecordingMeta) -> Transcript:
             text = cells[text_at]
             role = _parse_role(cells[speaker_at], path, line_no)
             rows.append(
-                (onset, offset, f"e{line_no - 1}", role, tokens_of(text), "?" in text, text,
-                 None, linked_id)
+                (onset, offset, f"e{line_no - 1}", role, tokens_of(text), text, None, linked_id)
             )
     linked = bool(rows) and link_count / len(rows) >= LINKED_THRESHOLD
     rows.sort()  # ids are unique, so (onset, offset, id) decides every comparison
@@ -259,7 +257,7 @@ def validate(transcript: Transcript) -> list[ValidationWarning]:
     findings: list[ValidationWarning] = []
     limit = transcript.meta.duration_seconds + 1.0
     last_offset: dict[SpeakerRole, tuple[float, str]] = {}
-    for onset, offset, id, role, tokens, _, raw_text, _, _ in transcript.columns.rows():
+    for onset, offset, id, role, tokens, raw_text, _, _ in transcript.columns.rows():
         previous = last_offset.get(role)
         if previous is not None and onset < previous[0]:
             findings.append(

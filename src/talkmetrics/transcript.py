@@ -4,13 +4,14 @@ Everything downstream (parsing, alignment, features, reliability) works on
 the types defined here. Text handling is deliberately small and fixed so
 word counts are reproducible:
 
-* ``normalize`` lower-cases, strips annotation markers and punctuation
-  (keeping apostrophes inside words, so contractions stay one word), joins
-  hyphenated words, and collapses whitespace.
-* ``tokenize`` splits normalized text on spaces; a word count is always
-  ``len(tokenize(normalize(text)))``.
+* ``tokens_of`` is the normalization rule: it strips annotation markers
+  and punctuation, lower-cases (keeping apostrophes inside words, so
+  contractions stay one word) and joins hyphenated words; a word count is
+  always ``len(tokens_of(text))``. ``normalize`` joins those words by
+  single spaces, and ``tokenize`` splits them again.
 * ``is_question`` looks at the *raw* text, before normalization removes
   question marks. Any ``?`` anywhere in the utterance marks it a question.
+  ``features.summarize`` and ``Utterance.question`` both read it.
 * ``levenshtein`` is the word-level edit distance that alignment scores and
   word error rates share.
 
@@ -62,7 +63,6 @@ _PUNCTUATION = re.compile(r"[^\w\s']")
 # an apostrophe without a word character on one side: (?<!\w)'|'(?!\w),
 # written to start with the apostrophe so the search skips to each one
 _EDGE_APOSTROPHE = re.compile(r"'(?:(?<!\w')|(?!\w))")
-_WHITESPACE = re.compile(r"\s+")
 
 # The ASCII form of the lower-case, apostrophe and punctuation steps, as a
 # byte table: word characters are kept (letters lower-cased), a backtick
@@ -85,7 +85,7 @@ def _strip_annotations(raw_text: str) -> str:
 
 def _ascii_words(text: str) -> list[str]:
     """The normalized words of ASCII ``text`` whose annotations are already
-    stripped: the regex chain of ``normalize``, with one byte-table
+    stripped: the regex chain of ``tokens_of``, with one byte-table
     translate doing its context-free steps."""
     if "-" in text:
         text = _HYPHEN_JOIN.sub("", text)
@@ -95,35 +95,29 @@ def _ascii_words(text: str) -> list[str]:
     return text.split()
 
 
-def _normalize_stripped(text: str) -> str:
+def normalize(raw_text: str) -> str:
+    """The words of ``tokens_of(raw_text)``, joined by single spaces. Total
+    function: any input string is accepted."""
+    return " ".join(tokens_of(raw_text))
+
+
+def tokens_of(raw_text: str) -> tuple[str, ...]:
+    """The normalized words of raw utterance text: the one normalization rule.
+
+    Removes annotation markers, lower-cases, removes punctuation, keeps
+    apostrophes internal to a word ("it's" stays one word), joins
+    hyphenated words ("well-known" -> "wellknown") and keeps numerals
+    verbatim. Total function: any input string is accepted.
+    """
+    text = _strip_annotations(raw_text)
     if text.isascii():
-        return " ".join(_ascii_words(text))
+        return tuple(_ascii_words(text))
     text = text.lower()
     text = _CURLY_APOSTROPHES.sub("'", text)
     text = _HYPHEN_JOIN.sub("", text)
     text = _PUNCTUATION.sub(" ", text)
     text = _EDGE_APOSTROPHE.sub(" ", text)
-    return _WHITESPACE.sub(" ", text).strip()
-
-
-def normalize(raw_text: str) -> str:
-    """Normalize raw utterance text for tokenization.
-
-    Lower-cases, removes annotation markers and punctuation, keeps
-    apostrophes internal to a word ("it's" stays one word), joins hyphenated
-    words ("well-known" -> "wellknown"), keeps numerals verbatim, and
-    collapses whitespace. Total function: any input string is accepted.
-    """
-    return _normalize_stripped(_strip_annotations(raw_text))
-
-
-def tokens_of(raw_text: str) -> tuple[str, ...]:
-    """``tuple(tokenize(normalize(raw_text)))``, without joining ASCII words
-    only to split them again."""
-    text = _strip_annotations(raw_text)
-    if text.isascii():
-        return tuple(_ascii_words(text))
-    return tuple(_normalize_stripped(text).split())
+    return tuple(text.split())
 
 
 def tokenize(normalized_text: str) -> list[str]:
@@ -134,7 +128,7 @@ def tokenize(normalized_text: str) -> list[str]:
 def is_question(raw_text: str) -> bool:
     """True iff the raw (pre-normalization) text contains a '?' anywhere.
 
-    Checked before normalization because normalize() removes the marks.
+    Checked before normalization because tokens_of() removes the marks.
     """
     return "?" in raw_text
 
@@ -175,7 +169,7 @@ class Utterance:
     """One timestamped, speaker-labeled, tokenized segment of speech.
 
     ``tokens`` is derived from ``raw_text`` at construction and is always
-    ``tokenize(normalize(raw_text))``; the utterances a transcript builds
+    ``tokens_of(raw_text)``; the utterances a transcript builds
     take it from the transcript's columns instead of normalizing again.
     ``confidence`` and ``linked_id`` are carried through from the source
     file when present (machine confidence, expert link to a machine segment
@@ -250,22 +244,20 @@ class RecordingMeta:
 
 
 # One utterance's entry in every column, in the field order of ``Columns``.
-Row = tuple[float, float, str, SpeakerRole, tuple[str, ...], bool, str, float | None, str | None]
+Row = tuple[float, float, str, SpeakerRole, tuple[str, ...], str, float | None, str | None]
 
 
 @dataclass(frozen=True)
 class Columns:
     """A transcript's utterances as parallel tuples: entry ``i`` of every
     field belongs to the ``i``-th utterance in (onset, offset, id) order.
-    ``tokens`` holds each utterance's normalized words and ``question``
-    whether its raw text holds a '?'."""
+    ``tokens`` holds each utterance's normalized words."""
 
     onset: tuple[float, ...]
     offset: tuple[float, ...]
     id: tuple[str, ...]
     role: tuple[SpeakerRole, ...]
     tokens: tuple[tuple[str, ...], ...]
-    question: tuple[bool, ...]
     raw_text: tuple[str, ...]
     confidence: tuple[float | None, ...]
     linked_id: tuple[str | None, ...]
@@ -284,9 +276,8 @@ class Columns:
 
 
 def _utterance(row: Row, source: Source) -> Utterance:
-    """The utterance of one row, taking the row's tokens (the ``question``
-    entry is the utterance's property, read from its raw text)."""
-    onset, offset, id, role, tokens, _, raw_text, confidence, linked_id = row
+    """The utterance of one row, taking the row's tokens."""
+    onset, offset, id, role, tokens, raw_text, confidence, linked_id = row
     utt = object.__new__(Utterance)
     set_field = object.__setattr__
     set_field(utt, "id", id)
@@ -332,14 +323,11 @@ class Transcript:
         ordered = sorted(utterances, key=lambda u: (u.onset, u.offset, u.id))
         if source is None:
             source = ordered[0].source if ordered else Source.MACHINE
-        columns = Columns.from_rows(
-            [
-                (u.onset, u.offset, u.id, u.role, u.tokens, u.question, u.raw_text,
-                 u.confidence, u.linked_id)
-                for u in ordered
-            ]
-        )
-        return cls(meta, columns, linked, source)
+        rows = [
+            (u.onset, u.offset, u.id, u.role, u.tokens, u.raw_text, u.confidence, u.linked_id)
+            for u in ordered
+        ]
+        return cls(meta, Columns.from_rows(rows), linked, source)
 
     @property
     def utterances(self) -> tuple[Utterance, ...]:

@@ -249,7 +249,9 @@ class TestDiscover:
         manifest_path.write_text(json.dumps([entry]), encoding="utf-8")
         with pytest.raises(ManifestError) as excinfo:
             discover(manifest_path=manifest_path)
-        assert str(excinfo.value) == f"manifest entry: unknown key 'expert_pth': {entry!r}"
+        assert str(excinfo.value) == (
+            f"{manifest_path}: manifest entry: unknown key 'expert_pth': {entry!r}"
+        )
         for verb in ("batch", "features", "align", "ingest-check"):
             out = tmp_path / verb
             code = main([verb, "--manifest", str(manifest_path), "--out", str(out)])
@@ -262,9 +264,10 @@ class TestDiscover:
     def test_manifest_entry_not_an_object(self, tmp_path, record):
         manifest_path = tmp_path / "manifest.json"
         manifest_path.write_text(json.dumps({"entries": [record]}), encoding="utf-8")
-        with pytest.raises(ManifestError, match="must be an object") as excinfo:
+        with pytest.raises(ManifestError) as excinfo:
             discover(manifest_path=manifest_path)
-        assert str(excinfo.value).endswith(f": {record!r}")
+        # the manifest named, and the entry shown once
+        assert str(excinfo.value) == f"{manifest_path}: manifest entry must be an object: {record!r}"
 
     def test_manifest_absolute_paths_kept(self, tmp_path):
         root = corpus_dir(tmp_path, n=1)
@@ -284,6 +287,10 @@ class TestDiscover:
             tmp_path / "elsewhere" / "corpus" / "rec00.meta.json",
             root / "rec00.expert.tsv",
         )
+
+    def test_needs_a_root_or_a_manifest(self):
+        with pytest.raises(ValueError, match="^discover needs a root_dir or a manifest_path$"):
+            discover()
 
     def test_manifest_missing_file(self, tmp_path):
         with pytest.raises(MissingFile, match="^cannot read manifest: "):
@@ -415,6 +422,10 @@ class TestRunConfig:
 
 
 class TestRunPipeline:
+    def test_empty_manifest_rejected(self):
+        with pytest.raises(EmptyCorpus, match="^manifest has no entries$"):
+            run_pipeline(CorpusManifest(()), RunConfig())
+
     def test_weather_fixture_end_to_end(self, tmp_path):
         syn.write_weather_recording(tmp_path)
         manifest = discover(root_dir=tmp_path)

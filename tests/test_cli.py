@@ -258,6 +258,12 @@ class TestFatalErrors:
         def extra_role_key(data):
             data["aggregate"]["machine"]["teacher"]["bogus"] = 1
 
+        def fractional_corpus_count(data):
+            data["corpus"]["n_recordings"] = 2.5
+
+        def fractional_pool_count(data):
+            data["aggregate"]["machine"]["teacher"]["n_utterances"] = 3.5
+
         cases = [
             (features, "features[0].n_utterances must be an integer: 'many'"),
             (config, "response_window must be a number: 'x'"),
@@ -277,6 +283,11 @@ class TestFatalErrors:
             (bogus_corpus, "corpus has an unknown key 'bogus'"),
             (extra_pool_key, "aggregate['machine'] has an unknown key 'bogus'"),
             (extra_role_key, "aggregate['machine']['teacher'] has an unknown key 'bogus'"),
+            (fractional_corpus_count, "corpus['n_recordings'] must be an integer: 2.5"),
+            (
+                fractional_pool_count,
+                "aggregate['machine']['teacher']['n_utterances'] must be an integer: 3.5",
+            ),
         ]
         path = tmp_path / "odd.json"
         out = tmp_path / "out"

@@ -32,6 +32,9 @@ TEXTS = (
     "well-known café, ok",
     "Straße İstanbul?",
     "one two three four five",
+    # the only '?' sits in an annotation: a question with words, and one without
+    "okay [what?]",
+    "?",
 )
 ROLES = ("teacher", "child", "other")
 

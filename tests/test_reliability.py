@@ -342,6 +342,11 @@ class TestConfusionMetrics:
         with pytest.raises(ValueError):
             ConfusionMatrix(counts=((-1, 0), (0, 0)))
 
+    @pytest.mark.parametrize("counts", [((1, 2),), ((1, 2), (3,)), ((1, 2), (3, 4), (5, 6))])
+    def test_non_square_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="^counts must be 2x2$"):
+            ConfusionMatrix(counts=counts)
+
     @given(
         st.tuples(
             st.tuples(st.integers(0, 50), st.integers(0, 50)),
