@@ -394,60 +394,89 @@ def process_recordings(
         yield from pool.map(_process_entry, entries, repeat(cfg), repeat(stages), chunksize=chunk)
 
 
-_POOLED_COUNTS = (
-    "n_utterances",
-    "n_questions",
-    "n_non_questions",
-    "n_responded_questions",
-    "n_responded_non_questions",
-    "n_responses_given",
-)
+@dataclass(frozen=True)
+class PooledRole(Codec):
+    """One role's feature rows of one source, pooled over the corpus: counts
+    summed, rates over the summed counts, and two means of the recordings'
+    own values. A rate or mean with nothing to divide by is None."""
+
+    n_recordings: int
+    n_utterances: int
+    n_questions: int
+    n_non_questions: int
+    n_responded_questions: int
+    n_responded_non_questions: int
+    n_responses_given: int
+    total_words: int
+    mlu_pooled: float | None
+    words_per_minute_pooled: float | None
+    prop_responded_questions_pooled: float | None
+    prop_responded_non_questions_pooled: float | None
+    pct_questions_pooled: float | None
+    pct_questions_mean: float | None
+    mean_lexical_diversity_per_minute: float | None
 
 
-def _pool_source(rows: Sequence[tuple[FeatureSummary, float]]) -> dict:
-    """Pool one source's per-recording feature rows into corpus-level features.
+@dataclass(frozen=True)
+class PooledSource(Codec):
+    """One source's pooled features: each role's, then the one across roles."""
 
-    Each row comes with its recording's minutes.
-    """
-    pooled: dict = {}
-    for role in iter_roles():
-        mine = [row for row in rows if row[0].role is role]
-        counts = {key: sum(getattr(s, key) for s, _ in mine) for key in _POOLED_COUNTS}
-        counts["total_words"] = sum(
-            round(s.mlu_overall * s.n_utterances) if s.n_utterances else 0 for s, _ in mine
-        )
-        minutes = sequential_sum(row_minutes for _, row_minutes in mine)
-        pct_values = [s.pct_questions for s, _ in mine if s.pct_questions is not None]
-        ld_values = [s.lexical_diversity_per_minute for s, _ in mine]
-        pooled[role.value] = {
-            "n_recordings": len(mine),
-            **counts,
-            "mlu_pooled": (
-                counts["total_words"] / counts["n_utterances"]
-                if counts["n_utterances"]
-                else None
-            ),
-            "words_per_minute_pooled": counts["total_words"] / minutes if minutes else None,
-            "prop_responded_questions_pooled": response_proportion(
-                counts["n_responded_questions"], counts["n_questions"]
-            ),
-            "prop_responded_non_questions_pooled": response_proportion(
-                counts["n_responded_non_questions"], counts["n_non_questions"]
-            ),
-            "pct_questions_pooled": response_proportion(
-                counts["n_questions"], counts["n_utterances"]
-            ),
-            "pct_questions_mean": (
-                sequential_sum(pct_values) / len(pct_values) if pct_values else None
-            ),
-            "mean_lexical_diversity_per_minute": (
-                sequential_sum(ld_values) / len(ld_values) if ld_values else None
-            ),
-        }
-    teacher_n = pooled[SpeakerRole.TEACHER.value]["n_utterances"]
-    child_n = pooled[SpeakerRole.CHILD.value]["n_utterances"]
-    pooled["teacher_child_utterance_ratio"] = teacher_n / child_n if child_n else None
-    return pooled
+    teacher: PooledRole
+    child: PooledRole
+    teacher_child_utterance_ratio: float | None
+
+
+def _pool_role(rows: Sequence[tuple[FeatureSummary, float]], role: SpeakerRole) -> PooledRole:
+    """Pool one role's feature rows, each with its recording's minutes."""
+    mine = [row for row in rows if row[0].role is role]
+    n_utterances = sum(s.n_utterances for s, _ in mine)
+    n_questions = sum(s.n_questions for s, _ in mine)
+    n_non_questions = sum(s.n_non_questions for s, _ in mine)
+    responded = sum(s.n_responded_questions for s, _ in mine)
+    responded_non = sum(s.n_responded_non_questions for s, _ in mine)
+    words = sum(round(s.mlu_overall * s.n_utterances) if s.n_utterances else 0 for s, _ in mine)
+    minutes = sequential_sum(row_minutes for _, row_minutes in mine)
+    pct_values = [s.pct_questions for s, _ in mine if s.pct_questions is not None]
+    ld_values = [s.lexical_diversity_per_minute for s, _ in mine]
+    return PooledRole(
+        n_recordings=len(mine),
+        n_utterances=n_utterances,
+        n_questions=n_questions,
+        n_non_questions=n_non_questions,
+        n_responded_questions=responded,
+        n_responded_non_questions=responded_non,
+        n_responses_given=sum(s.n_responses_given for s, _ in mine),
+        total_words=words,
+        mlu_pooled=words / n_utterances if n_utterances else None,
+        words_per_minute_pooled=words / minutes if minutes else None,
+        prop_responded_questions_pooled=response_proportion(responded, n_questions),
+        prop_responded_non_questions_pooled=response_proportion(responded_non, n_non_questions),
+        pct_questions_pooled=response_proportion(n_questions, n_utterances),
+        pct_questions_mean=sequential_sum(pct_values) / len(pct_values) if pct_values else None,
+        mean_lexical_diversity_per_minute=(
+            sequential_sum(ld_values) / len(ld_values) if ld_values else None
+        ),
+    )
+
+
+def _pool_source(rows: Sequence[tuple[FeatureSummary, float]]) -> PooledSource:
+    """Pool one source's per-recording feature rows into corpus-level features."""
+    teacher = _pool_role(rows, SpeakerRole.TEACHER)
+    child = _pool_role(rows, SpeakerRole.CHILD)
+    ratio = teacher.n_utterances / child.n_utterances if child.n_utterances else None
+    return PooledSource(teacher, child, ratio)
+
+
+@dataclass(frozen=True)
+class CorpusCounts(Codec):
+    """What a run processed: the recordings with features, the recordings
+    that failed, their hours, and their utterances."""
+
+    n_recordings: int
+    n_failed: int
+    hours: float
+    n_machine_utterances: int
+    n_expert_utterances: int
 
 
 @dataclass(frozen=True)
@@ -460,22 +489,11 @@ class PipelineResult(Codec):
     """
 
     config: dict
-    corpus: dict[str, float]
+    corpus: CorpusCounts
     features: tuple[FeatureSummary, ...]
     reliability: ReliabilityReport | None
-    aggregate: dict
+    aggregate: dict[str, PooledSource]
     errors: tuple[EntryError, ...]
-
-
-def _corpus(done: Sequence[RecordingOutcome], errors: Sequence[EntryError]) -> dict:
-    """The corpus counts of a run's recordings with features and its errors."""
-    return {
-        "n_recordings": len(done),
-        "n_failed": len({error.recording_id for error in errors}),
-        "hours": sequential_sum(outcome.duration_minutes / 60.0 for outcome in done),
-        "n_machine_utterances": sum(outcome.n_machine_utterances for outcome in done),
-        "n_expert_utterances": sum(outcome.n_expert_utterances for outcome in done),
-    }
 
 
 def run_pipeline(
@@ -513,7 +531,13 @@ def run_pipeline(
             pooled.setdefault(summary.source, []).append((summary, minutes))
     return PipelineResult(
         config=cfg.semantic_dict(),
-        corpus=_corpus(done, errors),
+        corpus=CorpusCounts(
+            n_recordings=len(done),
+            n_failed=len({error.recording_id for error in errors}),
+            hours=sequential_sum(outcome.duration_minutes / 60.0 for outcome in done),
+            n_machine_utterances=sum(outcome.n_machine_utterances for outcome in done),
+            n_expert_utterances=sum(outcome.n_expert_utterances for outcome in done),
+        ),
         features=tuple(summary for outcome in done for summary in outcome.features),
         reliability=build_report(rows, feature_pairs) if rows else None,
         aggregate={source: _pool_source(source_rows) for source, source_rows in pooled.items()},
@@ -551,21 +575,14 @@ def write_json(path: Path, data: object) -> Path:
 
 RELIABILITY_COLUMNS = ("recording_id", "duration_minutes", *(f.name for f in fields(MetricSet)))
 
-# _pool_source names the pooled keys: each role's, then the one across roles
-_POOLED = _pool_source(())
 AGGREGATE_COLUMNS = (
     "source",
     "role",
-    *_POOLED[SpeakerRole.TEACHER.value],
-    *(key for key in _POOLED if key not in {role.value for role in iter_roles()}),
+    *(f.name for f in fields(PooledRole)),
+    "teacher_child_utterance_ratio",
 )
 
 ICC_COLUMNS = ("feature", "icc", "n_used", "n_dropped", "zero_variance")
-
-
-def feature_table(features: Iterable[FeatureSummary]) -> Iterator[list[object]]:
-    """One row per (recording, source, role), in ``FEATURE_COLUMNS`` order."""
-    return map(field_values, features)
 
 
 def reliability_table(report: ReliabilityReport | None) -> list[list[object]]:
@@ -591,55 +608,35 @@ def icc_table(report: ReliabilityReport | None) -> list[list[object]]:
     return [[name, *field_values(entry)] for name, entry in report.iccs.items()]
 
 
-def aggregate_table(aggregate: Mapping[str, dict]) -> list[list[object]]:
-    """One row per pooled (source, role)."""
-    rows: list[list[object]] = []
-    for source in ("machine", "expert"):
-        pooled = aggregate.get(source)
-        if pooled is None:
-            continue
-        for role in iter_roles():
-            stats = pooled[role.value]
-            rows.append(
-                [source, role.value]
-                + [stats[col] for col in AGGREGATE_COLUMNS[2:-1]]
-                + [pooled[AGGREGATE_COLUMNS[-1]]]
-            )
-    return rows
+def aggregate_table(aggregate: Mapping[str, PooledSource]) -> list[list[object]]:
+    """One row per pooled (source, role), sources in the aggregate's order."""
+    return [
+        [source, role, *field_values(stats), pooled.teacher_child_utterance_ratio]
+        for source, pooled in aggregate.items()
+        for role, stats in (("teacher", pooled.teacher), ("child", pooled.child))
+    ]
 
 
 def check_results(result: PipelineResult) -> None:
-    """Raise ValueError unless ``result`` holds what a run writes: a
-    ``config`` that ``RunConfig`` accepts and that names every analysis
-    parameter, and a ``corpus`` and an ``aggregate`` (a ``machine`` source
-    and, optionally, an ``expert`` one) with exactly the keys of an empty
-    run's, each count (``n_*``, ``total_words``) an integer and each other
-    cell a number, or null where the empty run's is null."""
+    """Raise ValueError unless ``result``, whose cells ``decode`` typed, holds
+    what a run writes: a ``config`` that ``RunConfig`` accepts and that names
+    every analysis parameter, and an ``aggregate`` of a ``machine`` source
+    and, optionally, an ``expert`` one after it."""
     RunConfig.from_mapping(result.config)
-    # from_mapping typed every value, but it fills in the keys a config file
-    # may leave out and a results file may not
-    _check_cells(result.config, RunConfig().semantic_dict(), "config", typed=False)
-    _check_cells(result.corpus, _corpus((), ()), "corpus")
+    # from_mapping typed every value and refused unknown keys, but it fills in
+    # the keys a config file may leave out and a results file may not
+    _check_present(result.config, RunConfig().semantic_dict(), "config")
     sources = list(result.aggregate)
-    if "machine" not in sources or set(sources) - {"machine", "expert"}:
+    if sources not in (["machine"], ["machine", "expert"]):
         raise ValueError(f"aggregate sources must be machine and, optionally, expert: {sources}")
-    for source, pooled in result.aggregate.items():
-        _check_cells(pooled, _POOLED, f"aggregate[{source!r}]")
 
 
-def _check_cells(cells: object, blank: Mapping, path: str, typed: bool = True) -> None:
-    decode(dict, cells, path)
-    for key in cells:
-        if key not in blank:
-            raise ValueError(f"{path} has an unknown key {key!r}")
+def _check_present(cells: Mapping, blank: Mapping, path: str) -> None:
     for key, empty in blank.items():
         if key not in cells:
             raise ValueError(f"{path} is missing {key!r}")
         if isinstance(empty, dict):
-            _check_cells(cells[key], empty, f"{path}[{key!r}]", typed)
-        elif typed:  # by name: an empty run's hours is the int 0
-            kind = int if key.startswith("n_") or key == "total_words" else float
-            decode(kind if empty is not None else kind | None, cells[key], f"{path}[{key!r}]")
+            _check_present(cells[key], empty, f"{path}[{key!r}]")
 
 
 # Every report file, and how it is written from a result
@@ -649,7 +646,7 @@ _REPORT_FILES: dict[str, Callable[[Path, PipelineResult], Path]] = {
     "reliability.json": lambda path, result: write_json(path, {"reliability": result.reliability}),
     "errors.json": lambda path, result: write_json(path, result.errors),
     "features.csv": lambda path, result: _write_csv(
-        path, FEATURE_COLUMNS, feature_table(result.features)
+        path, FEATURE_COLUMNS, map(field_values, result.features)
     ),
     "reliability_per_recording.csv": lambda path, result: _write_csv(
         path, RELIABILITY_COLUMNS, reliability_table(result.reliability)

@@ -226,7 +226,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             write_report(result, args.out, ())
             print(
                 "talkmetrics: no recording yielded agreement statistics;"
-                f" {result.corpus['n_failed']} recordings failed, see errors.json",
+                f" {result.corpus.n_failed} recordings failed, see errors.json",
                 file=sys.stderr,
             )
         else:
@@ -234,7 +234,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return EXIT_FATAL
     write_report(result, args.out, VERB_REPORTS[args.verb][args.format])
     n_agreement = len(result.reliability.rows) if result.reliability else 0
-    print(line.format(**result.corpus, n_agreement=n_agreement, out=args.out))
+    print(line.format(**asdict(result.corpus), n_agreement=n_agreement, out=args.out))
     return EXIT_PARTIAL if result.errors else EXIT_OK
 
 

@@ -150,18 +150,21 @@ def parse_machine(path: Path | str, meta: RecordingMeta) -> Transcript:
             text = record["text"]
             if not isinstance(text, str):
                 raise MalformedRecord(path, line_no, f"text is not a string: {text!r}")
-            confidence = record.get("confidence")
-            if confidence is not None and type(confidence) is not float:
+            # negative values stay: Whisper's confidence is a mean log-probability
+            confidence = value = record.get("confidence")
+            if value is not None and type(value) is not float:
                 try:
-                    confidence = float(confidence)
+                    confidence = float(value)
                 except (TypeError, ValueError):
                     raise MalformedRecord(
-                        path, line_no, f"confidence is not a number: {confidence!r}"
+                        path, line_no, f"confidence is not a number: {value!r}"
                     ) from None
                 except OverflowError:
                     raise MalformedRecord(
-                        path, line_no, f"confidence is out of range: {confidence!r}"
+                        path, line_no, f"confidence is out of range: {value!r}"
                     ) from None
+            if value is not None and not -_INF < confidence < _INF:
+                raise MalformedRecord(path, line_no, f"confidence is not finite: {value!r}")
             role = _parse_role(record["speaker"], path, line_no)
             rows.append(
                 (onset, offset, str(line_no), role, tokens_of(text), text, confidence, None)

@@ -97,7 +97,7 @@ def test_criterion_02_pooled_proportions_and_ratio(tmp_path):
             tmp_path, f"rec{index}", rows, duration_minutes=clock / 60.0 + 1.0
         )
     result = run_pipeline(discover(root_dir=tmp_path), RunConfig())
-    ratio = result.aggregate["machine"]["teacher_child_utterance_ratio"]
+    ratio = result.aggregate["machine"].teacher_child_utterance_ratio
     assert ratio == pytest.approx(1.57, abs=0.005)
     print("ACCEPTANCE 2 PASS: pooled proportions and utterance ratio")
 

@@ -430,10 +430,10 @@ class TestRunPipeline:
         syn.write_weather_recording(tmp_path)
         manifest = discover(root_dir=tmp_path)
         result = run_pipeline(manifest, RunConfig())
-        assert result.corpus["n_recordings"] == 1
-        assert result.corpus["n_failed"] == 0
-        assert result.corpus["n_machine_utterances"] == 10
-        assert result.corpus["n_expert_utterances"] == 10
+        assert result.corpus.n_recordings == 1
+        assert result.corpus.n_failed == 0
+        assert result.corpus.n_machine_utterances == 10
+        assert result.corpus.n_expert_utterances == 10
         # two roles for each of machine and expert
         assert len(result.features) == 4
         assert result.reliability is not None
@@ -451,8 +451,8 @@ class TestRunPipeline:
         root = corpus_dir(tmp_path, n=3)
         (root / "rec01.machine.jsonl").write_text("{broken\n", encoding="utf-8")
         result = run_pipeline(discover(root_dir=root), RunConfig())
-        assert result.corpus["n_recordings"] == 2
-        assert result.corpus["n_failed"] == 1
+        assert result.corpus.n_recordings == 2
+        assert result.corpus.n_failed == 1
         assert [e.recording_id for e in result.errors] == ["rec01"]
         assert result.errors[0].stage == "ingest"
         survivor_ids = {s.recording_id for s in result.features}
@@ -476,7 +476,7 @@ class TestRunPipeline:
         (root / "rec00.expert.tsv").write_text("bad header\n", encoding="utf-8")
         result = run_pipeline(discover(root_dir=root), RunConfig())
         assert [e.stage for e in result.errors] == ["expert"]
-        assert result.corpus["n_recordings"] == 1
+        assert result.corpus.n_recordings == 1
         assert len(result.features) == 2  # machine side only
         assert result.reliability is None
 
@@ -493,6 +493,8 @@ class TestRunPipeline:
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_without_agreement_never_aligns(self, tmp_path, monkeypatch, parallelism):
         # forked workers inherit the patched module, so the pool path is checked too
+        if parallelism > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("only forked workers inherit the monkeypatch; others check nothing")
         root = corpus_dir(tmp_path, n=3, seed=3)
         (root / "rec01.expert.tsv").write_text("bad header\n", encoding="utf-8")
         manifest = discover(root_dir=root)
@@ -545,7 +547,7 @@ class TestRunPipeline:
         assert result.features == expected.features
         assert result.reliability == expected.reliability
         assert result.aggregate == expected.aggregate
-        assert result.corpus == {**expected.corpus, "n_failed": 1}
+        assert result.corpus == replace(expected.corpus, n_failed=1)
 
     def test_sub_second_duration_fails_its_recording_on_read(self, tmp_path):
         # every per-minute rate over 1e-320 minutes would be infinite
@@ -655,7 +657,7 @@ class TestRunPipeline:
         rows = sorted(rows_teacher + rows_child, key=lambda r: r["start"])
         syn.write_recording(tmp_path, "ratio", rows, duration_minutes=1.0)
         result = run_pipeline(discover(root_dir=tmp_path), RunConfig())
-        assert result.aggregate["machine"]["teacher_child_utterance_ratio"] == 2.0
+        assert result.aggregate["machine"].teacher_child_utterance_ratio == 2.0
 
 
 class TestEmitReport:

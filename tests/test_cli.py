@@ -249,8 +249,14 @@ class TestFatalErrors:
         def no_machine_source(data):
             del data["aggregate"]["machine"]
 
+        def expert_source_first(data):
+            data["aggregate"] = dict(reversed(data["aggregate"].items()))
+
         def bogus_corpus(data):
             data["corpus"] = {"bogus": 1}
+
+        def extra_corpus_key(data):
+            data["corpus"]["bogus"] = 1
 
         def extra_pool_key(data):
             data["aggregate"]["machine"]["bogus"] = 1
@@ -264,11 +270,17 @@ class TestFatalErrors:
         def fractional_pool_count(data):
             data["aggregate"]["machine"]["teacher"]["n_utterances"] = 3.5
 
+        def null_hours(data):
+            data["corpus"]["hours"] = None
+
+        def null_pool_count(data):
+            data["aggregate"]["machine"]["child"]["total_words"] = None
+
         cases = [
             (features, "features[0].n_utterances must be an integer: 'many'"),
             (config, "response_window must be a number: 'x'"),
-            (corpus, "corpus['n_recordings'] must be a number: 'many'"),
-            (aggregate, "aggregate['machine']['teacher']['mlu_pooled'] must be a number: 'fast'"),
+            (corpus, "corpus.n_recordings must be an integer: 'many'"),
+            (aggregate, "aggregate['machine'].teacher.mlu_pooled must be a number: 'fast'"),
             (empty_config, "config is missing 'align'"),
             (empty_align, "config['align'] is missing 'similarity_weight'"),
             (
@@ -280,14 +292,21 @@ class TestFatalErrors:
                 no_machine_source,
                 "aggregate sources must be machine and, optionally, expert: ['expert']",
             ),
-            (bogus_corpus, "corpus has an unknown key 'bogus'"),
-            (extra_pool_key, "aggregate['machine'] has an unknown key 'bogus'"),
-            (extra_role_key, "aggregate['machine']['teacher'] has an unknown key 'bogus'"),
-            (fractional_corpus_count, "corpus['n_recordings'] must be an integer: 2.5"),
+            (
+                expert_source_first,
+                "aggregate sources must be machine and, optionally, expert: ['expert', 'machine']",
+            ),
+            (bogus_corpus, "missing key 'corpus.n_recordings'"),
+            (extra_corpus_key, "unknown key 'corpus.bogus'"),
+            (extra_pool_key, "unknown key \"aggregate['machine'].bogus\""),
+            (extra_role_key, "unknown key \"aggregate['machine'].teacher.bogus\""),
+            (fractional_corpus_count, "corpus.n_recordings must be an integer: 2.5"),
             (
                 fractional_pool_count,
-                "aggregate['machine']['teacher']['n_utterances'] must be an integer: 3.5",
+                "aggregate['machine'].teacher.n_utterances must be an integer: 3.5",
             ),
+            (null_hours, "corpus.hours must be a number: None"),
+            (null_pool_count, "aggregate['machine'].child.total_words must be an integer: None"),
         ]
         path = tmp_path / "odd.json"
         out = tmp_path / "out"
@@ -795,6 +814,26 @@ class TestReport:
             "aggregate_features.csv",
         ):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_all_failed_run_round_trip(self, tmp_path, capsys):
+        # no recording has features: hours is the int 0, every pooled count
+        # is 0 and every pooled rate and mean is null
+        for recording_id in ("a", "b"):
+            syn.write_weather_recording(tmp_path / "data", recording_id)
+            corrupt_machine_bytes(tmp_path / "data", recording_id)
+        first = tmp_path / "first"
+        second = tmp_path / "second"
+        code = main(["batch", "--root", str(tmp_path / "data"), "--out", str(first),
+                     "--format", "json"])
+        assert code == EXIT_PARTIAL
+        saved = json.loads((first / "results.json").read_text(encoding="utf-8"))
+        assert saved["corpus"]["hours"] == 0 and saved["corpus"]["n_failed"] == 2
+        assert saved["aggregate"]["machine"]["teacher"]["mlu_pooled"] is None
+        code = main(["report", str(first / "results.json"), "--out", str(second),
+                     "--format", "json"])
+        assert code == EXIT_OK
+        assert (second / "results.json").read_bytes() == (first / "results.json").read_bytes()
+        assert capsys.readouterr().out.endswith(f"wrote 2 files to {second}\n")
 
     def test_accepts_externally_built_results(self, tmp_path):
         # a results file whose metrics came from somewhere else entirely

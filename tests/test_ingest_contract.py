@@ -75,6 +75,13 @@ MACHINE_FAILURES = [
     (line(confidence="high"), MalformedRecord, "confidence is not a number: 'high'"),
     (line(confidence=[0.5]), MalformedRecord, "confidence is not a number: [0.5]"),
     (line(confidence=HUGE), MalformedRecord, f"confidence is out of range: {HUGE}"),
+    (line(confidence=math.nan), MalformedRecord, "confidence is not finite: nan"),
+    (line(confidence=math.inf), MalformedRecord, "confidence is not finite: inf"),
+    (line(confidence=-math.inf), MalformedRecord, "confidence is not finite: -inf"),
+    (line(confidence=0).replace('"confidence": 0', '"confidence": 1e400'), MalformedRecord,
+     "confidence is not finite: inf"),
+    (line(confidence="NaN"), MalformedRecord, "confidence is not finite: 'NaN'"),
+    (line(confidence="-inf"), MalformedRecord, "confidence is not finite: '-inf'"),
     (line(speaker="robot"), UnknownSpeakerLabel, "unknown speaker label: 'robot'"),
     (line(speaker=3), MalformedRecord, "speaker is not a string: 3"),
     # the first failing check wins
@@ -117,7 +124,11 @@ def test_machine_start_accepted(tmp_path, start, onset):
     assert type(read.offset) is float and read.offset == 3.0
 
 
-@pytest.mark.parametrize("confidence, read", [(0.5, 0.5), (1, 1.0), ("0.25", 0.25), (None, None)])
+# negative values are kept: Whisper's confidence is a mean log-probability
+@pytest.mark.parametrize(
+    "confidence, read",
+    [(0.5, 0.5), (1, 1.0), ("0.25", 0.25), (None, None), (-0.75, -0.75), (-2, -2.0)],
+)
 def test_machine_confidence_accepted(tmp_path, confidence, read):
     (utterance,) = parse_machine(
         machine_file(tmp_path, [line(confidence=confidence)]), META

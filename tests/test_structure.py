@@ -13,11 +13,12 @@ import re
 import types
 import typing
 from collections import Counter
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import talkmetrics
 import talkmetrics.align as align_module
-from talkmetrics.batch import RecordingOutcome
+from talkmetrics.batch import PipelineResult, RecordingOutcome
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "talkmetrics"
@@ -198,6 +199,26 @@ def test_worker_outcome_holds_no_dict():
     for name, hint in typing.get_type_hints(RecordingOutcome).items():
         for kind in (hint, *typing.get_args(hint)):
             assert (typing.get_origin(kind) or kind) is not dict, name
+
+
+def test_results_file_is_declared_records():
+    """Every object in a results file but ``config`` (which ``RunConfig``
+    checks) is a declared record or a mapping to records, so ``decode``
+    types each cell and refuses missing and unknown keys."""
+    hints = dict(typing.get_type_hints(PipelineResult))
+    del hints["config"]
+    seen = set()
+    while hints:
+        name, hint = hints.popitem()
+        for kind in (hint, *typing.get_args(hint)):
+            if (typing.get_origin(kind) or kind) is dict:
+                args = typing.get_args(kind)
+                assert args and is_dataclass(args[1]), f"{name}: {kind}"
+            elif is_dataclass(kind) and kind not in seen:
+                seen.add(kind)
+                hints.update(
+                    (f"{name}.{field}", inner) for field, inner in typing.get_type_hints(kind).items()
+                )
 
 
 def test_submodule_import_gives_the_module():
