@@ -167,13 +167,17 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, data: Mapping, **overrides) -> "RunConfig":
-        """Build from a config-file mapping, which holds the keys of
-        ``semantic_dict`` or some of them; keyword overrides that are not
-        None win. Raises ValueError for an unknown key, a value of the wrong
-        type, or one out of range."""
+        """Build from a config-file mapping: defaults fill the keys of
+        ``semantic_dict``, ``align``'s too, that it leaves out, and keyword
+        overrides that are not None win. Raises ValueError for an unknown
+        key, a value of the wrong type, or one out of range."""
         if "parallelism" in data:  # set by the caller, never by a file
             raise ValueError("unknown key 'parallelism'")
-        return decode(cls, {**data, **{k: v for k, v in overrides.items() if v is not None}})
+        defaults = asdict(cls())
+        if isinstance(data.get("align"), dict):
+            data = {**data, "align": {**defaults["align"], **data["align"]}}
+        given = {k: v for k, v in overrides.items() if v is not None}
+        return decode(cls, {**defaults, **data, **given})
 
 
 @dataclass(frozen=True)
@@ -183,14 +187,14 @@ class _ManifestRecord:
     recording_id: str
     machine_path: str
     meta_path: str
-    expert_path: str | None = None
+    expert_path: str | None
 
 
 def _entry_from_mapping(record: object, manifest_path: Path) -> ManifestEntry:
     if not isinstance(record, dict):
         raise ManifestError(f"{manifest_path}: manifest entry must be an object: {record!r}")
     try:
-        raw = decode(_ManifestRecord, record)
+        raw = decode(_ManifestRecord, {"expert_path": None, **record})
         # the id names the align audit file under --out, so it must be a plain
         # file name that stays there
         if raw.recording_id in ("", ".", "..") or any(c in raw.recording_id for c in "/\\\0"):
@@ -618,25 +622,16 @@ def aggregate_table(aggregate: Mapping[str, PooledSource]) -> list[list[object]]
 
 
 def check_results(result: PipelineResult) -> None:
-    """Raise ValueError unless ``result``, whose cells ``decode`` typed, holds
-    what a run writes: a ``config`` that ``RunConfig`` accepts and that names
-    every analysis parameter, and an ``aggregate`` of a ``machine`` source
-    and, optionally, an ``expert`` one after it."""
-    RunConfig.from_mapping(result.config)
-    # from_mapping typed every value and refused unknown keys, but it fills in
-    # the keys a config file may leave out and a results file may not
-    _check_present(result.config, RunConfig().semantic_dict(), "config")
+    """Raise ValueError unless ``result``, whose other cells ``decode`` typed,
+    holds what a run writes: a ``config`` that decodes as a ``RunConfig``
+    without ``parallelism``, which a run never writes, and an ``aggregate``
+    of a ``machine`` source and, optionally, an ``expert`` one after it."""
+    if "parallelism" in result.config:
+        raise ValueError("unknown key 'config.parallelism'")
+    decode(RunConfig, {**result.config, "parallelism": 1}, "config")
     sources = list(result.aggregate)
     if sources not in (["machine"], ["machine", "expert"]):
         raise ValueError(f"aggregate sources must be machine and, optionally, expert: {sources}")
-
-
-def _check_present(cells: Mapping, blank: Mapping, path: str) -> None:
-    for key, empty in blank.items():
-        if key not in cells:
-            raise ValueError(f"{path} is missing {key!r}")
-        if isinstance(empty, dict):
-            _check_present(cells[key], empty, f"{path}[{key!r}]")
 
 
 # Every report file, and how it is written from a result

@@ -9,7 +9,7 @@ pieces, so no encoded copy of a large result is ever built, and
 ``Codec.to_dict`` parses that text back. ``decode`` reads the declared
 types back through ``typing.get_type_hints``, checking each value's type;
 it understands ``X | None``, ``tuple[T, ...]``, fixed-length tuples and
-``dict[str, T]``, and lets field defaults fill missing keys. ``read_json``
+``dict[str, T]``, and requires every field of a dataclass. ``read_json``
 is the one reader of JSON input files, which must be strict RFC 8259 JSON.
 """
 
@@ -20,7 +20,7 @@ import math
 import reprlib
 import types
 import typing
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from enum import Enum
 from functools import cache
 from itertools import repeat
@@ -79,8 +79,8 @@ def decode(hint: Any, value: Any, path: str = "") -> Any:
     """``value``, as ``json`` reads it, built as the declared type ``hint``:
     ``bool``, ``int`` and ``str`` by exact type, a ``float`` from an int (kept
     as it is) or a float, a tuple from an array, a dataclass or dict from an
-    object, whose keys must all be fields of a dataclass. A value that does
-    not fit raises ValueError naming its dotted ``path``."""
+    object, whose keys must be exactly the fields of a dataclass. A value
+    that does not fit raises ValueError naming its dotted ``path``."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         (inner,) = [arg for arg in args if arg is not type(None)]
@@ -99,10 +99,9 @@ def decode(hint: Any, value: Any, path: str = "") -> Any:
     if is_dataclass(hint):
         hints, kwargs, prefix = _hints(hint), {}, f"{path}." if path else ""
         for f in fields(hint):
-            if f.name in value:
-                kwargs[f.name] = decode(hints[f.name], value[f.name], prefix + f.name)
-            elif f.default is MISSING and f.default_factory is MISSING:
+            if f.name not in value:
                 raise ValueError(f"missing key {prefix + f.name!r}")
+            kwargs[f.name] = decode(hints[f.name], value[f.name], prefix + f.name)
         for key in value:
             if key not in kwargs:
                 raise ValueError(f"unknown key {prefix + key!r}")

@@ -84,6 +84,8 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 def _parse_time(value: object, path: Path | str, line: int, column: str) -> float:
     try:
+        if type(value) is bool:  # float() would read JSON true as 1
+            raise TypeError
         parsed = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
         raise MalformedRecord(path, line, f"{column} is not a number: {value!r}") from None
@@ -154,6 +156,8 @@ def parse_machine(path: Path | str, meta: RecordingMeta) -> Transcript:
             confidence = value = record.get("confidence")
             if value is not None and type(value) is not float:
                 try:
+                    if type(value) is bool:  # float() would read JSON true as 1
+                        raise TypeError
                     confidence = float(value)
                 except (TypeError, ValueError):
                     raise MalformedRecord(

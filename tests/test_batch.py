@@ -12,6 +12,7 @@ import pytest
 
 import synthetic as syn
 import talkmetrics.batch as batch_module
+from talkmetrics.align import AlignConfig
 from talkmetrics.batch import (
     CorpusManifest,
     EmptyCorpus,
@@ -409,7 +410,7 @@ class TestRunConfig:
         cfg = RunConfig.from_mapping(data, ld_window=30.0, response_window=None)
         assert cfg.response_window == 3.0  # None override is skipped
         assert cfg.ld_window == 30.0
-        assert cfg.align.gap_penalty == 0.1
+        assert cfg.align == AlignConfig(gap_penalty=0.1)  # the rest keep their defaults
 
     def test_override_replaces_a_bad_file_value(self):
         data = {"response_window": "x", "ld_window": 0.5}

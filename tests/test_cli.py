@@ -4,12 +4,49 @@ import json
 import os
 import subprocess
 import sys
+import types
+import typing
+from dataclasses import is_dataclass
 
 import pytest
 
 import synthetic as syn
+from talkmetrics.batch import PipelineResult, RunConfig
 from talkmetrics.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from talkmetrics.codec import Codec
+
+
+def declared_fields(hint, value, path="", keys=()):
+    """(path, keys) of every dataclass field in ``value``, the JSON of the
+    declared type ``hint``, as ``decode`` names it: below the first item of
+    each array and every value of a mapping. A results file's ``config``
+    holds the fields of ``RunConfig`` but ``parallelism``, which a run never
+    writes."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if value is None:
+        return
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        yield from declared_fields(inner, value, path, keys)
+    elif origin is tuple and value:
+        yield from declared_fields(args[0], value[0], f"{path}[0]", (*keys, 0))
+    elif origin is dict:
+        for key, item in value.items():
+            yield from declared_fields(args[1], item, f"{path}[{key!r}]", (*keys, key))
+    elif is_dataclass(hint):
+        for name, inner in typing.get_type_hints(hint).items():
+            if (hint, name) == (RunConfig, "parallelism"):
+                continue
+            where = f"{path}.{name}" if path else name
+            yield where, (*keys, name)
+            inner = RunConfig if where == "config" else inner
+            yield from declared_fields(inner, value[name], where, (*keys, name))
+
+
+def get_at(value, keys):
+    for key in keys:
+        value = value[key]
+    return value
 
 
 @pytest.fixture()
@@ -243,6 +280,9 @@ class TestFatalErrors:
         def empty_align(data):
             data["config"]["align"] = {}
 
+        def config_parallelism(data):
+            data["config"]["parallelism"] = 1
+
         def bogus_source(data):
             data["aggregate"]["bogus"] = data["aggregate"]["machine"]
 
@@ -278,11 +318,12 @@ class TestFatalErrors:
 
         cases = [
             (features, "features[0].n_utterances must be an integer: 'many'"),
-            (config, "response_window must be a number: 'x'"),
+            (config, "config.response_window must be a number: 'x'"),
             (corpus, "corpus.n_recordings must be an integer: 'many'"),
             (aggregate, "aggregate['machine'].teacher.mlu_pooled must be a number: 'fast'"),
-            (empty_config, "config is missing 'align'"),
-            (empty_align, "config['align'] is missing 'similarity_weight'"),
+            (empty_config, "missing key 'config.align'"),
+            (empty_align, "missing key 'config.align.similarity_weight'"),
+            (config_parallelism, "unknown key 'config.parallelism'"),
             (
                 bogus_source,
                 "aggregate sources must be machine and, optionally, expert:"
@@ -322,6 +363,44 @@ class TestFatalErrors:
                     f"talkmetrics: error: {path}: not a results file: {message}\n"
                 )
                 assert not out.exists()
+
+    def test_report_requires_every_declared_field(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        for i in range(3):
+            syn.write_weather_recording(data_dir, f"w{i}")
+        syn.write_weather_recording(data_dir, "broken")
+        (data_dir / "broken.expert.tsv").write_text("wrong\n", encoding="utf-8")
+        code = main(
+            ["batch", "--root", str(data_dir), "--out", str(tmp_path / "a"), "--format", "json"]
+        )
+        assert code == EXIT_PARTIAL
+        capsys.readouterr()
+        saved = (tmp_path / "a" / "results.json").read_text()
+        result = json.loads(saved)
+        assert result["reliability"]["rows"] and len(result["errors"]) == 1
+        assert list(result["aggregate"]) == ["machine", "expert"]
+        declared = list(declared_fields(PipelineResult, result))
+        assert {
+            "config.align.gap_penalty",
+            "reliability.iccs",
+            "reliability.rows[0].confusion.excluded_other",
+            "reliability.iccs['teacher_mlu_overall'].zero_variance",
+            "aggregate['expert'].child.n_utterances",
+            "errors[0].message",
+        } <= {path for path, _ in declared}
+        path = tmp_path / "odd.json"
+        out = tmp_path / "out"
+        for where, keys in declared:
+            data = json.loads(saved)
+            del get_at(data, keys[:-1])[keys[-1]]
+            path.write_text(json.dumps(data), encoding="utf-8")
+            code = main(["report", str(path), "--out", str(out)])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (EXIT_FATAL, ""), where
+            assert captured.err == (
+                f"talkmetrics: error: {path}: not a results file: missing key {where!r}\n"
+            )
+            assert not out.exists()
 
     def test_out_is_a_file(self, weather_dir, tmp_path, capsys):
         out = tmp_path / "out"

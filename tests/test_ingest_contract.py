@@ -58,6 +58,8 @@ MACHINE_FAILURES = [
     (line(start="soon"), MalformedRecord, "start is not a number: 'soon'"),
     (line(start=None), MalformedRecord, "start is not a number: None"),
     (line(start=[1]), MalformedRecord, "start is not a number: [1]"),
+    (line(start=True), MalformedRecord, "start is not a number: True"),
+    (line(end=False), MalformedRecord, "end is not a number: False"),
     (line(start=math.nan), InvalidTimestamps, "start is not finite: nan"),
     (line(start="NaN"), InvalidTimestamps, "start is not finite: 'NaN'"),
     (line(start=math.inf), InvalidTimestamps, "start is not finite: inf"),
@@ -74,6 +76,7 @@ MACHINE_FAILURES = [
     (line(text=None), MalformedRecord, "text is not a string: None"),
     (line(confidence="high"), MalformedRecord, "confidence is not a number: 'high'"),
     (line(confidence=[0.5]), MalformedRecord, "confidence is not a number: [0.5]"),
+    (line(confidence=True), MalformedRecord, "confidence is not a number: True"),
     (line(confidence=HUGE), MalformedRecord, f"confidence is out of range: {HUGE}"),
     (line(confidence=math.nan), MalformedRecord, "confidence is not finite: nan"),
     (line(confidence=math.inf), MalformedRecord, "confidence is not finite: inf"),
@@ -114,7 +117,7 @@ def test_machine_byte_order_mark(tmp_path):
 
 @pytest.mark.parametrize(
     "start, onset",
-    [("1.5", 1.5), (True, 1.0), (1, 1.0), (-0.0, -0.0), (0, 0.0), (" 2 ", 2.0)],
+    [("1.5", 1.5), (1, 1.0), (-0.0, -0.0), (0, 0.0), (" 2 ", 2.0)],
 )
 def test_machine_start_accepted(tmp_path, start, onset):
     utterance = parse_machine(machine_file(tmp_path, [line(start=start, end=3)]), META)

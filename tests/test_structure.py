@@ -202,9 +202,10 @@ def test_worker_outcome_holds_no_dict():
 
 
 def test_results_file_is_declared_records():
-    """Every object in a results file but ``config`` (which ``RunConfig``
-    checks) is a declared record or a mapping to records, so ``decode``
-    types each cell and refuses missing and unknown keys."""
+    """Every object in a results file is a declared record or a mapping to
+    records, so ``decode`` types each cell and refuses missing and unknown
+    keys. ``config`` is the one untyped field, since it holds ``RunConfig``
+    without ``parallelism``; ``check_results`` decodes it as one."""
     hints = dict(typing.get_type_hints(PipelineResult))
     del hints["config"]
     seen = set()
