@@ -110,14 +110,6 @@ class AlignedPair:
     def text_similarity(self) -> float:
         return text_similarity(self.machine_utt, self.expert_utt)
 
-    def to_dict(self) -> dict:
-        return {
-            "machine_id": self.machine_utt.id,
-            "expert_id": self.expert_utt.id,
-            "time_iou": self.time_iou,
-            "text_similarity": self.text_similarity,
-        }
-
 
 @dataclass(frozen=True)
 class AlignedCorpus:
@@ -524,7 +516,16 @@ def align(
 
 def write_alignment_jsonl(corpus: AlignedCorpus, path: Path | str) -> None:
     """Audit trail: one JSON line per pair, then per residue utterance."""
-    records = [{"kind": "pair", **pair.to_dict()} for pair in corpus.pairs]
+    records = [
+        {
+            "kind": "pair",
+            "machine_id": pair.machine_utt.id,
+            "expert_id": pair.expert_utt.id,
+            "time_iou": pair.time_iou,
+            "text_similarity": pair.text_similarity,
+        }
+        for pair in corpus.pairs
+    ]
     records += [{"kind": "machine_only", "machine_id": u.id} for u in corpus.machine_only]
     records += [{"kind": "expert_only", "expert_id": u.id} for u in corpus.expert_only]
     with open(path, "w", encoding="utf-8") as handle:

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .align import AlignConfig, AlignedCorpus, align
-from .codec import Codec, decode, field_values, json_chunks, read_json
+from .codec import decode, field_values, json_chunks, read_json
 from .errors import TalkmetricsError, describe
 from .features import (
     DEFAULT_LD_WINDOW,
@@ -128,9 +128,6 @@ class CorpusManifest:
             raise ManifestError(f"duplicate recording_id {duplicate!r}")
         ordered = tuple(sorted(self.entries, key=lambda entry: entry.recording_id))
         object.__setattr__(self, "entries", ordered)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -259,7 +256,7 @@ def discover(
 
 
 @dataclass(frozen=True)
-class EntryError(Codec):
+class EntryError:
     """One recording's failure: which stage broke and how."""
 
     recording_id: str
@@ -302,7 +299,7 @@ def _source_features(transcript: Transcript, cfg: RunConfig) -> tuple[FeatureSum
     """Both roles' feature rows for one transcript, in ``iter_roles`` order."""
     links = detect_responses(transcript, cfg.response_window)
     return tuple(
-        summarize(transcript, role, links, cfg.response_window, cfg.ld_window)
+        summarize(transcript, role, links, ld_window=cfg.ld_window)
         for role in iter_roles()
     )
 
@@ -399,7 +396,7 @@ def process_recordings(
 
 
 @dataclass(frozen=True)
-class PooledRole(Codec):
+class PooledRole:
     """One role's feature rows of one source, pooled over the corpus: counts
     summed, rates over the summed counts, and two means of the recordings'
     own values. A rate or mean with nothing to divide by is None."""
@@ -422,7 +419,7 @@ class PooledRole(Codec):
 
 
 @dataclass(frozen=True)
-class PooledSource(Codec):
+class PooledSource:
     """One source's pooled features: each role's, then the one across roles."""
 
     teacher: PooledRole
@@ -472,7 +469,7 @@ def _pool_source(rows: Sequence[tuple[FeatureSummary, float]]) -> PooledSource:
 
 
 @dataclass(frozen=True)
-class CorpusCounts(Codec):
+class CorpusCounts:
     """What a run processed: the recordings with features, the recordings
     that failed, their hours, and their utterances."""
 
@@ -484,7 +481,7 @@ class CorpusCounts(Codec):
 
 
 @dataclass(frozen=True)
-class PipelineResult(Codec):
+class PipelineResult:
     """Everything a run produced, ready to serialize.
 
     Carries only analysis parameters in ``config``; worker counts and

@@ -41,7 +41,7 @@ from .batch import (
     write_json,
     write_report,
 )
-from .codec import json_chunks, read_json
+from .codec import decode, json_chunks, read_json
 from .errors import TalkmetricsError
 
 log = logging.getLogger(__name__)
@@ -244,7 +244,7 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     except OSError as exc:
         raise TalkmetricsError(f"cannot read {args.results}: {exc}") from None
     try:
-        result = PipelineResult.from_dict(data)
+        result = decode(PipelineResult, data)
         check_results(result)
     except (KeyError, TypeError, ValueError) as exc:
         raise TalkmetricsError(f"{args.results}: not a results file: {exc}") from None

@@ -5,12 +5,12 @@ field order is its JSON key order: enums become their values, tuples become
 lists, nested dataclasses and dicts recurse. What to do with a value is
 worked out once per type and cached. ``json_chunks`` is the one encoder:
 it writes the JSON text of that encoding straight from the objects, in
-pieces, so no encoded copy of a large result is ever built, and
-``Codec.to_dict`` parses that text back. ``decode`` reads the declared
-types back through ``typing.get_type_hints``, checking each value's type;
-it understands ``X | None``, ``tuple[T, ...]``, fixed-length tuples and
-``dict[str, T]``, and requires every field of a dataclass. ``read_json``
-is the one reader of JSON input files, which must be strict RFC 8259 JSON.
+pieces, so no encoded copy of a large result is ever built. ``decode``
+reads the declared types back through ``typing.get_type_hints``, checking
+each value's type; it understands ``X | None``, ``tuple[T, ...]``,
+fixed-length tuples and ``dict[str, T]``, and requires every field of a
+dataclass. ``read_json`` is the one reader of JSON input files, which must
+be strict RFC 8259 JSON.
 """
 
 from __future__ import annotations
@@ -27,20 +27,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, TypeVar
-
-_T = TypeVar("_T", bound="Codec")
-
-
-class Codec:
-    """Mixin giving a dataclass ``to_dict`` and ``from_dict``."""
-
-    def to_dict(self) -> dict:
-        return json.loads("".join(json_chunks(self)))
-
-    @classmethod
-    def from_dict(cls: type[_T], data: Mapping) -> _T:
-        return decode(cls, data)
+from typing import Any, Callable, Iterator
 
 
 @cache
@@ -80,7 +67,8 @@ def decode(hint: Any, value: Any, path: str = "") -> Any:
     ``bool``, ``int`` and ``str`` by exact type, a ``float`` from an int (kept
     as it is) or a float, a tuple from an array, a dataclass or dict from an
     object, whose keys must be exactly the fields of a dataclass. A value
-    that does not fit raises ValueError naming its dotted ``path``."""
+    that does not fit, or that a dataclass's constructor refuses, raises
+    ValueError naming its dotted ``path``."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         (inner,) = [arg for arg in args if arg is not type(None)]
@@ -105,7 +93,10 @@ def decode(hint: Any, value: Any, path: str = "") -> Any:
         for key in value:
             if key not in kwargs:
                 raise ValueError(f"unknown key {prefix + key!r}")
-        return hint(**kwargs)
+        try:
+            return hint(**kwargs)
+        except ValueError as exc:  # a range check of the record's, which names its field
+            raise ValueError(f"{prefix}{exc}") from None
     if isinstance(hint, type) and issubclass(hint, Enum):
         values = [member.value for member in hint]
         _check(value in values, path, "one of " + ", ".join(map(repr, values)), value)

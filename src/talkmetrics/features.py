@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
-from .codec import Codec
 from .errors import TalkmetricsError
 from .transcript import SpeakerRole, Transcript, is_question
 
@@ -91,7 +90,7 @@ def response_proportion(responded: int, total: int) -> float | None:
 
 
 @dataclass(frozen=True)
-class FeatureSummary(Codec):
+class FeatureSummary:
     """The language-feature battery for one (recording, role, source).
 
     Counts cover word-bearing utterances only; every proportion is None

@@ -82,7 +82,11 @@ _INF = float("inf")
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _parse_time(value: object, path: Path | str, line: int, column: str) -> float:
+def _parse_number(
+    value: object, path: Path | str, line: int, column: str, error: type[ParseError]
+) -> float:
+    """The finite float of a cell or JSON value: MalformedRecord if it is
+    not a number, ``error`` if it is out of the float range or not finite."""
     try:
         if type(value) is bool:  # float() would read JSON true as 1
             raise TypeError
@@ -90,12 +94,17 @@ def _parse_time(value: object, path: Path | str, line: int, column: str) -> floa
     except (TypeError, ValueError):
         raise MalformedRecord(path, line, f"{column} is not a number: {value!r}") from None
     except OverflowError:  # an integer past the float range
-        raise InvalidTimestamps(path, line, f"{column} is out of range: {value!r}") from None
-    if 0.0 <= parsed < _INF:
-        return parsed
-    if parsed != parsed or parsed in (_INF, -_INF):
-        raise InvalidTimestamps(path, line, f"{column} is not finite: {value!r}")
-    raise InvalidTimestamps(path, line, f"{column} is negative: {value!r}")
+        raise error(path, line, f"{column} is out of range: {value!r}") from None
+    if not -_INF < parsed < _INF:  # NaN included
+        raise error(path, line, f"{column} is not finite: {value!r}")
+    return parsed
+
+
+def _parse_time(value: object, path: Path | str, line: int, column: str) -> float:
+    parsed = _parse_number(value, path, line, column, InvalidTimestamps)
+    if parsed < 0.0:
+        raise InvalidTimestamps(path, line, f"{column} is negative: {value!r}")
+    return parsed
 
 
 def _parse_role(value: object, path: Path | str, line: int) -> SpeakerRole:
@@ -153,22 +162,9 @@ def parse_machine(path: Path | str, meta: RecordingMeta) -> Transcript:
             if not isinstance(text, str):
                 raise MalformedRecord(path, line_no, f"text is not a string: {text!r}")
             # negative values stay: Whisper's confidence is a mean log-probability
-            confidence = value = record.get("confidence")
-            if value is not None and type(value) is not float:
-                try:
-                    if type(value) is bool:  # float() would read JSON true as 1
-                        raise TypeError
-                    confidence = float(value)
-                except (TypeError, ValueError):
-                    raise MalformedRecord(
-                        path, line_no, f"confidence is not a number: {value!r}"
-                    ) from None
-                except OverflowError:
-                    raise MalformedRecord(
-                        path, line_no, f"confidence is out of range: {value!r}"
-                    ) from None
-            if value is not None and not -_INF < confidence < _INF:
-                raise MalformedRecord(path, line_no, f"confidence is not finite: {value!r}")
+            confidence = record.get("confidence")
+            if not (confidence is None or type(confidence) is float and -_INF < confidence < _INF):
+                confidence = _parse_number(confidence, path, line_no, "confidence", MalformedRecord)
             role = _parse_role(record["speaker"], path, line_no)
             rows.append(
                 (onset, offset, str(line_no), role, tokens_of(text), text, confidence, None)

@@ -30,7 +30,6 @@ from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from .align import AlignedCorpus
-from .codec import Codec
 from .errors import TalkmetricsError
 from .transcript import SpeakerRole, Utterance, levenshtein
 
@@ -118,7 +117,7 @@ def wer_units(
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix(Codec):
+class ConfusionMatrix:
     """2x2 teacher/child cross-classification counts.
 
     Rows are the expert (truth), columns the machine, ordered
@@ -136,7 +135,7 @@ class ConfusionMatrix(Codec):
         if len(self.counts) != 2 or any(len(row) != 2 for row in self.counts):
             raise ValueError("counts must be 2x2")
         if any(c < 0 for c in flat):
-            raise ValueError("confusion counts must be non-negative")
+            raise ValueError("counts must be non-negative")
 
     @property
     def total(self) -> int:
@@ -377,7 +376,7 @@ def _icc(pairs: Sequence[tuple[float, float]]) -> float:
 
 
 @dataclass(frozen=True)
-class MetricSet(Codec):
+class MetricSet:
     """The Table-style metric bundle for one row of a reliability report."""
 
     f1_weighted: float | None
@@ -388,7 +387,7 @@ class MetricSet(Codec):
 
 
 @dataclass(frozen=True)
-class RecordingReliability(Codec):
+class RecordingReliability:
     """Per-recording agreement results plus the raw counts needed to pool."""
 
     recording_id: str
@@ -405,7 +404,7 @@ class RecordingReliability(Codec):
 
 
 @dataclass(frozen=True)
-class IccEntry(Codec):
+class IccEntry:
     """One feature's ICC with the sample actually used."""
 
     value: float | None
@@ -415,7 +414,7 @@ class IccEntry(Codec):
 
 
 @dataclass(frozen=True)
-class ReliabilityReport(Codec):
+class ReliabilityReport:
     """Agreement statistics for a set of recordings.
 
     ``rows`` hold per-recording results in recording-id order; ``overall``

@@ -7,11 +7,10 @@ word counts are reproducible:
 * ``tokens_of`` is the normalization rule: it strips annotation markers
   and punctuation, lower-cases (keeping apostrophes inside words, so
   contractions stay one word) and joins hyphenated words; a word count is
-  always ``len(tokens_of(text))``. ``normalize`` joins those words by
-  single spaces, and ``tokenize`` splits them again.
+  always ``len(tokens_of(text))``.
 * ``is_question`` looks at the *raw* text, before normalization removes
   question marks. Any ``?`` anywhere in the utterance marks it a question.
-  ``features.summarize`` and ``Utterance.question`` both read it.
+  ``features.summarize`` reads it.
 * ``levenshtein`` is the word-level edit distance that alignment scores and
   word error rates share.
 
@@ -95,12 +94,6 @@ def _ascii_words(text: str) -> list[str]:
     return text.split()
 
 
-def normalize(raw_text: str) -> str:
-    """The words of ``tokens_of(raw_text)``, joined by single spaces. Total
-    function: any input string is accepted."""
-    return " ".join(tokens_of(raw_text))
-
-
 def tokens_of(raw_text: str) -> tuple[str, ...]:
     """The normalized words of raw utterance text: the one normalization rule.
 
@@ -118,11 +111,6 @@ def tokens_of(raw_text: str) -> tuple[str, ...]:
     text = _PUNCTUATION.sub(" ", text)
     text = _EDGE_APOSTROPHE.sub(" ", text)
     return tuple(text.split())
-
-
-def tokenize(normalized_text: str) -> list[str]:
-    """Split normalized text into word tokens; empty text yields no tokens."""
-    return normalized_text.split()
 
 
 def is_question(raw_text: str) -> bool:
@@ -198,10 +186,6 @@ class Utterance:
     @property
     def word_count(self) -> int:
         return len(self.tokens)
-
-    @property
-    def question(self) -> bool:
-        return is_question(self.raw_text)
 
 
 # One second to about 694 days: a per-minute rate is then at most 60 times its
@@ -336,12 +320,6 @@ class Transcript:
 
     def __len__(self) -> int:
         return len(self.columns.id)
-
-    def word_count(self, role: SpeakerRole | None = None) -> int:
-        columns = self.columns
-        if role is None:
-            return sum(map(len, columns.tokens))
-        return sum(len(t) for t, r in zip(columns.tokens, columns.role) if r is role)
 
 
 def iter_roles() -> Iterable[SpeakerRole]:

@@ -1,5 +1,5 @@
-"""Shared test builders: deterministic fixtures, random transcripts, and
-on-disk corpora."""
+"""Shared test builders: deterministic fixtures, random transcripts,
+on-disk corpora, and the JSON value of a record."""
 
 from __future__ import annotations
 
@@ -8,7 +8,22 @@ import random
 from pathlib import Path
 
 from talkmetrics.align import align_by_index
+from talkmetrics.codec import json_chunks
 from talkmetrics.transcript import RecordingMeta, Source, SpeakerRole, Transcript, Utterance
+
+
+def encoded(value: object) -> object:
+    """``value`` as a results file holds it: the JSON that ``json_chunks``
+    writes, read back."""
+    return json.loads("".join(json_chunks(value)))
+
+
+def word_count(transcript: Transcript, role: SpeakerRole | None = None) -> int:
+    """The words of a transcript's utterances, or of one role's, counted
+    from its columns."""
+    pairs = zip(transcript.columns.tokens, transcript.columns.role)
+    return sum(len(tokens) for tokens, speaker in pairs if role is None or speaker is role)
+
 
 # A ten-utterance teacher/child exchange about weather and raisins. The
 # machine and expert sides differ on rows 3 and 9 (index 2 and 8), giving

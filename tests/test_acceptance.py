@@ -23,6 +23,7 @@ import pytest
 import synthetic as syn
 from talkmetrics.align import AlignConfig, _dp, align_by_index, pair_score
 from talkmetrics.batch import PipelineResult, RunConfig, discover, emit_report, run_pipeline
+from talkmetrics.codec import decode
 from talkmetrics.features import FeatureSummary, detect_responses, response_proportion
 from talkmetrics.reliability import (
     ConfusionMatrix,
@@ -626,12 +627,12 @@ def external_results_payload() -> dict:
         },
         errors=(),
     )
-    return result.to_dict()
+    return syn.encoded(result)
 
 
 def test_criterion_09_reports_render_external_results(tmp_path):
     payload = external_results_payload()
-    result = PipelineResult.from_dict(json.loads(json.dumps(payload)))
+    result = decode(PipelineResult, json.loads(json.dumps(payload)))
     out = tmp_path / "rendered"
     written = emit_report(result, out, format="csv")
     assert sorted(p.name for p in written) == [

@@ -30,6 +30,7 @@ from talkmetrics.batch import (
     run_pipeline,
 )
 from talkmetrics.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, main
+from talkmetrics.codec import decode
 from talkmetrics.transcript import Source, Transcript
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -143,7 +144,7 @@ class TestDiscover:
             encoding="utf-8",
         )
         manifest = discover(manifest_path=manifest_path)
-        assert len(manifest) == 1
+        assert len(manifest.entries) == 1
         assert manifest.entries[0].machine_path == root / "rec00.machine.jsonl"
 
     def test_manifest_bare_list(self, tmp_path):
@@ -592,14 +593,14 @@ class TestRunPipeline:
         manifest = discover(root_dir=root)
         first = run_pipeline(manifest, RunConfig())
         second = run_pipeline(manifest, RunConfig())
-        assert first.to_dict() == second.to_dict()
+        assert first == second
 
     def test_worker_count_does_not_change_output(self, tmp_path):
         root = corpus_dir(tmp_path, n=4, seed=11)
         manifest = discover(root_dir=root)
         serial = run_pipeline(manifest, RunConfig(parallelism=1))
         parallel = run_pipeline(manifest, RunConfig(parallelism=2))
-        assert serial.to_dict() == parallel.to_dict()
+        assert serial == parallel
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_start_method_does_not_change_output(self, tmp_path, method):
@@ -643,7 +644,7 @@ class TestRunPipeline:
     def test_json_round_trip(self, tmp_path):
         root = corpus_dir(tmp_path, n=2, seed=13)
         result = run_pipeline(discover(root_dir=root), RunConfig())
-        clone = PipelineResult.from_dict(json.loads(json.dumps(result.to_dict())))
+        clone = decode(PipelineResult, json.loads(json.dumps(syn.encoded(result))))
         assert clone == result
 
     def test_aggregate_utterance_ratio(self, tmp_path):
@@ -715,7 +716,7 @@ class TestEmitReport:
         result = run_pipeline(discover(root_dir=tmp_path / "data"), RunConfig())
         emit_report(result, tmp_path / "out", format="json")
         data = json.loads((tmp_path / "out" / "results.json").read_text())
-        assert PipelineResult.from_dict(data) == result
+        assert decode(PipelineResult, data) == result
 
     def test_csv_cells_rounded_to_three_decimals(self, tmp_path):
         syn.write_weather_recording(tmp_path / "data")

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import synthetic as syn
 from talkmetrics.batch import PipelineResult, write_json
-from talkmetrics.codec import Codec, _hints, json_chunks
+from talkmetrics.codec import _hints, decode, json_chunks
 from talkmetrics.transcript import SpeakerRole
 
 
@@ -36,12 +37,15 @@ def reference_encode(value: Any) -> Any:
     return value
 
 
-def codec_classes() -> list[type]:
-    found, todo = [], [Codec]
+def result_classes() -> list[type]:
+    """``PipelineResult`` and every record that its declared types reach."""
+    found, todo = [], [PipelineResult]
     while todo:
-        for cls in todo.pop().__subclasses__():
-            found.append(cls)
-            todo.append(cls)
+        hint = todo.pop()
+        todo += typing.get_args(hint)
+        if is_dataclass(hint) and hint not in found:
+            found.append(hint)
+            todo += _hints(hint).values()
     return found
 
 
@@ -96,7 +100,7 @@ def for_hint(hint: Any, native: bool) -> st.SearchStrategy:
 
 
 @dataclass(frozen=True)
-class Part(Codec):
+class Part:
     label: str
     weight: float | None = None
 
@@ -108,7 +112,7 @@ class Mixed(str, Enum):
 
 
 @dataclass(frozen=True)
-class Whole(Codec):
+class Whole:
     parts: tuple[Part, ...]
     mood: Mixed
     extra: dict
@@ -120,9 +124,12 @@ class Heavier(Part):
 
 
 def test_every_result_class_is_covered():
-    names_found = {cls.__name__ for cls in codec_classes()}
+    names_found = {cls.__name__ for cls in result_classes()}
     assert {
         "EntryError",
+        "PooledRole",
+        "PooledSource",
+        "CorpusCounts",
         "PipelineResult",
         "FeatureSummary",
         "ConfusionMatrix",
@@ -135,10 +142,10 @@ def test_every_result_class_is_covered():
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-def test_to_dict_matches_reference(data):
-    for cls in codec_classes():
+def test_encoding_matches_reference(data):
+    for cls in result_classes():
         value = data.draw(for_hint(cls, native=False), label=cls.__name__)
-        encoded = value.to_dict()
+        encoded = syn.encoded(value)
         assert encoded == reference_encode(value)
         assert json.dumps(encoded) == json.dumps(reference_encode(value))
 
@@ -146,8 +153,8 @@ def test_to_dict_matches_reference(data):
 @settings(max_examples=30, deadline=None)
 @given(for_hint(PipelineResult, native=True))
 def test_pipeline_result_round_trip(result):
-    assert PipelineResult.from_dict(json.loads(json.dumps(result.to_dict()))) == result
-    assert PipelineResult.from_dict(result.to_dict()) == result
+    assert decode(PipelineResult, json.loads(json.dumps(syn.encoded(result)))) == result
+    assert decode(PipelineResult, syn.encoded(result)) == result
 
 
 def checked_nodes(hint: Any, value: Any, path: str = "", keys: tuple = (), nullable=False):
@@ -199,9 +206,9 @@ def get_at(value: Any, keys: tuple) -> Any:
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_decode_checks_every_declared_type(data):
-    for cls in codec_classes():
-        encoded = data.draw(for_hint(cls, native=True), label=cls.__name__).to_dict()
-        assert cls.from_dict(encoded).to_dict() == encoded
+    for cls in result_classes():
+        encoded = syn.encoded(data.draw(for_hint(cls, native=True), label=cls.__name__))
+        assert syn.encoded(decode(cls, encoded)) == encoded
         nodes = list(checked_nodes(cls, encoded))
         path, keys, hint, nullable = data.draw(st.sampled_from(nodes), label="leaf")
         wrong = [
@@ -212,7 +219,7 @@ def test_decode_checks_every_declared_type(data):
         mistyped = json.loads(json.dumps(encoded))
         get_at(mistyped, keys[:-1])[keys[-1]] = data.draw(st.sampled_from(wrong), label="value")
         with pytest.raises((TypeError, ValueError)) as excinfo:
-            cls.from_dict(mistyped)
+            decode(cls, mistyped)
         assert str(excinfo.value).startswith(f"{path} must be ")
         objects = [((), "")] + [
             (keys, path + ".")
@@ -223,7 +230,7 @@ def test_decode_checks_every_declared_type(data):
         extended = json.loads(json.dumps(encoded))
         get_at(extended, object_keys)["unexpected"] = 0
         with pytest.raises(ValueError, match=re.escape(f"unknown key {prefix + 'unexpected'!r}")):
-            cls.from_dict(extended)
+            decode(cls, extended)
 
 
 def test_mixin_enum_subclass_and_nesting():
@@ -232,7 +239,7 @@ def test_mixin_enum_subclass_and_nesting():
         mood=Mixed.LOUD,
         extra={"roles": (SpeakerRole.CHILD, None), "nested": {"t": ((1, 2), [3.5])}},
     )
-    encoded = value.to_dict()
+    encoded = syn.encoded(value)
     assert encoded == reference_encode(value)
     assert type(encoded["mood"]) is str and encoded["mood"] == "loud"
     assert encoded["parts"][1] == {"label": "b", "weight": 0.5, "ballast": 3}
@@ -253,7 +260,7 @@ any_float = (
     | st.floats().map(np.float64)
 )
 any_int = st.integers() | st.integers(min_value=-(2**200), max_value=2**200)
-codec_values = st.one_of([for_hint(cls, native=False) for cls in codec_classes()])
+codec_values = st.one_of([for_hint(cls, native=False) for cls in result_classes()])
 json_values = st.recursive(
     st.none()
     | st.booleans()

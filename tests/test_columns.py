@@ -21,7 +21,7 @@ from talkmetrics.features import (
     summarize,
 )
 from talkmetrics.ingest import parse_expert, parse_machine
-from talkmetrics.transcript import Source, SpeakerRole, Transcript, Utterance
+from talkmetrics.transcript import Source, SpeakerRole, Transcript, Utterance, is_question
 
 TEXTS = (
     "How is the weather?",
@@ -79,8 +79,8 @@ def reference_summarize(transcript, role, links, ld_window):
     minutes = transcript.meta.duration_minutes
     mine = [utt for utt in transcript.utterances if utt.role is role]
     spoken = [utt for utt in mine if utt.word_count > 0]
-    questions = [utt for utt in spoken if utt.question]
-    non_questions = [utt for utt in spoken if not utt.question]
+    questions = [utt for utt in spoken if is_question(utt.raw_text)]
+    non_questions = [utt for utt in spoken if not is_question(utt.raw_text)]
     responded_ids = {link.target_utt_id for link in links}
     responder_ids = {link.response_utt_id for link in links}
     n_responded_questions = sum(1 for utt in questions if utt.id in responded_ids)
@@ -154,8 +154,8 @@ def assert_same(parsed, built, response_window, ld_window):
     assert parsed.columns == built.columns
     assert parsed.utterances == built.utterances
     for role in SpeakerRole:
-        assert parsed.word_count(role) == built.word_count(role)
-    assert parsed.word_count() == built.word_count() == sum(
+        assert syn.word_count(parsed, role) == syn.word_count(built, role)
+    assert syn.word_count(parsed) == syn.word_count(built) == sum(
         u.word_count for u in built.utterances
     )
     links = detect_responses(parsed, response_window)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import synthetic as syn
 from talkmetrics.align import align_by_index
+from talkmetrics.codec import decode
 from talkmetrics.reliability import (
     BothAbsent,
     ConfusionMatrix,
@@ -742,7 +743,7 @@ class TestBuildReport:
         report = build_report(rows, {"f": [(1.0, 2.0), (2.0, 2.5)]})
         import json
 
-        clone = ReliabilityReport.from_dict(json.loads(json.dumps(report.to_dict())))
+        clone = decode(ReliabilityReport, json.loads(json.dumps(syn.encoded(report))))
         assert clone == report
 
 

@@ -255,3 +255,56 @@ def test_readme_imports_resolve():
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+
+
+def named_in(tree: ast.AST) -> Counter:
+    """How often each name appears below ``tree``: as a name, an attribute
+    or an imported name."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Each public top-level function and class of a module, and each public
+    method and property of those classes, with its definition."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for node in tree.body:
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            found.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, kinds[:2]) and not item.name.startswith("_")
+                ]
+    return found
+
+
+def test_every_public_name_is_used():
+    """Every public function, class, method and property of the package is
+    named somewhere it serves a caller: in the package outside its own
+    definition, in the bench scripts, in a README ``python`` block or among
+    the acceptance tests' imports. Code that only tests call does not stay."""
+    trees = parsed_modules()
+    used = sum((named_in(tree) for tree in trees.values()), Counter())
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        used += named_in(ast.parse(path.read_text(encoding="utf-8")))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"^```python\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE):
+        used += named_in(ast.parse(block))
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    for node in acceptance.body:
+        if isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    for module, tree in trees.items():
+        for qualified, node in public_definitions(tree):
+            name = qualified.rpartition(".")[2]
+            assert used[name] > named_in(node)[name], f"{module}.{qualified} is never used"

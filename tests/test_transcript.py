@@ -8,61 +8,61 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import synthetic as syn
-from talkmetrics.transcript import SpeakerRole, is_question, iter_roles, normalize, tokenize
+from talkmetrics.transcript import SpeakerRole, is_question, iter_roles, tokens_of
 
 
 class TestNormalize:
     def test_question_mark_removed(self):
-        assert normalize("How is the weather?") == "how is the weather"
+        assert " ".join(tokens_of("How is the weather?")) == "how is the weather"
 
     def test_empty(self):
-        assert normalize("") == ""
+        assert " ".join(tokens_of("")) == ""
 
     def test_contractions_stay_one_word(self):
         assert (
-            normalize("It's sunny? I don't know if it's sunny.")
+            " ".join(tokens_of("It's sunny? I don't know if it's sunny."))
             == "it's sunny i don't know if it's sunny"
         )
 
     def test_curly_apostrophes_normalized(self):
-        assert normalize("It’s fine") == "it's fine"
+        assert " ".join(tokens_of("It’s fine")) == "it's fine"
 
     def test_hyphenated_words_join(self):
-        assert normalize("a well-known merry-go-round") == "a wellknown merrygoround"
+        assert " ".join(tokens_of("a well-known merry-go-round")) == "a wellknown merrygoround"
 
     def test_punctuation_to_space(self):
-        assert normalize("Yeah, you too.") == "yeah you too"
+        assert " ".join(tokens_of("Yeah, you too.")) == "yeah you too"
 
     def test_edge_apostrophes_dropped(self):
-        assert normalize("'hello' said the cat") == "hello said the cat"
+        assert " ".join(tokens_of("'hello' said the cat")) == "hello said the cat"
 
     def test_bracketed_annotations_stripped(self):
-        assert normalize("[laughs] go on <noise> now") == "go on now"
+        assert " ".join(tokens_of("[laughs] go on <noise> now")) == "go on now"
 
     def test_whitespace_collapsed(self):
-        assert normalize("  a \t b \n c ") == "a b c"
+        assert " ".join(tokens_of("  a \t b \n c ")) == "a b c"
 
     @given(st.text(max_size=120))
     def test_idempotent(self, text):
-        once = normalize(text)
-        assert normalize(once) == once
+        once = " ".join(tokens_of(text))
+        assert " ".join(tokens_of(once)) == once
 
     @given(st.text(max_size=120))
     def test_zero_words_iff_empty_normalization(self, text):
-        assert (len(tokenize(normalize(text))) == 0) == (normalize(text) == "")
+        assert (len(tokens_of(text)) == 0) == (" ".join(tokens_of(text)) == "")
 
 
 class TestTokenize:
     def test_counts(self):
-        assert len(tokenize("oh a raisin is in there")) == 6
-        assert tokenize("sunny") == ["sunny"]
-        assert tokenize("") == []
+        assert len(tokens_of("oh a raisin is in there")) == 6
+        assert tokens_of("sunny") == ("sunny",)
+        assert tokens_of("") == ()
 
     def test_expected_word_counts_on_fixture(self):
         for (_, expert_text, _), count in zip(
             syn.WEATHER_ROWS, syn.WEATHER_EXPERT_WORD_COUNTS
         ):
-            assert len(tokenize(normalize(expert_text))) == count, expert_text
+            assert len(tokens_of(expert_text)) == count, expert_text
 
 
 class TestIsQuestion:
@@ -78,7 +78,7 @@ class TestIsQuestion:
     def test_checked_before_normalization(self):
         # normalization strips '?', so the flag must come from raw text
         raw = "Really?"
-        assert "?" not in normalize(raw)
+        assert "?" not in " ".join(tokens_of(raw))
         assert is_question(raw)
 
 
@@ -87,7 +87,7 @@ class TestUtterance:
         u = syn.utt(1, 0.0, 1.0, "How is the weather?")
         assert u.tokens == ("how", "is", "the", "weather")
         assert u.word_count == 4
-        assert u.question
+        assert is_question(u.raw_text)
 
     def test_offset_before_onset_rejected(self):
         with pytest.raises(ValueError):
@@ -144,8 +144,8 @@ class TestTranscript:
             ]
         )
         assert [u.role for u in t.utterances].count(SpeakerRole.TEACHER) == 2
-        assert t.word_count(SpeakerRole.TEACHER) == 5
-        assert t.word_count() == 6
+        assert syn.word_count(t, SpeakerRole.TEACHER) == 5
+        assert syn.word_count(t) == 6
         assert len(t) == 3
 
     def test_meta_duration_must_be_positive(self):
