@@ -834,11 +834,13 @@ class TestBatch:
             (b'{"response_window": "x"}', "response_window must be a number: 'x'"),
             (b'{"ld_window": true}', "ld_window must be a number: True"),
             (b'{"wer_wearer_match": "no"}', "wer_wearer_match must be true or false"),
-            (b'{"align": {"gap_penalty": -1}}', "gap_penalty must be non-negative"),
+            (b'{"align": {"gap_penalty": -1}}', "align.gap_penalty must be non-negative"),
             (b'{"align": {"min_iou": NaN}}', "invalid JSON: not a finite number: NaN"),
-            (b'{"align": {"min_iou": -0.5}}', "min_iou must be in [0, 1]: -0.5"),
             (b'{"align": {"min_iou": -0.5}}', "align.min_iou must be in [0, 1]: -0.5"),
-            (b'{"align": {"min_text_similarity": 7}}', "min_text_similarity must be in [0, 1]: 7"),
+            (
+                b'{"align": {"min_text_similarity": 7}}',
+                "align.min_text_similarity must be in [0, 1]: 7",
+            ),
             (b'{"align": {"min_text_similarity": NaN}}', "invalid JSON: not a finite number: NaN"),
             (b'{"ld_window": 0}', "ld_window must be positive"),
             (b'{"ld_window": 0.5}', "ld_window must be at least 1 second: 0.5"),
@@ -856,7 +858,7 @@ class TestBatch:
             ),
             pytest.param(
                 b'{"align": {"gap_penalty": 1' + b"0" * 400 + b"}}",
-                "gap_penalty is out of range: 1000",
+                "align.gap_penalty is out of range: 1000",
                 id="gap_penalty-past-float",
             ),
         ],

@@ -38,8 +38,9 @@ def reference_encode(value: Any) -> Any:
 
 
 def result_classes() -> list[type]:
-    """``PipelineResult`` and every record that its declared types reach."""
-    found, todo = [], [PipelineResult]
+    """``PipelineResult``, this module's ``Whole`` and ``Heavier``, and every
+    record that their declared types reach."""
+    found, todo = [], [PipelineResult, Whole, Heavier]
     while todo:
         hint = todo.pop()
         todo += typing.get_args(hint)
@@ -137,7 +138,10 @@ def test_every_result_class_is_covered():
         "RecordingReliability",
         "IccEntry",
         "ReliabilityReport",
-    } <= names_found
+        "Part",
+        "Whole",
+        "Heavier",
+    } == names_found
 
 
 @settings(max_examples=30, deadline=None)
