@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import TalkmetricsError
-from .transcript import RecordingMeta, Transcript, Utterance, levenshtein
+from .transcript import Transcript, Utterance, levenshtein
 
 # The functions that call numpy import it as ``np``, so a run that never
 # aligns by time never loads it. No other module uses numpy.
@@ -93,22 +93,13 @@ def pair_score(machine: Utterance, expert: Utterance, config: AlignConfig) -> fl
 
 @dataclass(frozen=True)
 class AlignedPair:
-    """One matched machine/expert utterance pair.
-
-    Its affinity scores are computed from the two utterances when read, so
-    building a matching does not pay for scores that only audits use.
+    """One matched machine/expert utterance pair. It holds no scores: an
+    audit that wants them calls ``time_iou`` and ``text_similarity`` on the
+    two utterances, so building a matching does not pay for them.
     """
 
     machine_utt: Utterance
     expert_utt: Utterance
-
-    @property
-    def time_iou(self) -> float:
-        return time_iou(self.machine_utt, self.expert_utt)
-
-    @property
-    def text_similarity(self) -> float:
-        return text_similarity(self.machine_utt, self.expert_utt)
 
 
 @dataclass(frozen=True)
@@ -123,21 +114,6 @@ class AlignedCorpus:
     machine: Transcript
     expert: Transcript
     matched: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.matched)
-
-    @property
-    def meta(self) -> RecordingMeta:
-        return self.machine.meta
-
-    @property
-    def n_machine(self) -> int:
-        return len(self.machine)
-
-    @property
-    def n_expert(self) -> int:
-        return len(self.expert)
 
     @property
     def pairs(self) -> tuple[AlignedPair, ...]:
@@ -521,8 +497,8 @@ def write_alignment_jsonl(corpus: AlignedCorpus, path: Path | str) -> None:
             "kind": "pair",
             "machine_id": pair.machine_utt.id,
             "expert_id": pair.expert_utt.id,
-            "time_iou": pair.time_iou,
-            "text_similarity": pair.text_similarity,
+            "time_iou": time_iou(pair.machine_utt, pair.expert_utt),
+            "text_similarity": text_similarity(pair.machine_utt, pair.expert_utt),
         }
         for pair in corpus.pairs
     ]

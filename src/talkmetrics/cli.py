@@ -207,9 +207,9 @@ def _cmd_align(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         write_alignment_jsonl(corpus, args.out / f"{entry.recording_id}.alignment.jsonl")
         n_aligned += 1
         print(
-            f"{entry.recording_id}: {len(corpus)} pairs,"
-            f" {corpus.n_machine - len(corpus)} machine-only,"
-            f" {corpus.n_expert - len(corpus)} expert-only"
+            f"{entry.recording_id}: {len(corpus.matched)} pairs,"
+            f" {len(corpus.machine) - len(corpus.matched)} machine-only,"
+            f" {len(corpus.expert) - len(corpus.matched)} expert-only"
         )
     if n_aligned == 0 and n_failed == 0:
         print("talkmetrics: no recording has an expert transcript", file=sys.stderr)

@@ -9,7 +9,8 @@ classrooms.
 
 Counts and means consider only utterances that still contain words after
 text normalization; a segment that normalizes to nothing is a detection,
-not speech. Response links, however, are computed over all utterances.
+not speech. Response links, however, are computed over all utterances,
+once per transcript by ``detect_responses``; ``summarize`` reads them.
 """
 
 from __future__ import annotations
@@ -124,22 +125,19 @@ FEATURE_COLUMNS = tuple(f.name for f in fields(FeatureSummary))
 def summarize(
     transcript: Transcript,
     role: SpeakerRole,
-    links: Sequence[ResponseLink] | None = None,
-    response_window: float = DEFAULT_RESPONSE_WINDOW,
+    links: Sequence[ResponseLink],
     ld_window: float = DEFAULT_LD_WINDOW,
 ) -> FeatureSummary:
     """Fill the whole feature battery for one role, in one pass over the
     transcript's columns.
 
-    ``links`` lets callers share one detect_responses pass across both
-    roles; left as None, they are computed here. Lexical diversity per
-    minute is the mean count of distinct word types per ``ld_window``
-    seconds, bucketed on utterance onset; silent windows count as zero, so
-    quiet speakers score low even when their busy minutes are rich. The
-    pooled rate is the recording's distinct types per minute.
+    ``links`` are the transcript's response links, as ``detect_responses``
+    finds them; one pass serves both roles. Lexical diversity per minute is
+    the mean count of distinct word types per ``ld_window`` seconds,
+    bucketed on utterance onset; silent windows count as zero, so quiet
+    speakers score low even when their busy minutes are rich. The pooled
+    rate is the recording's distinct types per minute.
     """
-    if links is None:
-        links = detect_responses(transcript, response_window)
     minutes = transcript.meta.duration_minutes
     if not ld_window >= MIN_LD_WINDOW:  # NaN included
         raise ValueError(f"ld_window must be at least {MIN_LD_WINDOW:g} second: {ld_window}")

@@ -83,10 +83,15 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def _parse_number(
-    value: object, path: Path | str, line: int, column: str, error: type[ParseError]
+    value: object,
+    path: Path | str,
+    line: int,
+    column: str,
+    error: type[ParseError],
+    least: float = -_INF,
 ) -> float:
-    """The finite float of a cell or JSON value: MalformedRecord if it is
-    not a number, ``error`` if it is out of the float range or not finite."""
+    """The finite float of a cell or JSON value: MalformedRecord if it is not a
+    number, ``error`` if it is out of the float range, not finite or below ``least``."""
     try:
         if type(value) is bool:  # float() would read JSON true as 1
             raise TypeError
@@ -97,13 +102,8 @@ def _parse_number(
         raise error(path, line, f"{column} is out of range: {value!r}") from None
     if not -_INF < parsed < _INF:  # NaN included
         raise error(path, line, f"{column} is not finite: {value!r}")
-    return parsed
-
-
-def _parse_time(value: object, path: Path | str, line: int, column: str) -> float:
-    parsed = _parse_number(value, path, line, column, InvalidTimestamps)
-    if parsed < 0.0:
-        raise InvalidTimestamps(path, line, f"{column} is negative: {value!r}")
+    if parsed < least:
+        raise error(path, line, f"{column} is negative: {value!r}")
     return parsed
 
 
@@ -152,10 +152,10 @@ def parse_machine(path: Path | str, meta: RecordingMeta) -> Transcript:
             # a JSON float that is finite and not negative is already a time
             onset = record["start"]
             if not (type(onset) is float and 0.0 <= onset < _INF):
-                onset = _parse_time(onset, path, line_no, "start")
+                onset = _parse_number(onset, path, line_no, "start", InvalidTimestamps, 0.0)
             offset = record["end"]
             if not (type(offset) is float and 0.0 <= offset < _INF):
-                offset = _parse_time(offset, path, line_no, "end")
+                offset = _parse_number(offset, path, line_no, "end", InvalidTimestamps, 0.0)
             if offset < onset:
                 raise InvalidTimestamps(path, line_no, f"end {offset} before start {onset}")
             text = record["text"]
@@ -205,8 +205,8 @@ def parse_expert(path: Path | str, meta: RecordingMeta) -> Transcript:
                 )
             if len(cells) < width:  # a short row's missing cells read as empty
                 cells += [""] * (width - len(cells))
-            onset = _parse_time(cells[start_at], path, line_no, "start")
-            offset = _parse_time(cells[end_at], path, line_no, "end")
+            onset = _parse_number(cells[start_at], path, line_no, "start", InvalidTimestamps, 0.0)
+            offset = _parse_number(cells[end_at], path, line_no, "end", InvalidTimestamps, 0.0)
             if offset < onset:
                 raise InvalidTimestamps(path, line_no, f"end {offset} before start {onset}")
             linked_id = None

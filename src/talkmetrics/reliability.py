@@ -96,7 +96,7 @@ def wer_units(
     whose wearer is not ``role`` contributes nothing: speech is scored only
     against the microphone its speaker wore.
     """
-    if wearer_match and corpus.meta.wearer_role is not role:
+    if wearer_match and corpus.machine.meta.wearer_role is not role:
         return 0.0, 0
     machine, expert = corpus.machine.columns, corpus.expert.columns
     total = 0.0
@@ -183,8 +183,8 @@ def cross_classify(corpus: AlignedCorpus) -> ConfusionMatrix:
     return ConfusionMatrix(
         counts=((cells[0][0], cells[0][1]), (cells[1][0], cells[1][1])),
         excluded_other=excluded,
-        residue_machine=corpus.n_machine - len(corpus),
-        residue_expert=corpus.n_expert - len(corpus),
+        residue_machine=len(corpus.machine) - len(corpus.matched),
+        residue_expert=len(corpus.expert) - len(corpus.matched),
     )
 
 
@@ -506,7 +506,7 @@ def recording_reliability(
     confusion = cross_classify(corpus)
     wer_t = wer_units(corpus, SpeakerRole.TEACHER, wearer_match)
     wer_c = wer_units(corpus, SpeakerRole.CHILD, wearer_match)
-    meta = corpus.meta
+    meta = corpus.machine.meta
     return RecordingReliability(
         recording_id=meta.recording_id,
         classroom_id=meta.classroom_id,

@@ -124,7 +124,7 @@ def is_question(raw_text: str) -> bool:
 def levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
     """Minimum insertions + deletions + substitutions (unit costs) turning
     token list ``a`` into ``b``. Symmetric; 0 iff the lists are equal."""
-    if a == b or list(a) == list(b):
+    if a == b:
         return 0
     if not a:
         return len(b)

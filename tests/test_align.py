@@ -210,8 +210,8 @@ class TestAlignByIndex:
             linked=True,
         )
         pair = align_by_index(machine, expert).pairs[0]
-        assert pair.time_iou == 1.0
-        assert pair.text_similarity == 1.0
+        assert time_iou(pair.machine_utt, pair.expert_utt) == 1.0
+        assert text_similarity(pair.machine_utt, pair.expert_utt) == 1.0
 
 
 # --- time alignment --------------------------------------------------------
@@ -244,8 +244,8 @@ class TestAlignByTime:
         corpus = align_by_time(machine, expert)
         assert len(corpus.pairs) == 20
         for pair in corpus.pairs:
-            assert pair.time_iou == 1.0
-            assert pair.text_similarity == 1.0
+            assert time_iou(pair.machine_utt, pair.expert_utt) == 1.0
+            assert text_similarity(pair.machine_utt, pair.expert_utt) == 1.0
 
     def test_small_uniform_shift_keeps_matching(self):
         rows = [(4.0 * i, 4.0 * i + 2.5, f"word{i} extra") for i in range(20)]

@@ -12,7 +12,7 @@ import pytest
 
 import synthetic as syn
 import talkmetrics.batch as batch_module
-from talkmetrics.align import AlignConfig
+from talkmetrics.align import AlignConfig, AlignedCorpus
 from talkmetrics.batch import (
     CorpusManifest,
     EmptyCorpus,
@@ -526,9 +526,10 @@ class TestRunPipeline:
 
         def rec01_expert_side(arg):
             # rec01's expert transcript or alignment, not its machine transcript
-            machine = isinstance(arg, Transcript) and arg.source is Source.MACHINE
-            recording_id = getattr(getattr(arg, "meta", None), "recording_id", None)
-            return recording_id == "rec01" and not machine
+            if isinstance(arg, AlignedCorpus):
+                arg = arg.expert
+            expert = isinstance(arg, Transcript) and arg.source is Source.EXPERT
+            return expert and arg.meta.recording_id == "rec01"
 
         def fails_on_rec01_expert(*args):
             if any(rec01_expert_side(arg) for arg in args):

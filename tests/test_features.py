@@ -38,8 +38,8 @@ TEACHER, CHILD = SpeakerRole.TEACHER, SpeakerRole.CHILD
 
 def summary_of(utterances, duration_minutes=5.0, role=TEACHER, **kwargs):
     """The summary of ``role`` in a transcript of ``utterances``."""
-    meta = syn.make_meta(duration_minutes=duration_minutes)
-    return summarize(syn.transcript(utterances, meta), role, **kwargs)
+    transcript = syn.transcript(utterances, syn.make_meta(duration_minutes=duration_minutes))
+    return summarize(transcript, role, detect_responses(transcript), **kwargs)
 
 
 # --- MLU ---------------------------------------------------------------------
@@ -80,7 +80,7 @@ class TestMlu:
             for i, (label, words) in enumerate(rows)
         ]
         transcript = syn.transcript(utts, syn.make_meta(duration_minutes=1.0))
-        summary = summarize(transcript, role)
+        summary = summarize(transcript, role, detect_responses(transcript))
         total = summary.n_utterances and round(summary.mlu_overall * summary.n_utterances)
         assert total == syn.word_count(transcript, role)
 
@@ -360,7 +360,7 @@ class TestLexicalDiversity:
                     slot = int(onset // ld_window)
                     windows += [set() for _ in range(slot + 1 - len(windows))]
                     windows[slot].update(tokens)
-            summary = summarize(text, role, ld_window=ld_window)
+            summary = summarize(text, role, detect_responses(text), ld_window=ld_window)
             assert summary.lexical_diversity_per_minute == sum(map(len, windows)) / len(windows)
             assert summary.lexical_diversity_pooled == (
                 len(set().union(*windows)) / meta.duration_minutes
@@ -372,7 +372,7 @@ class TestLexicalDiversity:
 
 class TestSummarize:
     def test_child_side_of_fixture(self, weather_machine):
-        summary = summarize(weather_machine, SpeakerRole.CHILD)
+        summary = summarize(weather_machine, SpeakerRole.CHILD, detect_responses(weather_machine))
         assert summary.n_utterances == 5
         assert summary.n_questions == 0
         assert summary.n_non_questions == 5
@@ -391,7 +391,7 @@ class TestSummarize:
         assert summary.source == "machine"
 
     def test_teacher_side_of_fixture(self, weather_machine):
-        summary = summarize(weather_machine, SpeakerRole.TEACHER)
+        summary = summarize(weather_machine, SpeakerRole.TEACHER, detect_responses(weather_machine))
         assert summary.n_utterances == 5
         assert summary.n_questions == 3
         assert summary.mlu_question == pytest.approx(20 / 3)
@@ -404,14 +404,14 @@ class TestSummarize:
         assert summary.lexical_diversity_per_minute == 17.0
 
     def test_expert_side_differs(self, weather_expert):
-        summary = summarize(weather_expert, SpeakerRole.CHILD)
+        summary = summarize(weather_expert, SpeakerRole.CHILD, detect_responses(weather_expert))
         assert summary.source == "expert"
         # "Oh a raisin is in there" has six words against the machine's two
         assert summary.mlu_overall == pytest.approx(15 / 5)
 
     def test_empty_transcript(self):
         transcript = syn.transcript([])
-        summary = summarize(transcript, SpeakerRole.TEACHER)
+        summary = summarize(transcript, SpeakerRole.TEACHER, detect_responses(transcript))
         assert summary.n_utterances == 0
         assert summary.mlu_overall is None
         assert summary.prop_responded_questions is None
@@ -419,23 +419,17 @@ class TestSummarize:
         assert summary.words_per_minute == 0.0
         assert summary.n_responses_given == 0
 
-    def test_shared_links_match_recomputation(self, weather_machine):
-        links = detect_responses(weather_machine)
-        with_links = summarize(weather_machine, SpeakerRole.TEACHER, links=links)
-        without = summarize(weather_machine, SpeakerRole.TEACHER)
-        assert with_links == without
-
     def test_counts_partition(self):
         rng = random.Random(3)
         transcript = syn.random_transcript(rng, 80)
         for role in (SpeakerRole.TEACHER, SpeakerRole.CHILD):
-            summary = summarize(transcript, role)
+            summary = summarize(transcript, role, detect_responses(transcript))
             assert summary.n_questions + summary.n_non_questions == summary.n_utterances
 
     def test_mlu_recovers_word_total(self):
         rng = random.Random(4)
         transcript = syn.random_transcript(rng, 60)
-        summary = summarize(transcript, SpeakerRole.TEACHER)
+        summary = summarize(transcript, SpeakerRole.TEACHER, detect_responses(transcript))
         spoken = [
             u for u in transcript.utterances
             if u.role is SpeakerRole.TEACHER and u.word_count > 0
@@ -455,7 +449,7 @@ class TestSummarize:
         for role in (SpeakerRole.TEACHER, SpeakerRole.CHILD):
             spoken = [u for u in transcript.utterances if u.role is role and u.word_count > 0]
             questions = [u for u in spoken if is_question(u.raw_text)]
-            summary = summarize(transcript, role)
+            summary = summarize(transcript, role, detect_responses(transcript))
             assert summary.n_utterances == len(spoken)
             assert summary.n_questions == len(questions)
             assert summary.n_responded_questions == sum(
@@ -473,12 +467,14 @@ class TestSummarize:
             assert summary.lexical_diversity_pooled == pytest.approx(len(types) / 12.0)
 
     def test_deterministic(self, weather_machine):
-        assert summarize(weather_machine, SpeakerRole.CHILD) == summarize(
-            weather_machine, SpeakerRole.CHILD
+        first, second = (
+            summarize(weather_machine, SpeakerRole.CHILD, detect_responses(weather_machine))
+            for _ in range(2)
         )
+        assert first == second
 
     def test_round_trip(self, weather_machine):
-        summary = summarize(weather_machine, SpeakerRole.TEACHER)
+        summary = summarize(weather_machine, SpeakerRole.TEACHER, detect_responses(weather_machine))
         import json
 
         clone = decode(FeatureSummary, json.loads(json.dumps(syn.encoded(summary))))
@@ -495,7 +491,7 @@ class TestSummarize:
 
 class TestIccFeatureValues:
     def test_counts_become_rates(self, weather_machine):
-        summary = summarize(weather_machine, SpeakerRole.TEACHER)
+        summary = summarize(weather_machine, SpeakerRole.TEACHER, detect_responses(weather_machine))
         values = icc_feature_values(summary, duration_minutes=2.0)
         assert values["questions_per_minute"] == pytest.approx(1.5)
         assert values["non_questions_per_minute"] == pytest.approx(1.0)
@@ -504,7 +500,7 @@ class TestIccFeatureValues:
         assert values["mlu_overall"] == summary.mlu_overall
 
     def test_covers_declared_features(self, weather_machine):
-        summary = summarize(weather_machine, SpeakerRole.CHILD)
+        summary = summarize(weather_machine, SpeakerRole.CHILD, detect_responses(weather_machine))
         values = icc_feature_values(summary, duration_minutes=1.0)
         assert list(values) == [
             "questions_per_minute",
@@ -521,7 +517,7 @@ class TestIccFeatureValues:
         ]
 
     def test_zero_duration_rejected(self, weather_machine):
-        summary = summarize(weather_machine, SpeakerRole.CHILD)
+        summary = summarize(weather_machine, SpeakerRole.CHILD, detect_responses(weather_machine))
         with pytest.raises(ZeroDuration):
             icc_feature_values(summary, duration_minutes=0.0)
 

@@ -139,6 +139,7 @@ class TestLevenshtein:
         assert levenshtein(["a", "b", "c"], ["a", "b", "c"]) == 0
         assert levenshtein([], []) == 0
         assert levenshtein([], ["x", "y"]) == 2
+        assert levenshtein(["a", "b"], ("a", "b")) == 0
 
     def test_matches_exponential_recursion_small(self):
         vocab = ("a", "b", "c")

@@ -34,7 +34,7 @@ ROLES = ("teacher", "child", "other")
 def reference_wer_units(corpus: AlignedCorpus, role: SpeakerRole, wearer_match: bool):
     """``wer_units`` over utterance objects: pairs, then expert residue,
     then machine residue."""
-    if wearer_match and corpus.meta.wearer_role is not role:
+    if wearer_match and corpus.machine.meta.wearer_role is not role:
         return 0.0, 0
     total = 0.0
     count = 0
@@ -78,7 +78,7 @@ def reference_row(corpus: AlignedCorpus, wearer_match: bool) -> RecordingReliabi
     f1, acc, kappa = confusion_metrics(confusion)
     teacher = reference_wer_units(corpus, SpeakerRole.TEACHER, wearer_match)
     child = reference_wer_units(corpus, SpeakerRole.CHILD, wearer_match)
-    meta = corpus.meta
+    meta = corpus.machine.meta
     return RecordingReliability(
         recording_id=meta.recording_id,
         classroom_id=meta.classroom_id,
