@@ -529,7 +529,7 @@ def run_pipeline(
                     key = f"{machine.role.value}_{name}"
                     feature_pairs.setdefault(key, []).append((value, expert_values[name]))
         for summary in outcome.features:
-            pooled.setdefault(summary.source, []).append((summary, minutes))
+            pooled.setdefault(summary.source.value, []).append((summary, minutes))
     return PipelineResult(
         config=cfg.semantic_dict(),
         corpus=CorpusCounts(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 from .errors import TalkmetricsError
-from .transcript import SpeakerRole, Transcript, is_question
+from .transcript import Source, SpeakerRole, Transcript, is_question
 
 DEFAULT_RESPONSE_WINDOW = 2.5
 DEFAULT_LD_WINDOW = 60.0
@@ -100,7 +100,7 @@ class FeatureSummary:
     """
 
     recording_id: str
-    source: str
+    source: Source
     role: SpeakerRole
     n_utterances: int
     n_questions: int
@@ -174,7 +174,7 @@ def summarize(
     n_words = question_words + non_question_words
     return FeatureSummary(
         recording_id=transcript.meta.recording_id,
-        source=transcript.source.value,
+        source=transcript.source,
         role=role,
         n_utterances=n_spoken,
         n_questions=n_questions,

@@ -17,6 +17,8 @@ Conventions, fixed once here so every report uses the same rules:
 * Per-recording metrics use per-recording counts; "overall" metrics pool
   counts across recordings; the time-weighted mean weights per-recording
   values by recording duration.
+* An undefined metric is None, such as accuracy on an empty matrix or a
+  role's WER without units; the functions that compute one do not raise.
 """
 
 from __future__ import annotations
@@ -36,18 +38,6 @@ from .transcript import SpeakerRole, Utterance, levenshtein
 
 class BothAbsent(TalkmetricsError):
     """utterance_wer needs at least one side of the pair."""
-
-
-class EmptyMatrix(TalkmetricsError):
-    """Confusion metrics are undefined on an all-zero matrix."""
-
-
-class LengthMismatch(TalkmetricsError):
-    """values and durations must pair up one-to-one."""
-
-
-class ZeroTotalWeight(TalkmetricsError):
-    """No usable weight remained after skipping missing values."""
 
 
 class TooFewRows(TalkmetricsError):
@@ -87,14 +77,14 @@ def _tokens_wer(hyp: Sequence[str], ref: Sequence[str]) -> float:
 
 
 def wer_units(
-    corpus: AlignedCorpus, role: SpeakerRole, wearer_match: bool = False
+    corpus: AlignedCorpus, role: SpeakerRole, wearer_match: bool = True
 ) -> tuple[float, int]:
     """(sum of per-utterance WERs, unit count) for one recording and role.
 
     Pairs are selected by expert role; residues enter at WER 1.0 under the
-    role of whichever side exists. With ``wearer_match`` set, a recording
-    whose wearer is not ``role`` contributes nothing: speech is scored only
-    against the microphone its speaker wore.
+    role of whichever side exists. With ``wearer_match`` (the default), a
+    recording whose wearer is not ``role`` contributes nothing: speech is
+    scored only against the microphone its speaker wore.
     """
     if wearer_match and corpus.machine.meta.wearer_role is not role:
         return 0.0, 0
@@ -188,23 +178,23 @@ def cross_classify(corpus: AlignedCorpus) -> ConfusionMatrix:
     )
 
 
-def accuracy(m: ConfusionMatrix) -> float:
-    """Trace over total."""
+def accuracy(m: ConfusionMatrix) -> float | None:
+    """Trace over total; None on an empty matrix."""
     total = m.total
     if total == 0:
-        raise EmptyMatrix("accuracy undefined on an empty confusion matrix")
+        return None
     return (m.counts[0][0] + m.counts[1][1]) / total
 
 
-def weighted_f1(m: ConfusionMatrix) -> float:
-    """Support-weighted mean of per-class F1 scores.
+def weighted_f1(m: ConfusionMatrix) -> float | None:
+    """Support-weighted mean of per-class F1 scores; None on an empty matrix.
 
     A class with zero precision+recall gets F1 0; a class with no support
     carries no weight.
     """
     total = m.total
     if total == 0:
-        raise EmptyMatrix("weighted F1 undefined on an empty confusion matrix")
+        return None
     rows, cols = m.row_totals, m.col_totals
     score = 0.0
     for cls in (0, 1):
@@ -220,12 +210,12 @@ def cohen_kappa(m: ConfusionMatrix) -> float | None:
     """Chance-corrected agreement (p_o - p_e) / (1 - p_e).
 
     Expected agreement p_e comes from the row/column marginals. Returns
-    None when the marginals are degenerate (p_e = 1), where kappa is
-    undefined.
+    None where kappa is undefined: on an empty matrix, and when the
+    marginals are degenerate (p_e = 1).
     """
     total = m.total
     if total == 0:
-        raise EmptyMatrix("kappa undefined on an empty confusion matrix")
+        return None
     rows, cols = m.row_totals, m.col_totals
     p_observed = (m.counts[0][0] + m.counts[1][1]) / total
     p_expected = (rows[0] * cols[0] + rows[1] * cols[1]) / (total * total)
@@ -247,24 +237,21 @@ def sequential_sum(values: Iterable[float]) -> float:
 
 def time_weighted_mean(
     values: Sequence[float | None], durations: Sequence[float]
-) -> float:
+) -> float | None:
     """Duration-weighted mean of per-recording metric values.
 
-    None values are skipped together with their weights.
+    None values are skipped together with their weights; None when no
+    weight is left. Raises ValueError on sequences of unequal length.
     """
-    if len(values) != len(durations):
-        raise LengthMismatch(
-            f"{len(values)} values vs {len(durations)} durations"
-        )
     weighted = 0.0
     weight = 0.0
-    for value, duration in zip(values, durations):
+    for value, duration in zip(values, durations, strict=True):
         if value is None:
             continue
         weighted += value * duration
         weight += duration
     if weight <= 0.0:
-        raise ZeroTotalWeight("no usable values to weight")
+        return None
     return weighted / weight
 
 
@@ -432,25 +419,18 @@ class ReliabilityReport:
         object.__setattr__(self, "iccs", dict(sorted(self.iccs.items())))
 
 
-def confusion_metrics(m: ConfusionMatrix) -> tuple[float | None, float | None, float | None]:
-    """(weighted F1, accuracy, kappa) with None where undefined."""
-    if m.total == 0:
-        return None, None, None
-    return weighted_f1(m), accuracy(m), cohen_kappa(m)
-
-
 def metric_set(
     confusion: ConfusionMatrix, teacher: tuple[float, int], child: tuple[float, int]
 ) -> MetricSet:
     """The metrics of a confusion matrix and of each role's (WER sum, unit
     count); a role without units has no WER."""
     wers = (total / count if count else None for total, count in (teacher, child))
-    return MetricSet(*confusion_metrics(confusion), *wers)
+    return MetricSet(weighted_f1(confusion), accuracy(confusion), cohen_kappa(confusion), *wers)
 
 
 def build_report(
     rows: Sequence[RecordingReliability],
-    feature_pairs: Mapping[str, Sequence[tuple[float | None, float | None]]] | None = None,
+    feature_pairs: Mapping[str, Sequence[tuple[float | None, float | None]]],
 ) -> ReliabilityReport:
     """Assemble per-recording rows into overall/time-weighted metrics and ICCs.
 
@@ -475,18 +455,11 @@ def build_report(
     )
 
     durations = [r.duration_minutes for r in ordered]
-
-    def weighted(metric: str) -> float | None:
-        values = [getattr(r.metrics, metric) for r in ordered]
-        try:
-            return time_weighted_mean(values, durations)
-        except ZeroTotalWeight:
-            return None
-
-    time_weighted = MetricSet(**{f.name: weighted(f.name) for f in fields(MetricSet)})
+    by_metric = {f.name: [getattr(r.metrics, f.name) for r in ordered] for f in fields(MetricSet)}
+    time_weighted = MetricSet(**{k: time_weighted_mean(v, durations) for k, v in by_metric.items()})
 
     iccs: dict[str, IccEntry] = {}
-    for name, pairs in (feature_pairs or {}).items():
+    for name, pairs in feature_pairs.items():
         clean, dropped = drop_incomplete_rows(pairs)
         flat = len(clean) >= 2 and _all_equal(clean)
         value = 1.0 if flat else None

@@ -264,6 +264,9 @@ class TestFatalErrors:
             data["features"][0]["n_utterances"] = "many"
             data["features"][0]["words_per_minute"] = True
 
+        def feature_source(data):
+            data["features"][0]["source"] = "robot"
+
         def config(data):
             data["config"]["response_window"] = "x"
 
@@ -323,6 +326,10 @@ class TestFatalErrors:
 
         cases = [
             (features, "features[0].n_utterances must be an integer: 'many'"),
+            (
+                feature_source,
+                "features[0].source must be one of 'machine', 'expert': 'robot'",
+            ),
             (config, "config.response_window must be a number: 'x'"),
             (corpus, "corpus.n_recordings must be an integer: 'many'"),
             (aggregate, "aggregate['machine'].teacher.mlu_pooled must be a number: 'fast'"),

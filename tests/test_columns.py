@@ -96,7 +96,7 @@ def reference_summarize(transcript, role, links, ld_window):
         types.update(utt.tokens)
     return FeatureSummary(
         recording_id=transcript.meta.recording_id,
-        source=transcript.source.value,
+        source=transcript.source,
         role=role,
         n_utterances=len(spoken),
         n_questions=len(questions),

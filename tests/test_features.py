@@ -28,6 +28,7 @@ from talkmetrics.features import (
 from talkmetrics.transcript import (
     MAX_DURATION_MINUTES,
     MIN_DURATION_MINUTES,
+    Source,
     SpeakerRole,
     is_question,
     iter_roles,
@@ -388,7 +389,7 @@ class TestSummarize:
         assert summary.n_responses_given == 4
         assert summary.lexical_diversity_per_minute == 10.0
         assert summary.lexical_diversity_pooled == 10.0
-        assert summary.source == "machine"
+        assert summary.source is Source.MACHINE
 
     def test_teacher_side_of_fixture(self, weather_machine):
         summary = summarize(weather_machine, SpeakerRole.TEACHER, detect_responses(weather_machine))
@@ -405,7 +406,7 @@ class TestSummarize:
 
     def test_expert_side_differs(self, weather_expert):
         summary = summarize(weather_expert, SpeakerRole.CHILD, detect_responses(weather_expert))
-        assert summary.source == "expert"
+        assert summary.source is Source.EXPERT
         # "Oh a raisin is in there" has six words against the machine's two
         assert summary.mlu_overall == pytest.approx(15 / 5)
 

@@ -24,14 +24,11 @@ from talkmetrics.reliability import (
     BothAbsent,
     ConfusionMatrix,
     DegenerateRatings,
-    EmptyMatrix,
     IccEntry,
-    LengthMismatch,
     MetricSet,
     RecordingReliability,
     ReliabilityReport,
     TooFewRows,
-    ZeroTotalWeight,
     ZeroVarianceWarning,
     accuracy,
     build_report,
@@ -274,7 +271,7 @@ class TestWerUnits:
                     a = machine_text.split()
                     b = expert_text.split()
                     expected_units.append(lev_matrix(a, b) / len(b))
-            total, count = wer_units(corpus, role)
+            total, count = wer_units(corpus, role, wearer_match=False)
             assert count == len(expected_units)
             assert total == pytest.approx(sum(expected_units))
 
@@ -331,11 +328,10 @@ class TestConfusionMetrics:
             else:
                 assert cohen_kappa(m) == pytest.approx(float(kappa), abs=1e-12)
 
-    def test_empty_matrix_rejected(self):
+    def test_empty_matrix_gives_none(self):
         m = ConfusionMatrix(counts=((0, 0), (0, 0)))
         for metric in (accuracy, weighted_f1, cohen_kappa):
-            with pytest.raises(EmptyMatrix):
-                metric(m)
+            assert metric(m) is None
 
     def test_degenerate_marginals_give_none_kappa(self):
         assert cohen_kappa(ConfusionMatrix(counts=((7, 0), (0, 0)))) is None
@@ -426,12 +422,11 @@ class TestTimeWeightedMean:
         assert time_weighted_mean([0.5, None, 1.0], [10, 100, 10]) == pytest.approx(0.75)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError):
             time_weighted_mean([1.0], [1.0, 2.0])
 
-    def test_all_none_rejected(self):
-        with pytest.raises(ZeroTotalWeight):
-            time_weighted_mean([None, None], [5.0, 5.0])
+    def test_all_none_gives_none(self):
+        assert time_weighted_mean([None, None], [5.0, 5.0]) is None
 
     @given(
         st.lists(
@@ -672,9 +667,6 @@ class TestDropIncompleteRows:
 
 def _row(recording_id, counts, duration, wer_t=(1.0, 2), wer_c=(0.5, 1)):
     m = ConfusionMatrix(counts=counts)
-    from talkmetrics.reliability import confusion_metrics
-
-    f1, acc, kappa = confusion_metrics(m)
     return RecordingReliability(
         recording_id=recording_id,
         classroom_id="roomA",
@@ -683,9 +675,9 @@ def _row(recording_id, counts, duration, wer_t=(1.0, 2), wer_c=(0.5, 1)):
         duration_minutes=duration,
         confusion=m,
         metrics=MetricSet(
-            f1_weighted=f1,
-            accuracy=acc,
-            kappa=kappa,
+            f1_weighted=weighted_f1(m),
+            accuracy=accuracy(m),
+            kappa=cohen_kappa(m),
             wer_teacher=wer_t[0] / wer_t[1] if wer_t[1] else None,
             wer_child=wer_c[0] / wer_c[1] if wer_c[1] else None,
         ),
@@ -702,7 +694,7 @@ class TestBuildReport:
             _row("r1", ((10, 0), (0, 10)), duration=10.0),
             _row("r2", ((0, 5), (5, 0)), duration=30.0),
         ]
-        report = build_report(rows)
+        report = build_report(rows, {})
         pooled = ConfusionMatrix(counts=((10, 5), (5, 10)))
         assert report.overall.accuracy == pytest.approx(accuracy(pooled))
         # time-weighted instead averages the per-recording values
@@ -714,7 +706,7 @@ class TestBuildReport:
             _row("r1", ((5, 0), (0, 5)), 10.0, wer_t=(2.0, 4), wer_c=(0.0, 0)),
             _row("r2", ((5, 0), (0, 5)), 10.0, wer_t=(1.0, 1), wer_c=(3.0, 6)),
         ]
-        report = build_report(rows)
+        report = build_report(rows, {})
         assert report.overall.wer_teacher == pytest.approx(3.0 / 5)
         assert report.overall.wer_child == pytest.approx(0.5)
         # r1 contributes no child units, so its None is skipped with weight
@@ -722,8 +714,18 @@ class TestBuildReport:
 
     def test_rows_sorted_by_recording_id(self):
         rows = [_row("b", ((1, 0), (0, 1)), 1.0), _row("a", ((1, 0), (0, 1)), 1.0)]
-        report = build_report(rows)
+        report = build_report(rows, {})
         assert [r.recording_id for r in report.rows] == ["a", "b"]
+
+    def test_undefined_metrics_are_none(self):
+        rows = [
+            _row("r1", ((0, 0), (0, 0)), 10.0, wer_t=(0.0, 0), wer_c=(0.0, 0)),
+            _row("r2", ((0, 0), (0, 0)), 30.0, wer_t=(0.0, 0), wer_c=(0.0, 0)),
+        ]
+        report = build_report(rows, {})
+        none = MetricSet(None, None, None, None, None)
+        assert report.overall == none
+        assert report.time_weighted == none
 
     def test_icc_entries_track_drops_and_flags(self):
         rows = [_row(f"r{i}", ((1, 0), (0, 1)), 1.0) for i in range(4)]

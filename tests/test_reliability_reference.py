@@ -12,9 +12,11 @@ from talkmetrics.reliability import (
     ConfusionMatrix,
     MetricSet,
     RecordingReliability,
-    confusion_metrics,
+    accuracy,
+    cohen_kappa,
     recording_reliability,
     utterance_wer,
+    weighted_f1,
 )
 from talkmetrics.transcript import SpeakerRole, Transcript
 
@@ -75,7 +77,6 @@ def reference_cross_classify(corpus: AlignedCorpus) -> ConfusionMatrix:
 
 def reference_row(corpus: AlignedCorpus, wearer_match: bool) -> RecordingReliability:
     confusion = reference_cross_classify(corpus)
-    f1, acc, kappa = confusion_metrics(confusion)
     teacher = reference_wer_units(corpus, SpeakerRole.TEACHER, wearer_match)
     child = reference_wer_units(corpus, SpeakerRole.CHILD, wearer_match)
     meta = corpus.machine.meta
@@ -87,9 +88,9 @@ def reference_row(corpus: AlignedCorpus, wearer_match: bool) -> RecordingReliabi
         duration_minutes=meta.duration_minutes,
         confusion=confusion,
         metrics=MetricSet(
-            f1_weighted=f1,
-            accuracy=acc,
-            kappa=kappa,
+            f1_weighted=weighted_f1(confusion),
+            accuracy=accuracy(confusion),
+            kappa=cohen_kappa(confusion),
             wer_teacher=teacher[0] / teacher[1] if teacher[1] else None,
             wer_child=child[0] / child[1] if child[1] else None,
         ),

@@ -8,6 +8,7 @@ local import or a typing-only guard.
 """
 
 import ast
+import builtins
 import importlib
 import re
 import types
@@ -191,6 +192,52 @@ def test_one_catch_all_handler():
             if any(kind is None or getattr(kind, "id", None) in BROAD for kind in caught):
                 found.append(f"{name}:{node.lineno}")
     assert [place.split(":")[0] for place in found] == ["batch"], found
+
+
+def last_name(node: ast.expr) -> str | None:
+    """The name an expression ends in: ``X`` for ``X`` and ``m.X``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_no_dead_exception_class():
+    """Every exception or warning class of the package is raised, or given
+    to ``warnings.warn`` as its category, somewhere in the package, or is a
+    base of a class that is; so no class outlives its last ``raise``."""
+    trees = parsed_modules()
+    bases = {
+        node.name: [last_name(base) for base in node.bases]
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    builtin = {
+        name
+        for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+    }
+
+    def is_exception(name: str | None) -> bool:
+        return name in builtin or any(is_exception(base) for base in bases.get(name, ()))
+
+    live = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                live.add(last_name(exc))
+            elif isinstance(node, ast.Call) and last_name(node.func) == "warn":
+                category = node.args[1:2] + [k.value for k in node.keywords if k.arg == "category"]
+                live.update(last_name(arg) for arg in category)
+    frontier = list(live)
+    while frontier:
+        for base in bases.get(frontier.pop(), ()):
+            if base not in live:
+                live.add(base)
+                frontier.append(base)
+    dead = [name for name in bases if is_exception(name) and name not in live]
+    assert not dead, f"exception classes never raised: {dead}"
 
 
 def test_worker_outcome_holds_no_dict():
