@@ -287,7 +287,7 @@ class TestWerUnits:
 
     def test_empty_selection(self):
         corpus = _paired_corpus([("a", "a", "teacher")])
-        assert wer_units(corpus, SpeakerRole.CHILD) == (0.0, 0)
+        assert wer_units(corpus, SpeakerRole.CHILD, wearer_match=False) == (0.0, 0)
 
 
 # --- confusion metrics -----------------------------------------------------
