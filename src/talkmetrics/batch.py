@@ -37,6 +37,7 @@ from .features import (
     FeatureSummary,
     detect_responses,
     icc_feature_values,
+    ratio,
     response_proportion,
     summarize,
 )
@@ -49,7 +50,7 @@ from .reliability import (
     recording_reliability,
     sequential_sum,
 )
-from .transcript import RecordingMeta, SpeakerRole, Transcript, iter_roles
+from .transcript import ROLES, RecordingMeta, SpeakerRole, Transcript
 
 log = logging.getLogger(__name__)
 
@@ -92,7 +93,7 @@ class MissingFile(TalkmetricsError):
 
 
 class EmptyCorpus(TalkmetricsError):
-    """Discovery found no recordings."""
+    """A manifest has no recordings."""
 
 
 class ManifestError(TalkmetricsError):
@@ -116,11 +117,13 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class CorpusManifest:
-    """The recordings of one run, sorted by recording id."""
+    """The recordings of one run, at least one, sorted by recording id."""
 
     entries: tuple[ManifestEntry, ...]
 
     def __post_init__(self) -> None:
+        if not self.entries:
+            raise EmptyCorpus("no recordings found")
         ids = [entry.recording_id for entry in self.entries]
         if len(set(ids)) != len(ids):
             seen = set()
@@ -250,8 +253,6 @@ def discover(
             )
     else:
         raise ValueError("discover needs a root_dir or a manifest_path")
-    if not entries:
-        raise EmptyCorpus("no recordings found")
     return CorpusManifest(entries=tuple(entries))
 
 
@@ -296,12 +297,9 @@ def load_entry_meta(entry: ManifestEntry) -> RecordingMeta:
 
 
 def _source_features(transcript: Transcript, cfg: RunConfig) -> tuple[FeatureSummary, ...]:
-    """Both roles' feature rows for one transcript, in ``iter_roles`` order."""
+    """Both roles' feature rows for one transcript, in ``ROLES`` order."""
     links = detect_responses(transcript, cfg.response_window)
-    return tuple(
-        summarize(transcript, role, links, ld_window=cfg.ld_window)
-        for role in iter_roles()
-    )
+    return tuple(summarize(transcript, role, links, ld_window=cfg.ld_window) for role in ROLES)
 
 
 def _findings(done: dict) -> tuple[tuple[str, ValidationWarning], ...]:
@@ -448,15 +446,13 @@ def _pool_role(rows: Sequence[tuple[FeatureSummary, float]], role: SpeakerRole) 
         n_responded_non_questions=responded_non,
         n_responses_given=sum(s.n_responses_given for s, _ in mine),
         total_words=words,
-        mlu_pooled=words / n_utterances if n_utterances else None,
-        words_per_minute_pooled=words / minutes if minutes else None,
+        mlu_pooled=ratio(words, n_utterances),
+        words_per_minute_pooled=ratio(words, minutes),
         prop_responded_questions_pooled=response_proportion(responded, n_questions),
         prop_responded_non_questions_pooled=response_proportion(responded_non, n_non_questions),
         pct_questions_pooled=response_proportion(n_questions, n_utterances),
-        pct_questions_mean=sequential_sum(pct_values) / len(pct_values) if pct_values else None,
-        mean_lexical_diversity_per_minute=(
-            sequential_sum(ld_values) / len(ld_values) if ld_values else None
-        ),
+        pct_questions_mean=ratio(sequential_sum(pct_values), len(pct_values)),
+        mean_lexical_diversity_per_minute=ratio(sequential_sum(ld_values), len(ld_values)),
     )
 
 
@@ -464,8 +460,7 @@ def _pool_source(rows: Sequence[tuple[FeatureSummary, float]]) -> PooledSource:
     """Pool one source's per-recording feature rows into corpus-level features."""
     teacher = _pool_role(rows, SpeakerRole.TEACHER)
     child = _pool_role(rows, SpeakerRole.CHILD)
-    ratio = teacher.n_utterances / child.n_utterances if child.n_utterances else None
-    return PooledSource(teacher, child, ratio)
+    return PooledSource(teacher, child, ratio(teacher.n_utterances, child.n_utterances))
 
 
 @dataclass(frozen=True)
@@ -507,8 +502,6 @@ def run_pipeline(
     counts, aggregate and errors are those of a full run, its
     ``reliability`` is ``None``.
     """
-    if not manifest.entries:
-        raise EmptyCorpus("manifest has no entries")
     stages = ("meta", "machine", "machine_features", "expert", "expert_features")
     stages += ("align", "reliability") if agreement else ()
     outcomes = list(process_recordings(manifest.entries, cfg, stages))
@@ -521,7 +514,7 @@ def run_pipeline(
     for outcome in done:
         minutes = outcome.duration_minutes
         if outcome.reliability is not None:
-            # the machine rows, then the expert rows, each in iter_roles order
+            # the machine rows, then the expert rows, each in ROLES order
             half = len(outcome.features) // 2
             for machine, expert in zip(outcome.features[:half], outcome.features[half:]):
                 expert_values = icc_feature_values(expert, minutes)
@@ -621,11 +614,16 @@ def aggregate_table(aggregate: Mapping[str, PooledSource]) -> list[list[object]]
 def check_results(result: PipelineResult) -> None:
     """Raise ValueError unless ``result``, whose other cells ``decode`` typed,
     holds what a run writes: a ``config`` that decodes as a ``RunConfig``
-    without ``parallelism``, which a run never writes, and an ``aggregate``
-    of a ``machine`` source and, optionally, an ``expert`` one after it."""
+    without ``parallelism``, which a run never writes, feature rows of the
+    ``ROLES`` only, and an ``aggregate`` of a ``machine`` source and,
+    optionally, an ``expert`` one after it."""
     if "parallelism" in result.config:
         raise ValueError("unknown key 'config.parallelism'")
     decode(RunConfig, {**result.config, "parallelism": 1}, "config")
+    for i, summary in enumerate(result.features):
+        if summary.role not in ROLES:
+            roles = ", ".join(repr(role.value) for role in ROLES)
+            raise ValueError(f"features[{i}].role must be one of {roles}: {summary.role.value!r}")
     sources = list(result.aggregate)
     if sources not in (["machine"], ["machine", "expert"]):
         raise ValueError(f"aggregate sources must be machine and, optionally, expert: {sources}")

@@ -190,10 +190,13 @@ def _cmd_ingest_check(args: argparse.Namespace, parser: argparse.ArgumentParser)
 
 def _cmd_align(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     manifest, cfg = _load_run(args, parser)
-    args.out.mkdir(parents=True, exist_ok=True)
     with_expert = [entry for entry in manifest.entries if entry.expert_path is not None]
+    if not with_expert:
+        print("talkmetrics: no recording has an expert transcript", file=sys.stderr)
+        return EXIT_FATAL
+    args.out.mkdir(parents=True, exist_ok=True)
     outcomes = process_recordings(with_expert, cfg, ("meta", "machine", "expert", "align"))
-    n_failed = n_aligned = 0
+    n_failed = 0
     for entry in manifest.entries:
         if entry.expert_path is None:
             log.info("%s: no expert transcript, skipping", entry.recording_id)
@@ -205,15 +208,11 @@ def _cmd_align(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             continue
         corpus = outcome.alignment
         write_alignment_jsonl(corpus, args.out / f"{entry.recording_id}.alignment.jsonl")
-        n_aligned += 1
         print(
             f"{entry.recording_id}: {len(corpus.matched)} pairs,"
             f" {len(corpus.machine) - len(corpus.matched)} machine-only,"
             f" {len(corpus.expert) - len(corpus.matched)} expert-only"
         )
-    if n_aligned == 0 and n_failed == 0:
-        print("talkmetrics: no recording has an expert transcript", file=sys.stderr)
-        return EXIT_FATAL
     return EXIT_PARTIAL if n_failed else EXIT_OK
 
 

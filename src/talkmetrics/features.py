@@ -19,20 +19,11 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
-from .errors import TalkmetricsError
 from .transcript import Source, SpeakerRole, Transcript, is_question
 
 DEFAULT_RESPONSE_WINDOW = 2.5
 DEFAULT_LD_WINDOW = 60.0
 MIN_LD_WINDOW = 1.0  # seconds; any shorter, and a large onset's window index overflows
-
-
-class ZeroDuration(TalkmetricsError):
-    """Per-minute rates need a positive recording duration."""
-
-
-class InvalidCounts(TalkmetricsError):
-    """A responded count cannot exceed its total."""
 
 
 class ResponseLink(NamedTuple):
@@ -47,8 +38,10 @@ class ResponseLink(NamedTuple):
     latency: float
 
 
-def _mean(total: int, count: int) -> float | None:
-    return total / count if count else None
+def ratio(numerator: float, denominator: float) -> float | None:
+    """``numerator / denominator``; None when there is nothing to divide by,
+    the one rule for every value that can be undefined this way."""
+    return numerator / denominator if denominator else None
 
 
 def detect_responses(
@@ -77,17 +70,9 @@ def detect_responses(
 
 
 def response_proportion(responded: int, total: int) -> float | None:
-    """Share of targets that drew at least one response.
-
-    None when there were no targets at all.
-    """
-    if responded > total:
-        raise InvalidCounts(f"responded {responded} exceeds total {total}")
-    if responded < 0 or total < 0:
-        raise InvalidCounts("counts must be non-negative")
-    if total == 0:
-        return None
-    return responded / total
+    """Share of targets that drew at least one response; None when there
+    were no targets at all."""
+    return ratio(responded, total)
 
 
 @dataclass(frozen=True)
@@ -179,9 +164,9 @@ def summarize(
         n_utterances=n_spoken,
         n_questions=n_questions,
         n_non_questions=n_non_questions,
-        mlu_overall=_mean(n_words, n_spoken),
-        mlu_question=_mean(question_words, n_questions),
-        mlu_non_question=_mean(non_question_words, n_non_questions),
+        mlu_overall=ratio(n_words, n_spoken),
+        mlu_question=ratio(question_words, n_questions),
+        mlu_non_question=ratio(non_question_words, n_non_questions),
         words_per_minute=n_words / minutes,
         n_responded_questions=n_responded_questions,
         n_responded_non_questions=n_responded_non_questions,
@@ -202,10 +187,9 @@ def icc_feature_values(
     """Per-recording feature vector for the between-rater ICC grid.
 
     Counts become rates per minute so recordings of different lengths
-    compare; proportions and MLUs pass through.
+    compare; proportions and MLUs pass through. ``duration_minutes`` is a
+    ``RecordingMeta``'s, which is never under ``MIN_DURATION_MINUTES``.
     """
-    if duration_minutes <= 0:
-        raise ZeroDuration(f"duration must be positive, got {duration_minutes}")
     n_responded = summary.n_responded_questions + summary.n_responded_non_questions
     return {
         "questions_per_minute": summary.n_questions / duration_minutes,

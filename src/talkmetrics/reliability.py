@@ -33,7 +33,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .align import AlignedCorpus
 from .errors import TalkmetricsError
-from .transcript import SpeakerRole, Utterance, levenshtein
+from .features import ratio
+from .transcript import ROLES, SpeakerRole, Utterance, levenshtein
 
 
 class BothAbsent(TalkmetricsError):
@@ -159,17 +160,16 @@ def cross_classify(corpus: AlignedCorpus) -> ConfusionMatrix:
     either side is OTHER are excluded but counted; residue is counted per
     side.
     """
-    order = (SpeakerRole.TEACHER, SpeakerRole.CHILD)
     cells = [[0, 0], [0, 0]]
     excluded = 0
     machine_roles, expert_roles = corpus.machine.columns.role, corpus.expert.columns.role
     for i, j in corpus.matched:
         expert_role = expert_roles[j]
         machine_role = machine_roles[i]
-        if expert_role not in order or machine_role not in order:
+        if expert_role not in ROLES or machine_role not in ROLES:
             excluded += 1
             continue
-        cells[order.index(expert_role)][order.index(machine_role)] += 1
+        cells[ROLES.index(expert_role)][ROLES.index(machine_role)] += 1
     return ConfusionMatrix(
         counts=((cells[0][0], cells[0][1]), (cells[1][0], cells[1][1])),
         excluded_other=excluded,
@@ -180,10 +180,7 @@ def cross_classify(corpus: AlignedCorpus) -> ConfusionMatrix:
 
 def accuracy(m: ConfusionMatrix) -> float | None:
     """Trace over total; None on an empty matrix."""
-    total = m.total
-    if total == 0:
-        return None
-    return (m.counts[0][0] + m.counts[1][1]) / total
+    return ratio(m.counts[0][0] + m.counts[1][1], m.total)
 
 
 def weighted_f1(m: ConfusionMatrix) -> float | None:
@@ -219,9 +216,7 @@ def cohen_kappa(m: ConfusionMatrix) -> float | None:
     rows, cols = m.row_totals, m.col_totals
     p_observed = (m.counts[0][0] + m.counts[1][1]) / total
     p_expected = (rows[0] * cols[0] + rows[1] * cols[1]) / (total * total)
-    if p_expected == 1.0:
-        return None
-    return (p_observed - p_expected) / (1.0 - p_expected)
+    return ratio(p_observed - p_expected, 1.0 - p_expected)
 
 
 def sequential_sum(values: Iterable[float]) -> float:
@@ -424,7 +419,7 @@ def metric_set(
 ) -> MetricSet:
     """The metrics of a confusion matrix and of each role's (WER sum, unit
     count); a role without units has no WER."""
-    wers = (total / count if count else None for total, count in (teacher, child))
+    wers = (ratio(total, count) for total, count in (teacher, child))
     return MetricSet(weighted_f1(confusion), accuracy(confusion), cohen_kappa(confusion), *wers)
 
 

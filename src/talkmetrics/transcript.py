@@ -45,6 +45,10 @@ class SpeakerRole(Enum):
             raise ValueError(f"unknown speaker label: {label!r}") from None
 
 
+# The two roles that features and reliability count, in their report order
+ROLES = (SpeakerRole.TEACHER, SpeakerRole.CHILD)
+
+
 class Source(Enum):
     """Provenance of a transcript: machine pipeline output or expert coding."""
 
@@ -320,8 +324,3 @@ class Transcript:
 
     def __len__(self) -> int:
         return len(self.columns.id)
-
-
-def iter_roles() -> Iterable[SpeakerRole]:
-    """The two roles that participate in features and reliability."""
-    return (SpeakerRole.TEACHER, SpeakerRole.CHILD)

@@ -425,8 +425,8 @@ class TestRunConfig:
 
 class TestRunPipeline:
     def test_empty_manifest_rejected(self):
-        with pytest.raises(EmptyCorpus, match="^manifest has no entries$"):
-            run_pipeline(CorpusManifest(()), RunConfig())
+        with pytest.raises(EmptyCorpus, match="^no recordings found$"):
+            CorpusManifest(())
 
     def test_weather_fixture_end_to_end(self, tmp_path):
         syn.write_weather_recording(tmp_path)

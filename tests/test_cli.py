@@ -324,6 +324,9 @@ class TestFatalErrors:
         def negative_count(data):
             data["reliability"]["rows"][0]["confusion"]["counts"][0][1] = -1
 
+        def feature_role(data):
+            data["features"][0]["role"] = "other"
+
         cases = [
             (features, "features[0].n_utterances must be an integer: 'many'"),
             (
@@ -362,6 +365,7 @@ class TestFatalErrors:
             (null_pool_count, "aggregate['machine'].child.total_words must be an integer: None"),
             (config_out_of_range, "config.align.min_iou must be in [0, 1]: 3"),
             (negative_count, "reliability.rows[0].confusion.counts must be non-negative"),
+            (feature_role, "features[0].role must be one of 'teacher', 'child': 'other'"),
         ]
         path = tmp_path / "odd.json"
         out = tmp_path / "out"
@@ -522,6 +526,12 @@ class TestAlign:
         syn.write_recording(tmp_path / "data", "solo", rows)
         code = main(["align", "--root", str(tmp_path / "data"), "--out", str(tmp_path / "out")])
         assert code == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            "talkmetrics: no recording has an expert transcript\n",
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_broken_expert_is_partial(self, weather_dir, tmp_path, capsys):
         (weather_dir / "weather.expert.tsv").write_text("wrong\n", encoding="utf-8")

@@ -194,6 +194,22 @@ def test_one_catch_all_handler():
     assert [place.split(":")[0] for place in found] == ["batch"], found
 
 
+def test_one_rule_for_an_undefined_ratio():
+    """Only ``features.ratio`` writes ``a / b if b else None``; every value
+    with nothing to divide by goes through it, so each is None the same way."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in parsed_modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.IfExp)
+        and isinstance(node.body, ast.BinOp)
+        and isinstance(node.body.op, ast.Div)
+        and isinstance(node.orelse, ast.Constant)
+        and node.orelse.value is None
+    ]
+    assert [place.split(":")[0] for place in found] == ["features"], found
+
+
 def last_name(node: ast.expr) -> str | None:
     """The name an expression ends in: ``X`` for ``X`` and ``m.X``."""
     if isinstance(node, ast.Name):

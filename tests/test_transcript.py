@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import synthetic as syn
-from talkmetrics.transcript import SpeakerRole, is_question, iter_roles, tokens_of
+from talkmetrics.transcript import ROLES, SpeakerRole, is_question, tokens_of
 
 
 class TestNormalize:
@@ -153,8 +153,7 @@ class TestTranscript:
             syn.make_meta(duration_minutes=0.0)
 
     def test_iter_roles_excludes_other(self):
-        assert SpeakerRole.OTHER not in iter_roles()
-        assert set(iter_roles()) == {SpeakerRole.TEACHER, SpeakerRole.CHILD}
+        assert ROLES == (SpeakerRole.TEACHER, SpeakerRole.CHILD)
 
 
 class TestSpeakerRole:
