@@ -228,6 +228,13 @@ def test_batch_survives_corruption(data):
         # the audit lines are matched whole rather than split
         out = tmp / "align"
         code, stdout, stderr = run("align", *corpus, "--out", str(out))
+        if not with_expert:
+            # nothing to align is fatal, and reported before anything is written
+            assert (code, stdout) == (EXIT_FATAL, "")
+            assert "no recording has an expert transcript" in stderr
+            assert ": FAIL " not in stderr
+            assert not out.exists()
+            return
         suffix = ".alignment.jsonl"
         audits = sorted(path.name[: -len(suffix)] for path in out.iterdir())
         assert all(path.name.endswith(suffix) for path in out.iterdir())
@@ -237,10 +244,7 @@ def test_batch_survives_corruption(data):
         assert all(f"{rid}: FAIL " in stderr for rid in fails)
         audit_line = r": \d+ pairs, \d+ machine-only, \d+ expert-only\n"
         assert re.fullmatch("".join(re.escape(rid) + audit_line for rid in audits), stdout)
-        if with_expert:
-            assert code == (EXIT_PARTIAL if fails else EXIT_OK)
-        else:
-            assert code == EXIT_FATAL
+        assert code == (EXIT_PARTIAL if fails else EXIT_OK)
 
 
 def assert_rejected(tmp: Path, corpus: tuple[str, str], message: str) -> None:

@@ -20,6 +20,7 @@ from talkmetrics.features import (
     FeatureSummary,
     detect_responses,
     icc_feature_values,
+    ratio,
     response_proportion,
     summarize,
 )
@@ -247,6 +248,18 @@ class TestDetectResponses:
             (l.target_utt_id, l.response_utt_id, l.latency) for l in detect_responses(moved)
         ]
         assert base_links == moved_links
+
+
+class TestRatio:
+    def test_quotient(self):
+        assert ratio(3, 4) == 0.75
+        assert ratio(0, 5) == 0.0
+        assert ratio(1.5, 0.5) == 3.0
+
+    def test_nothing_to_divide_by_is_none(self):
+        assert ratio(0, 0) is None
+        assert ratio(5, 0) is None
+        assert ratio(1.5, 0.0) is None
 
 
 class TestResponseProportion:
