@@ -245,9 +245,7 @@ def time_weighted_mean(
             continue
         weighted += value * duration
         weight += duration
-    if weight <= 0.0:
-        return None
-    return weighted / weight
+    return ratio(weighted, weight)
 
 
 def _pairwise_sum(values: Sequence[float]) -> float:

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import synthetic as syn
+from talkmetrics.align import _PLAIN_CELLS
 from talkmetrics.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -59,7 +60,7 @@ def fresh_env(**env_vars) -> dict:
 def run_fresh(tmp_path, **env_vars) -> dict:
     root = tmp_path / "corpus"
     syn.write_weather_recording(root, "linked")
-    syn.write_weather_recording(root, "unlinked", linked=False)
+    write_unlinked_recording(root, "unlinked", random.Random(3), 70)  # 70 x 62 cells
     # the saved results that ``report`` re-renders, made in this process
     saved = tmp_path / "saved"
     assert main(["batch", "--root", str(root), "--out", str(saved), "--format", "json"]) == 0
@@ -88,7 +89,8 @@ def test_serial_run_starts_no_thread_and_no_pool_machinery(tmp_path):
 
 def test_numpy_loads_only_for_agreement(tmp_path):
     states = run_fresh(tmp_path)
-    # batch aligns the unlinked recording by time, the one step that uses numpy
+    # batch aligns the unlinked recording by time, the one step that uses
+    # numpy, and its cells are more than the plain-Python budget
     assert {command: state[2] for command, state in states.items()} == {
         **dict.fromkeys(COMMANDS, False), "batch": True
     }
@@ -136,7 +138,7 @@ def test_pooled_batch_parent_never_loads_numpy(tmp_path):
     root = tmp_path / "corpus"
     for recording_id in ("a", "b"):
         syn.write_weather_recording(root, recording_id)
-    syn.write_weather_recording(root, "c", linked=False)
+    write_unlinked_recording(root, "c", random.Random(3), 70)
     out = tmp_path / "out"
     assert loads_numpy(["batch", "--root", str(root), "--out", str(out), "--workers", "2"]) == (
         "0 False"
@@ -145,13 +147,24 @@ def test_pooled_batch_parent_never_loads_numpy(tmp_path):
     assert [row.split(",")[0] for row in rows[1:4]] == ["a", "b", "c"]
 
 
-def test_align_on_linked_recordings_never_loads_numpy(tmp_path):
+def test_numpy_loads_only_past_the_plain_python_budget(tmp_path):
     root = tmp_path / "corpus"
     for recording_id in ("a", "b"):
         syn.write_weather_recording(root, recording_id)
-    assert loads_numpy(["align", "--root", str(root), "--out", str(tmp_path / "out")]) == "0 False"
-    syn.write_weather_recording(root, "c", linked=False)
-    assert loads_numpy(["align", "--root", str(root), "--out", str(tmp_path / "out")]) == "0 True"
+    verbs = ("batch", "reliability", "align")
+
+    def loaded() -> list[str]:
+        return [
+            loads_numpy([verb, "--root", str(root), "--out", str(tmp_path / verb)])
+            for verb in verbs
+        ]
+
+    assert loaded() == ["0 False"] * len(verbs)
+    syn.write_weather_recording(root, "c", linked=False)  # 10 x 10 cells
+    assert loaded() == ["0 False"] * len(verbs)
+    write_unlinked_recording(root, "d", random.Random(3), 70)  # 70 x 62 cells
+    assert 70 * 62 > _PLAIN_CELLS
+    assert loaded() == ["0 True"] * len(verbs)
 
 
 def test_preset_blas_thread_count_is_kept(tmp_path):
@@ -159,35 +172,62 @@ def test_preset_blas_thread_count_is_kept(tmp_path):
     assert [state[3] for state in states.values()] == ["3"] * len(COMMANDS)
 
 
-def write_unlinked_recording(root: Path, recording_id: str, rng: random.Random) -> None:
-    """Expert rows are the machine rows with shifted times, some words
-    swapped and some rows dropped, and no machine-id column."""
+def write_unlinked_recording(
+    root: Path, recording_id: str, rng: random.Random, rows: int
+) -> None:
+    """``rows`` machine rows; the expert rows are the same with shifted
+    times and some words swapped, every eighth row dropped
+    (``rows - rows // 8`` of them), and no machine-id column."""
     machine_rows, expert_rows = [], []
     clock = 0.0
-    for _ in range(rng.randrange(8, 16)):
+    for index in range(rows):
         onset, clock = clock, clock + rng.uniform(1.0, 4.0)
         row = {"start": round(onset, 2), "end": round(clock - 0.2, 2),
                "text": rng.choice(syn.TEXT_POOL), "speaker": rng.choice(["teacher", "child"])}
         machine_rows.append(row)
-        if rng.random() < 0.8:
+        if index % 8 != 7:
             words = row["text"].split()
             if rng.random() < 0.3:
                 words[rng.randrange(len(words))] = "um"
             expert_rows.append({**row, "start": round(onset + rng.uniform(0, 0.5), 2),
                                 "text": " ".join(words)})
-    syn.write_recording(root, recording_id, machine_rows, expert_rows, duration_minutes=1.0)
+    syn.write_recording(
+        root, recording_id, machine_rows, expert_rows, duration_minutes=clock / 60.0
+    )
 
 
-def test_pooled_batch_on_unlinked_recordings_matches_serial(tmp_path):
+# Prints, as JSON, the exit code and, for each recording aligned by time in
+# order, its id and whether numpy was loaded once it was aligned.
+BY_TIME_SCRIPT = """
+import json, sys
+import talkmetrics.align as align
+from talkmetrics.cli import main
+
+by_time, seen = align.align_by_time, []
+
+def traced(machine, expert, config=None):
+    corpus = by_time(machine, expert, config)
+    seen.append([machine.meta.recording_id, "numpy" in sys.modules])
+    return corpus
+
+align.align_by_time = traced
+code = main(sys.argv[1:])
+print(json.dumps([code, seen]))
+"""
+
+
+def test_small_recordings_load_numpy_at_the_first_that_does_not_fit(tmp_path):
+    # 40 x 35 = 1,400 cells each: two fit the budget, the third does not
+    assert 2 * 1400 <= _PLAIN_CELLS < 3 * 1400
     rng = random.Random(16)
     root = tmp_path / "corpus"
     for index in range(5):
-        write_unlinked_recording(root, f"r{index}", rng)
+        write_unlinked_recording(root, f"r{index}", rng, 40)
     outs = []
     for workers in ("1", "2"):
         out = tmp_path / f"workers{workers}"
         proc = subprocess.run(
-            [sys.executable, "-m", "talkmetrics.cli", "batch", "--root", str(root),
+            [sys.executable, "-c", BY_TIME_SCRIPT, "batch", "--root", str(root),
              "--out", str(out), "--workers", workers],
             capture_output=True,
             text=True,
@@ -196,6 +236,11 @@ def test_pooled_batch_on_unlinked_recordings_matches_serial(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(out)
+        if workers == "1":
+            assert json.loads(proc.stdout.splitlines()[-1]) == [
+                0, [[f"r{index}", index >= 2] for index in range(5)]
+            ]
+    # each worker spends a budget of its own, so paths differ, but not outputs
     names = sorted(path.name for path in outs[0].iterdir())
     assert names == sorted(path.name for path in outs[1].iterdir())
     assert "icc.csv" in names
