@@ -11,11 +11,4 @@ Each name is imported from the module that defines it, such as
 exports none.
 """
 
-import os as _os
-
-# numpy starts OpenBLAS's thread pool when it is first imported, and no
-# talkmetrics code calls BLAS. Importing any ``talkmetrics.*`` module runs
-# this file first, so the pool never starts unless the caller asked for one.
-_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 __version__ = "0.1.0"

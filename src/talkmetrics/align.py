@@ -23,16 +23,10 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import TalkmetricsError
 from .transcript import Transcript, Utterance, levenshtein
-
-# Only the DP kernel (``_dp``, ``_row_distances``, ``_spans`` and
-# ``_pair_scores``) uses numpy, and it imports it inside its functions.
-# ``align_by_time`` sends a process's first ``_PLAIN_CELLS`` cells to the
-# plain-Python ``_plain_dp`` instead, so a run that aligns nothing by time,
-# or only a little, never loads numpy. No other module uses numpy.
 
 
 class NotLinked(TalkmetricsError):
@@ -192,15 +186,6 @@ def align_by_index(machine: Transcript, expert: Transcript) -> AlignedCorpus:
     return AlignedCorpus(machine, expert, tuple(links[position] for position in keep))
 
 
-# Each process aligns its first this many (machine, expert) cells in plain
-# Python, at 4.6-6.0 µs per cell against numpy's 0.42-0.98 µs: at most
-# 19-25 ms, under a third of the 76 ms (and 11.4 MiB of peak RSS) that
-# importing numpy adds to a fresh interpreter. Counting per process, not per
-# recording, caps what many small recordings lose to the slower path.
-_PLAIN_CELLS = 4096
-_plain_cells_left = _PLAIN_CELLS
-
-
 def _trace_back(moves: bytearray, n: int, m: int) -> list[tuple[int, int]]:
     """The matched (machine, expert) pairs, in order, traced back from the
     corner of an (n + 1) × (m + 1) table of backpointers packed one byte per
@@ -222,213 +207,98 @@ def _trace_back(moves: bytearray, n: int, m: int) -> list[tuple[int, int]]:
     return matched
 
 
-def _plain_dp(
-    machine: Sequence[Utterance], expert: Sequence[Utterance], config: AlignConfig
-) -> tuple[list[tuple[int, int]], float]:
-    """:func:`_dp` in plain Python, one :func:`pair_score` call per cell,
-    with the same tie rules and backpointers, so both return the same
-    ``(matched, score)``."""
-    n, m = len(machine), len(expert)
-    gap = config.gap_penalty
-    width = m + 1
-    moves = bytearray((n + 1) * width)
-    previous = [-j * gap for j in range(width)]
-    for i in range(1, n + 1):
-        utt_m, row = machine[i - 1], i * width
-        current = [-i * gap] + [0.0] * m
-        for j in range(1, width):
-            best = previous[j - 1] + pair_score(utt_m, expert[j - 1], config)
-            move = 0
-            skip_machine = previous[j] - gap
-            if skip_machine > best:
-                best = skip_machine
-                move = 1
-            skip_expert = current[j - 1] - gap
-            if skip_expert > best:
-                best = skip_expert
-                move = 2
-            current[j] = best
-            moves[row + j] = move
-        previous = current
-    return _trace_back(moves, n, m), float(previous[m])
+def _lane_width(words: int) -> int:
+    """Bits per lane for a machine row of ``words`` words: one per word and
+    a spare top bit that stops the lane's carry; 16 up to 15 words, else the
+    next multiple of 64 past ``words``."""
+    return 16 if words < 16 else 64 * (words // 64 + 1)
 
 
-# Machine rows per distance block are sized so a block holds about this
-# many (machine, expert) cells; the block's uint64 state, and the reward
-# temporaries computed from it, stay cache-sized. The kernel and the rewards
-# keep to a few kinds of numpy call, and the rewards to float64 alone,
-# because each further kind maps more of numpy's library into memory, which
-# shows in a run's peak RSS.
-_BLOCK_CELLS = 4096
-_WORD_BITS = 64
-# The DP holds float64 rewards for one band of about this many machine rows
-# (8 bytes per expert utterance each) and walks the band's anti-diagonals.
-# A recording of n × m cells takes n + bands·(m - 1) diagonal steps of a few
-# numpy calls each, so taller bands run faster but hold more memory. Peak
-# RSS of `batch` on the unlinked_align bench corpus (recordings of 120-300
-# utterances): 31.6 MiB with the scalar recurrence, 31.75 MiB with these
-# bands, 32.1 MiB with one band per recording, and 38.3 MiB when the
-# kernel and rewards also ran over 64 Ki-cell blocks. At 2,000 × 1,964
-# utterances, _dp took 2.4 s with 32-row bands (64 Ki cells) and 1.2-1.5 s
-# with 256-row ones.
-_BAND_ROWS = 256
+# per lane width: (rows, width, match, mask, first), as _lanes describes
+_LaneGroups = list[tuple[list[int], int, dict[str, int], int, int]]
 
 
-def _band_rows(n: int, m: int) -> int:
-    """Machine rows per DP band: at most about ``_BAND_ROWS``, split evenly
-    over n, and whole blocks of :func:`_row_distances`."""
-    block = max(1, _BLOCK_CELLS // max(1, m))
-    bands = max(1, -(-n // _BAND_ROWS))
-    return -(-n // bands // block) * block if n else block
-
-
-def _row_distances(
-    machine: Sequence[Utterance], expert: Sequence[Utterance]
-) -> Iterator[np.ndarray]:
-    """Word edit distance from each machine utterance to every expert one.
-
-    Yields one (rows, m) uint64 array per block of consecutive machine rows,
-    ``max(1, _BLOCK_CELLS // m)`` rows each (fewer in the last), with
-    columns in expert order. Hyyrö's bit-vector form of Myers' algorithm
-    runs with each machine utterance as the pattern (one bit per word) and
-    every expert utterance as a text, all cells of a block at once. The
-    patterns' token ids and bits are laid out in numpy once, so a block's
-    match table is one scatter. The state holds one row per text, longest
-    first, so the texts still running at word ``k`` are a row prefix; it
-    starts as one broadcast row. A text's distance is its word count plus
-    the vertical steps of its last column, counted when the text ends.
-    Rows with no words or more than 64 take the scalar ``levenshtein``.
+def _lanes(machine: Sequence[Utterance], vocabulary: set[str]) -> _LaneGroups:
+    """The machine rows with words, packed for :func:`_distances`: one
+    ``(rows, width, match, mask, first)`` per lane width. Lane ``k`` of a
+    group holds row ``rows[k]`` in bits ``k * width`` up, one bit per word;
+    ``match`` gives each word of ``vocabulary`` the bits where it occurs,
+    ``mask`` every row's word bits and ``first`` every lane's lowest bit.
     """
-    import numpy as np
-    texts = [utt.tokens for utt in expert]
-    m = len(texts)
-    vocab: dict[str, int] = {}
-    for tokens in texts:
+    groups: dict[int, list[int]] = {}
+    for i, utt in enumerate(machine):
+        if utt.tokens:
+            groups.setdefault(_lane_width(len(utt.tokens)), []).append(i)
+    lanes = []
+    for width, rows in groups.items():
+        match: dict[str, int] = {}
+        mask = 0
+        for lane, i in enumerate(rows):
+            tokens = machine[i].tokens
+            mask |= ((1 << len(tokens)) - 1) << lane * width
+            for bit, token in enumerate(tokens, lane * width):
+                if token in vocabulary:
+                    match[token] = match.get(token, 0) | 1 << bit
+        first = int.from_bytes(b"\x01".ljust(width // 8, b"\x00") * len(rows), "little")
+        lanes.append((rows, width, match, mask, first))
+    return lanes
+
+
+def _distances(lanes: _LaneGroups, tokens: Sequence[str], n: int) -> list[int]:
+    """Word edit distance from each of the ``n`` machine rows packed in
+    ``lanes`` to ``tokens``, in machine order; a row with no words is
+    ``len(tokens)`` away.
+
+    Hyyrö's bit-vector form of Myers' algorithm runs once per word of
+    ``tokens`` with every row of a lane group as a pattern at once
+    (Hyyrö, Fredriksson and Navarro pack patterns this way). Everything is
+    masked to the rows' word bits after ``~``, which sets the bits above, and
+    after ``pv``'s shift, so no carry or shift leaves a lane: ``ph`` keeps
+    one stray bit above its row, which ``& xv`` and the ``~ … & mask`` it
+    feeds both drop. A row's distance is ``len(tokens)`` plus its last
+    column's vertical steps, ``pv``'s bits less ``mv``'s, counted by SWAR
+    masks in 16-bit lanes and by ``int.bit_count`` in wider ones.
+    """
+    count = len(tokens)
+    distances = [count] * n
+    for rows, width, match, mask, first in lanes:
+        pv, mv = mask, 0
         for token in tokens:
-            vocab.setdefault(token, len(vocab))
-    order = sorted(range(m), key=lambda j: -len(texts[j]))
-    positions = [0] * m
-    for position, j in enumerate(order):
-        positions[j] = position
-    inverse = np.array(positions, dtype=np.intp)
-    ordered = [texts[j] for j in order]
-    steps = []  # token ids at word k of every text still running
-    running = m
-    for k in range(len(ordered[0]) if ordered else 0):
-        while len(ordered[running - 1]) <= k:
-            running -= 1
-        steps.append(np.array([vocab[tokens[k]] for tokens in ordered[:running]], dtype=np.intp))
-    # A pattern of n words fills the top n bits, so every row's last word
-    # sits on bit 63; the zero bits below it stay inert.
-    patterns = [utt.tokens for utt in machine]
-    lengths = [min(len(tokens), _WORD_BITS) or 1 for tokens in patterns]
-    token_rows: list[int] = []
-    token_columns: list[int] = []
-    token_shifts: list[int] = []
-    ends = [0]  # machine row i's tokens are [ends[i], ends[i + 1])
-    for row, (tokens, length) in enumerate(zip(patterns, lengths)):
-        for shift, token in enumerate(tokens[:length], _WORD_BITS - length):
-            column = vocab.get(token)
-            if column is not None:  # a word no text holds matches nothing
-                token_rows.append(row)
-                token_columns.append(column)
-                token_shifts.append(shift)
-        ends.append(len(token_rows))
-    rows_of = np.array(token_rows, dtype=np.intp)
-    columns_of = np.array(token_columns, dtype=np.intp)
-    bits_of = np.uint64(1) << np.array(token_shifts, dtype=np.uint64)
-    length_of = np.array(lengths, dtype=np.uint64)
-    e_words = np.array([len(tokens) for tokens in texts], dtype=np.uint64)
-    ordered_words = e_words[order, None]
-    block = max(1, _BLOCK_CELLS // max(1, m))
-    for first in range(0, len(machine), block):
-        last = min(first + block, len(machine))
-        held = slice(ends[first], ends[last])  # the block's pattern words
-        # the match table: one row per vocabulary word, one column per pattern
-        peq = np.zeros((len(vocab), last - first), dtype=np.uint64)
-        np.bitwise_or.at(peq, (columns_of[held], rows_of[held] - first), bits_of[held])
-        shape = (m, last - first)  # the state: one row per text, one column per pattern
-        pv = np.broadcast_to(~np.uint64(0) << (_WORD_BITS - length_of[first:last]), shape)
-        mv = np.broadcast_to(np.uint64(0), shape)
-        final_pv = np.empty(shape, dtype=np.uint64)
-        final_mv = np.empty(shape, dtype=np.uint64)
-        running = m
-        for ids in steps:
-            active = len(ids)
-            if active < running:  # texts that ended keep their last column
-                final_pv[active:running] = pv[active:running]
-                final_mv[active:running] = mv[active:running]
-                pv, mv = pv[:active], mv[:active]
-                running = active
-            eq = peq[ids]
+            eq = match.get(token, 0)
             xv = eq | mv
             xh = (((eq & pv) + pv) ^ pv) | eq
-            ph = mv | ~(xh | pv)
+            ph = mv | ~(xh | pv) & mask
             mh = pv & xh
-            ph = (ph << 1) | 1
-            mh = mh << 1
-            pv = mh | ~(xv | ph)
+            ph = ph << 1 | first
+            pv = (mh << 1 | ~(xv | ph)) & mask
             mv = ph & xv
-        final_pv[:running] = pv
-        final_mv[:running] = mv
-        # D[len][n] = D[0][n] + the last column's vertical steps
-        distances = ordered_words + np.bitwise_count(final_pv)
-        distances -= np.bitwise_count(final_mv)
-        distances = distances[inverse].T
-        for row in range(first, last):
-            tokens = patterns[row]
-            if not tokens:
-                distances[row - first] = e_words
-            elif len(tokens) > _WORD_BITS:
-                distances[row - first] = [levenshtein(tokens, text) for text in texts]
-        yield distances
+        if width == 16:
+            # each lane's low byte ends up as 16 + pv's bit count - mv's
+            steps = _lane_bits(pv, first) + (first << 4) - _lane_bits(mv, first)
+            low_bytes = steps.to_bytes(2 * len(rows), "little")[::2]
+            for i, step in zip(rows, low_bytes):
+                distances[i] = count - 16 + step
+        else:
+            size = width // 8
+            pv_bytes = pv.to_bytes(size * len(rows), "little")
+            mv_bytes = mv.to_bytes(size * len(rows), "little")
+            for lane, i in enumerate(rows):
+                lane_bytes = slice(lane * size, lane * size + size)
+                distances[i] = (
+                    count
+                    + int.from_bytes(pv_bytes[lane_bytes], "little").bit_count()
+                    - int.from_bytes(mv_bytes[lane_bytes], "little").bit_count()
+                )
+    return distances
 
 
-def _spans(utterances: Sequence[Utterance]) -> np.ndarray:
-    """Rows of onsets, offsets, lengths and word counts, as float64.
-
-    Word counts are floats so that every comparison and division of a
-    reward runs in one dtype, which keeps numpy's integer loops unmapped.
-    """
-    import numpy as np
-    onsets = [utt.onset for utt in utterances]
-    spans = np.array(
-        [onsets, [utt.offset for utt in utterances], onsets,
-         [utt.word_count for utt in utterances]],
-        dtype=np.float64,
-    )
-    spans[2] = spans[1] - spans[0]
-    return spans
-
-
-def _pair_scores(
-    machine: np.ndarray,
-    expert: np.ndarray,
-    distances: np.ndarray,
-    w_text: float,
-    out: np.ndarray,
-) -> None:
-    """:func:`pair_score` for a block of cells, written to ``out``.
-
-    ``machine`` holds the block rows' :func:`_spans` as (4, rows, 1)
-    columns and ``expert`` every expert utterance's as (4, m). The float operations are
-    :func:`time_iou`'s, :func:`text_similarity`'s and the blend's, in the
-    same order, with ``np.where`` on the same comparisons.
-    """
-    import numpy as np
-    m_on, m_off, m_len, m_words = machine
-    e_on, e_off, e_len, e_words = expert
-    low = np.where(e_on > m_on, e_on, m_on)
-    intersection = np.where(e_off < m_off, e_off, m_off) - low
-    longest = np.where(e_words > m_words, e_words, m_words)
-    # a length sum past the float range is inf, as in Python, and silently so
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        union = m_len + e_len - intersection
-        iou = intersection / union
-        similarity = 1.0 - distances / longest
-    iou = np.where(intersection <= 0.0, 0.0, iou)
-    similarity = np.where(longest == 0.0, 1.0, similarity)
-    np.add(w_text * similarity, (1.0 - w_text) * iou, out=out)
+def _lane_bits(x: int, first: int) -> int:
+    """The bit count of each 16-bit lane of ``x``, in that lane; ``first``
+    has each lane's lowest bit set."""
+    x -= x >> 1 & first * 0x5555
+    x = (x & first * 0x3333) + (x >> 2 & first * 0x3333)
+    x = (x + (x >> 4)) & first * 0x0F0F
+    return (x + (x >> 8)) & first * 0x00FF
 
 
 def _dp(
@@ -438,71 +308,56 @@ def _dp(
 
     Maximizes sum of pair scores minus gap_penalty per unmatched utterance;
     :func:`align_by_time` has refused a gap_penalty that would overflow.
-    Machine rows are taken in bands (:func:`_band_rows`). A band's rewards
-    are :func:`pair_score` evaluated in numpy a distance block at a time
-    (:func:`_pair_scores`, fed by :func:`_row_distances`). The recurrence
-    then walks the band's anti-diagonals: cell (i, j) reads only diagonals
-    d - 1 and d - 2, so each diagonal is a few numpy calls over rolling 1-D
-    arrays, and the band's last row seeds the next band. A match wins
-    unless skipping the machine utterance scores strictly more, and
-    skipping the expert one wins only if strictly better still, as in a
-    cell-by-cell loop. Backpointers are packed one byte per cell for
-    :func:`_trace_back`.
+    The DP walks one expert column at a time: :func:`_distances` gives the
+    column's word distances to every machine row, then each cell runs
+    :func:`pair_score`'s float operations inline, in the same order. A
+    match wins unless skipping the machine utterance scores strictly more,
+    and skipping the expert one wins only if strictly better still.
+    Backpointers are packed one byte per cell for :func:`_trace_back`.
     """
-    import numpy as np
     n, m = len(machine), len(expert)
-    gap = config.gap_penalty
+    gap, w_text = config.gap_penalty, config.similarity_weight
+    w_time = 1.0 - w_text
     width = m + 1
-    machine_spans, expert_spans = _spans(machine), _spans(expert)
-    band = _band_rows(n, m)
-    rewards = np.empty((min(band, n), width))  # column 0 is never read
-    lefts = np.zeros((min(band, n), width), dtype=np.bool_)  # skip-expert cells
-    flat_rewards, flat_lefts = rewards.reshape(-1), lefts.reshape(-1)
     moves = bytearray((n + 1) * width)
-    # skip-machine comparisons land in the bytes as 0 or 1 through a bool
-    # view; after each band, its skip-expert cells are overwritten with 2
-    grid = np.frombuffer(moves, dtype=np.bool_)
-    # the band's top row of scores; the walk overwrites it with its bottom row
-    edge = np.array([-j * gap for j in range(width)], dtype=np.float64)
-    diagonals = [np.empty(min(band, n) + 1) for _ in range(3)]  # indexed by band row
-    distances = _row_distances(machine, expert)
-    for first in range(0, n, band):
-        height = min(band, n - first)
-        top = 0
-        while top < height:  # a band holds whole distance blocks
-            words = next(distances)
-            rows = slice(first + top, first + top + len(words))
-            _pair_scores(
-                machine_spans[:, rows, None], expert_spans, words, config.similarity_weight,
-                out=rewards[top : top + len(words), 1:],
+    lanes = _lanes(machine, {token for utt in expert for token in utt.tokens})
+    onsets = [utt.onset for utt in machine]
+    offsets = [utt.offset for utt in machine]
+    lengths = [utt.offset - utt.onset for utt in machine]
+    words = [utt.word_count for utt in machine]
+    previous = [-i * gap for i in range(n + 1)]  # column 0
+    for j, utt_e in enumerate(expert, 1):
+        e_on, e_off, e_words = utt_e.onset, utt_e.offset, utt_e.word_count
+        e_len = e_off - e_on
+        best = -j * gap  # row 0
+        current = [best]
+        column_moves = bytearray()
+        cells = zip(
+            onsets, offsets, lengths, words, _distances(lanes, utt_e.tokens, n),
+            previous, previous[1:],
+        )
+        for on, off, length, count, distance, diagonal, left in cells:
+            # pair_score: time_iou's min and max, then text_similarity's max
+            intersection = (e_off if e_off < off else off) - (e_on if e_on > on else on)
+            longest = e_words if e_words > count else count
+            score = w_text * (1.0 - distance / longest if longest else 1.0) + w_time * (
+                intersection / (length + e_len - intersection) if intersection > 0.0 else 0.0
             )
-            top += len(words)
-        # Band row r holds cell (first + r, d - r) of diagonal d; in the
-        # row-major band tables it sits at (r - 1) * width + d - r, so a
-        # diagonal's cells are m apart and one slice indexes all three.
-        band_moves = grid[(first + 1) * width :]
-        before, previous, current = diagonals
-        for d in range(height + m + 1):
-            low_row, high_row = max(1, d - m), min(height, d - 1)
-            if low_row <= high_row:
-                offset = d - width
-                cells = slice(low_row * m + offset, high_row * m + offset + 1, m)
-                best = current[low_row : high_row + 1]
-                np.add(before[low_row - 1 : high_row], flat_rewards[cells], out=best)
-                skips = previous[low_row - 1 : high_row + 1] - gap
-                up, left = skips[:-1], skips[1:]
-                np.copyto(best, up, where=np.greater(up, best, out=band_moves[cells]))
-                np.copyto(best, left, where=np.greater(left, best, out=flat_lefts[cells]))
-            if d <= m:
-                current[0] = edge[d]
-            if 0 < d <= height:
-                current[d] = -(first + d) * gap
-            if d >= height:
-                edge[d - height] = current[height]
-            before, previous, current = previous, current, before
-        band_grid = band_moves[: height * width].view(np.uint8).reshape(height, width)
-        np.copyto(band_grid, 2, where=lefts[:height])
-    return _trace_back(moves, n, m), float(edge[m])
+            up = best - gap
+            best = diagonal + score
+            move = 0
+            if up > best:
+                best = up
+                move = 1
+            left -= gap
+            if left > best:
+                best = left
+                move = 2
+            current.append(best)
+            column_moves.append(move)
+        moves[width + j :: width] = column_moves
+        previous = current
+    return _trace_back(moves, n, m), float(previous[n])
 
 
 def align_by_time(
@@ -515,23 +370,13 @@ def align_by_time(
     found, pairs with almost no temporal overlap and almost no text in
     common are demoted to residue; they are artifacts of the monotone
     structure, not real correspondences.
-
-    The process's first ``_PLAIN_CELLS`` cells go to :func:`_plain_dp`: a
-    recording takes it when its n × m cells fit in what is left of that
-    budget, and the numpy kernel :func:`_dp` otherwise. Both give the same
-    matching.
     """
-    global _plain_cells_left
     config = config or AlignConfig()
     machine_utts, expert_utts = machine.utterances, expert.utterances
     n, m, gap = len(machine_utts), len(expert_utts), config.gap_penalty
     if (n + m) * gap > sys.float_info.max:  # the lowest score a path can reach
         raise ValueError(f"gap_penalty {gap} overflows the scores of a {n} x {m} alignment")
-    if n * m <= _plain_cells_left:
-        _plain_cells_left -= n * m
-        matched, _ = _plain_dp(machine_utts, expert_utts, config)
-    else:
-        matched, _ = _dp(machine_utts, expert_utts, config)
+    matched, _ = _dp(machine_utts, expert_utts, config)
     kept = []
     for i, j in matched:
         utt_m, utt_e = machine_utts[i], expert_utts[j]

@@ -12,12 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthetic as syn
-import talkmetrics.align as align_module
 from talkmetrics.align import (
     AlignConfig,
     NotLinked,
     _dp,
-    _plain_dp,
     align,
     align_by_index,
     align_by_time,
@@ -299,8 +297,7 @@ class TestAlignByTime:
         corpus = align_by_time(machine, expert)
         assert len(corpus.pairs) == 1
 
-    @pytest.mark.parametrize("path", [_dp, _plain_dp], ids=["numpy", "plain"])
-    def test_matches_brute_force_on_small_instances(self, path):
+    def test_matches_brute_force_on_small_instances(self):
         rng = random.Random(31)
         config = AlignConfig()
         for trial in range(30):
@@ -308,7 +305,7 @@ class TestAlignByTime:
             m = rng.randrange(0, 9)
             machine = syn.random_transcript(rng, n, duration_minutes=2.0)
             expert = syn.random_transcript(rng, m, duration_minutes=2.0, source="expert")
-            _, score = path(list(machine.utterances), list(expert.utterances), config)
+            _, score = _dp(list(machine.utterances), list(expert.utterances), config)
             best = brute_force_best_score(
                 list(machine.utterances), list(expert.utterances), config
             )
@@ -396,36 +393,14 @@ def timed_pair(n, m):
 
 
 class TestGapPenaltyRange:
-    @pytest.mark.parametrize("budget", [0, align_module._PLAIN_CELLS], ids=["numpy", "plain"])
-    def test_overflowing_penalty_names_the_size(self, monkeypatch, budget):
-        # the check runs before either path is chosen, and spends no budget;
+    def test_overflowing_penalty_names_the_size(self):
         # 4 * 1e308 is past the float range: the all-skip path's score
-        monkeypatch.setattr(align_module, "_plain_cells_left", budget)
         with pytest.raises(ValueError, match=r"^gap_penalty 1e\+308 .* 2 x 2 alignment$"):
             align_by_time(*timed_pair(2, 2), AlignConfig(gap_penalty=1e308))
-        assert align_module._plain_cells_left == budget
 
     def test_largest_penalty_in_range_still_aligns(self):
         corpus = align_by_time(*timed_pair(1, 1), AlignConfig(gap_penalty=8e307))
         assert [(p.machine_utt.id, p.expert_utt.id) for p in corpus.pairs] == [("0", "e0")]
-
-
-def test_a_recording_takes_the_plain_path_while_its_cells_fit_the_budget(monkeypatch):
-    calls = []
-    for name in ("_dp", "_plain_dp"):
-        path = getattr(align_module, name)
-        monkeypatch.setattr(
-            align_module, name,
-            lambda *args, path=path, name=name: calls.append(name) or path(*args),
-        )
-    monkeypatch.setattr(align_module, "_plain_cells_left", 10)
-    corpora = [align_by_time(*timed_pair(n, m)) for n, m in [(3, 3), (2, 3), (3, 3), (1, 1)]]
-    # 9 cells fit in 10; 6 in the 1 left do not, nor do 9; 1 fits
-    assert calls == ["_plain_dp", "_dp", "_dp", "_plain_dp"]
-    assert align_module._plain_cells_left == 0
-    assert [corpus.matched for corpus in corpora] == [
-        ((0, 0), (1, 1), (2, 2)), ((0, 0), (1, 1)), ((0, 0), (1, 1), (2, 2)), ((0, 0),)
-    ]
 
 
 class TestAlignDispatch:

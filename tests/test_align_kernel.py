@@ -1,11 +1,10 @@
-"""The time-alignment DP's two paths, against each other.
+"""The time-alignment DP against a cell-by-cell reference.
 
-``_plain_dp``, the reference, is the straightforward form of the DP: one
-:func:`pair_score` call per cell. The numpy kernel ``_dp`` computes word
-distances with a bit-parallel kernel and must return exactly the same
-``(matched, score)``, compared with ``==``, not approximately, since
-``align_by_time`` takes either path depending on what the process has
-aligned before.
+``plain_dp``, the reference, is the straightforward form of the DP: one
+:func:`pair_score` call per cell. The kernel ``_dp`` computes word distances
+bit-parallel, many machine rows to a Python integer, and inlines the pair
+score; it must return exactly the same ``(matched, score)``, compared with
+``==``, not approximately, so that every report keeps its bytes.
 """
 
 import math
@@ -18,9 +17,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthetic as syn
-from talkmetrics.align import _BAND_ROWS, _BLOCK_CELLS, AlignConfig, _band_rows, _dp, _plain_dp
+from talkmetrics.align import AlignConfig, _distances, _dp, _lanes, _trace_back, pair_score
+from talkmetrics.transcript import levenshtein
 
 WORDS = ("the", "cat", "sat", "on", "mat", "how", "is", "weather", "sunny", "dog")
+
+
+def plain_dp(machine, expert, config):
+    """:func:`_dp` cell by cell, one :func:`pair_score` call per cell, with
+    the same tie rules and backpointers."""
+    n, m = len(machine), len(expert)
+    gap = config.gap_penalty
+    width = m + 1
+    moves = bytearray((n + 1) * width)
+    previous = [-j * gap for j in range(width)]
+    for i in range(1, n + 1):
+        utt_m, row = machine[i - 1], i * width
+        current = [-i * gap] + [0.0] * m
+        for j in range(1, width):
+            best = previous[j - 1] + pair_score(utt_m, expert[j - 1], config)
+            move = 0
+            skip_machine = previous[j] - gap
+            if skip_machine > best:
+                best = skip_machine
+                move = 1
+            skip_expert = current[j - 1] - gap
+            if skip_expert > best:
+                best = skip_expert
+                move = 2
+            current[j] = best
+            moves[row + j] = move
+        previous = current
+    return _trace_back(moves, n, m), float(previous[m])
 
 
 def jittered_pair(rng, n):
@@ -75,7 +103,7 @@ def test_realistic_jittered_pair_equals_reference():
     machine, expert = jittered_pair(random.Random(400), 400)
     assert len(machine) == 400 and 380 <= len(expert) <= 420
     config = AlignConfig()
-    assert _dp(machine, expert, config) == _plain_dp(machine, expert, config)
+    assert _dp(machine, expert, config) == plain_dp(machine, expert, config)
 
 
 @pytest.mark.parametrize("weight", [0.0, 0.5, 1.0])
@@ -86,17 +114,55 @@ def test_edge_instances_equal_reference(weight, gap):
     for _ in range(25):
         machine = edge_utterances(rng, rng.randrange(0, 25), "machine")
         expert = edge_utterances(rng, rng.randrange(0, 25), "expert")
-        assert _dp(machine, expert, config) == _plain_dp(machine, expert, config)
+        assert _dp(machine, expert, config) == plain_dp(machine, expert, config)
 
 
-def test_long_utterances_cross_row_blocks():
-    """With 12 expert utterances a block holds 341 machine rows, so 800 rows
-    span three blocks, each mixing vector-path and scalar-path rows."""
+def test_many_rows_share_each_lane_group():
+    """800 machine rows of 0-130 words fill 16-, 64-, 128- and 192-bit lane
+    groups of dozens to hundreds of rows each, interleaved in machine order."""
     rng = random.Random(9)
     machine = edge_utterances(rng, 800, "machine")
     expert = edge_utterances(rng, 12, "expert")
     config = AlignConfig()
-    assert _dp(machine, expert, config) == _plain_dp(machine, expert, config)
+    assert _dp(machine, expert, config) == plain_dp(machine, expert, config)
+
+
+# word counts at the edges of the lane widths: 15 words fill a 16-bit lane
+# up to its spare bit, 16 take a 64-bit lane, 64 a 128-bit one and 128 a
+# 192-bit one
+LANE_EDGES = (0, 15, 16, 63, 64, 127, 128, 200)
+
+
+def lane_edge_utterances(rng, count, lengths, source):
+    """count utterances, 2 s apart, whose word counts cycle through
+    ``lengths``; a row repeats one word (the longest carries) or mixes
+    three."""
+    utts = []
+    for i in range(count):
+        words = rng.choice((WORDS[:1], WORDS[:3]))
+        text = " ".join(rng.choice(words) for _ in range(lengths[i % len(lengths)]))
+        utts.append(syn.utt(f"{source[0]}{i}", 2.0 * i, 2.0 * i + rng.uniform(0.0, 3.0), text,
+                            source=source))
+    return utts
+
+
+@pytest.mark.parametrize("machine_lengths", [(0,), (15,), (200,), LANE_EDGES])
+@pytest.mark.parametrize("expert_lengths", [(0,), (0, 3), (5,) + LANE_EDGES])
+def test_rows_at_the_lane_width_edges(machine_lengths, expert_lengths):
+    """Machine rows of each edge word count share a lane group, in mixed
+    machine order, or all rows fill one group, or no row has a word and no
+    group exists; expert rows may be empty."""
+    rng = random.Random(len(machine_lengths) * 10 + len(expert_lengths))
+    lengths = [machine_lengths[i % len(machine_lengths)] for i in range(24)]
+    rng.shuffle(lengths)
+    machine = lane_edge_utterances(rng, 24, lengths, "machine")
+    expert = lane_edge_utterances(rng, 12, expert_lengths, "expert")
+    lanes = _lanes(machine, {token for utt in expert for token in utt.tokens})
+    for utt_e in expert:
+        assert _distances(lanes, utt_e.tokens, len(machine)) == [
+            levenshtein(utt_m.tokens, utt_e.tokens) for utt_m in machine
+        ]
+    assert_same_as_reference(machine, expert, AlignConfig())
 
 
 def plain_utterances(rng, count, source):
@@ -115,7 +181,7 @@ def plain_utterances(rng, count, source):
 def assert_same_as_reference(machine, expert, config):
     """Equal matchings and scores, down to the sign of a zero score."""
     matched, score = _dp(machine, expert, config)
-    want_matched, want_score = _plain_dp(machine, expert, config)
+    want_matched, want_score = plain_dp(machine, expert, config)
     assert (matched, score) == (want_matched, want_score)
     assert math.copysign(1.0, score) == math.copysign(1.0, want_score)
 
@@ -127,21 +193,11 @@ def assert_equals_reference(n, m, config=AlignConfig(), seed=0):
     assert_same_as_reference(machine, expert, config)
 
 
-@pytest.mark.parametrize("n", [_BAND_ROWS - 1, _BAND_ROWS, _BAND_ROWS + 1, 2 * _BAND_ROWS + 1])
-@pytest.mark.parametrize("m", [64, 97])
-def test_rows_around_the_band_height(n, m):
-    """A band is whole distance blocks: 64 rows each against 64 expert
-    utterances, 42 against 97. Past one band, rows split evenly."""
-    assert_equals_reference(n, m)
-
-
 @pytest.mark.parametrize(
     "n, m",
     [
         (0, 0), (0, 7), (7, 0), (1, 1), (1, 300), (300, 1),
-        (2000, 3), (3, 2000),
-        (2 * _band_rows(1, 3) + 1, 3),  # n >> m: three bands of whole blocks
-        (40, _BLOCK_CELLS + 1),  # m >> n: one row per distance block
+        (2000, 3), (3, 2000), (300, 2), (2, 300),
     ],
 )
 def test_thin_and_lopsided_shapes(n, m):
@@ -185,11 +241,24 @@ def test_negative_zero_onsets():
 TIMES = st.sampled_from(
     [-0.0, 0.0, 0.5, 1.0, 1.5, 3.0, 5e-324, sys.float_info.max / 2, sys.float_info.max]
 )
-# short rows, empty ones, and rows past the kernel's 64-word limit
-TEXTS = st.one_of(
-    st.lists(st.sampled_from(WORDS[:4]), max_size=4),
-    st.lists(st.sampled_from(WORDS[:4]), min_size=65, max_size=70),
+# rows of 0-200 words: short ones, empty ones, and the lane widths' edges
+LENGTHS = st.one_of(
+    st.integers(0, 4), st.sampled_from(LANE_EDGES), st.integers(5, 200)
 )
+TEXTS = LENGTHS.flatmap(
+    lambda k: st.lists(st.sampled_from(WORDS[:4]), min_size=k, max_size=k)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(machine=st.lists(TEXTS, max_size=12), expert=TEXTS)
+def test_distances_equal_levenshtein(machine, expert):
+    machine = [syn.utt(i, 0.0, 1.0, " ".join(words)) for i, words in enumerate(machine)]
+    tokens = tuple(expert)
+    lanes = _lanes(machine, set(tokens))
+    assert _distances(lanes, tokens, len(machine)) == [
+        levenshtein(utt.tokens, tokens) for utt in machine
+    ]
 SIDES = st.lists(st.tuples(TIMES, TIMES, TEXTS), max_size=9)
 
 

@@ -11,6 +11,7 @@ import ast
 import builtins
 import importlib
 import re
+import sys
 import types
 import typing
 from collections import Counter
@@ -99,39 +100,33 @@ def test_no_type_checking_guard():
             assert not (isinstance(node, ast.Attribute) and node.attr == "TYPE_CHECKING"), name
 
 
-def imports_numpy(node: ast.AST) -> bool:
+def outside_imports(node: ast.AST) -> list[str]:
+    """Modules outside the standard library and the package named by one
+    import statement (empty for others)."""
     if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
-    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
-
-
-# the functions of align's numpy kernel, the only ones that may import numpy
-NUMPY_KERNEL = {"_dp", "_row_distances", "_spans", "_pair_scores"}
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module]
+    else:
+        return []
+    own = sys.stdlib_module_names | {"talkmetrics"}
+    return [name for name in names if name.split(".")[0] not in own]
 
 
 def test_no_function_level_import():
-    """Every import, standard library included, sits at module level, except
-    numpy's in the functions of ``align``'s kernel: runs whose alignment by
-    time fits the plain-Python budget, or that never align by time, never
-    load it. No other function or module imports numpy at all."""
+    """Every import, standard library included, sits at module level, and
+    every module imports from the standard library and the package alone:
+    the program has no run-time dependency, numpy included."""
     for name, tree in parsed_modules().items():
-        allowed = []
         for function in ast.walk(tree):
             if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for node in ast.walk(function):
-                if name == "align" and function.name in NUMPY_KERNEL and (
-                    isinstance(node, ast.Import) and [a.name for a in node.names] == ["numpy"]
-                ):
-                    allowed.append(node)
-                    continue
                 assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
                     f"{name}.{function.name} imports at line {node.lineno}"
                 )
-        stray = [
-            node.lineno for node in ast.walk(tree) if imports_numpy(node) and node not in allowed
-        ]
-        assert not stray, f"{name} imports numpy at lines {stray}"
+        outside = [outside_imports(node) for node in ast.walk(tree) if outside_imports(node)]
+        assert not outside, f"{name} imports {outside}"
 
 
 def test_no_unused_import():
