@@ -19,10 +19,11 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import logging
+import math
 import os
 import sys
+from array import array
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -371,26 +372,112 @@ def _process_entry(
     return _outcome(entry.recording_id, done)
 
 
+def _process_task(
+    entries: Sequence[ManifestEntry], cfg: RunConfig, stages: tuple[str, ...]
+) -> list[RecordingOutcome]:
+    """One pooled task: ``_process_entry`` on each of a few entries."""
+    return [_process_entry(entry, cfg, stages) for entry in entries]
+
+
+def _process_alone(
+    entry: ManifestEntry, cfg: RunConfig, stages: tuple[str, ...]
+) -> RecordingOutcome:
+    """``_process_entry`` on one entry in a fresh one-worker pool, or one
+    ``ingest`` error when that worker dies, with its exit code where the
+    pool kept its worker process."""
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=1, initializer=configure_logging
+    ) as pool:
+        future = pool.submit(_process_task, [entry], cfg, stages)
+        # the pool keeps its worker processes in an undocumented attribute,
+        # gone after shutdown, so read it while the pool is open
+        processes = list((getattr(pool, "_processes", None) or {}).values())
+        try:
+            return future.result()[0]
+        except concurrent.futures.BrokenExecutor:
+            pass
+    codes = [str(process.exitcode) for process in processes if process.exitcode is not None]
+    exit_code = f" (exit code {', '.join(codes)})" if codes else ""
+    error = EntryError(entry.recording_id, "ingest", f"its worker process died{exit_code}")
+    return RecordingOutcome(entry.recording_id, errors=(error,))
+
+
+def _pool_outcomes(
+    entries: Sequence[ManifestEntry],
+    todo: Sequence[int],
+    cfg: RunConfig,
+    stages: tuple[str, ...],
+    workers: int,
+    chunk: int,
+) -> Iterator[tuple[int, RecordingOutcome]]:
+    """(i, outcome) for each ``entries[i]`` whose index is in ``todo``, in a
+    pool of up to ``workers`` processes, ``chunk`` entries per task, as each
+    task finishes. When a worker dies, yields those of the tasks that had
+    finished, then that of the first entry of ``todo`` that had not, run by
+    ``_process_alone``, and stops."""
+    tasks = [todo[k : k + chunk] for k in range(0, len(todo), chunk)]
+    lost: list[Sequence[int]] = []
+    # this attribute lookup is what loads concurrent.futures.process, and
+    # with it multiprocessing, so a serial run never pays for either
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=min(workers, len(todo)), initializer=configure_logging
+    ) as pool:
+        futures = {}
+        try:
+            for task in tasks:
+                futures[pool.submit(_process_task, [entries[i] for i in task], cfg, stages)] = task
+        except concurrent.futures.BrokenExecutor:
+            lost = tasks[len(futures) :]
+        for future in concurrent.futures.as_completed(futures):
+            task = futures.pop(future)
+            if isinstance(future.exception(), concurrent.futures.BrokenExecutor):
+                lost.append(task)
+            else:
+                yield from zip(task, future.result())
+            del future  # its outcomes, once yielded, are the caller's alone
+    if lost:
+        first = min(task[0] for task in lost)
+        yield first, _process_alone(entries[first], cfg, stages)
+
+
 def process_recordings(
     entries: Sequence[ManifestEntry], cfg: RunConfig, stages: tuple[str, ...]
 ) -> Iterator[RecordingOutcome]:
     """Run the named ``_STAGES`` on every entry, in ``cfg.parallelism``
     worker processes, but no more than there are entries, when that is
     above one; yields each entry's outcome, in entry order, as soon as it
-    is done."""
+    is done, and each exactly once.
+
+    A worker that dies (killed for memory, or crashed in an extension)
+    breaks its pool, but not the run. Outcomes already yielded stand, and
+    those of tasks that finished are kept, so a break loses only the tasks
+    in flight. The first entry not yet yielded then runs alone in a fresh
+    one-worker pool, and becomes one ``ingest`` error, which says its
+    worker died, if that pool breaks too. Pooled work then resumes on the
+    entries left, one entry per task. Every break settles one entry, and
+    an entry that kills its worker breaks at most ``workers + 1`` pools:
+    the first, then at most one more for each other worker, since an entry
+    before it that is unfinished when it dies runs on another worker.
+    """
     # a pool starts all its workers at once, busy or not
     workers = min(cfg.parallelism, len(entries))
     if workers <= 1:
         for entry in entries:
             yield _process_entry(entry, cfg, stages)
         return
+    # finished outcomes that wait for an earlier entry's
+    finished: dict[int, RecordingOutcome] = {}
+    position = 0
+    todo: Sequence[int] = range(len(entries))
     chunk = max(1, len(entries) // (workers * 4))
-    # this attribute lookup is what loads concurrent.futures.process, and
-    # with it multiprocessing, so a serial run never pays for either
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=configure_logging
-    ) as pool:
-        yield from pool.map(_process_entry, entries, repeat(cfg), repeat(stages), chunksize=chunk)
+    while todo:
+        for i, outcome in _pool_outcomes(entries, todo, cfg, stages, workers, chunk):
+            finished[i] = outcome
+            while position in finished:
+                yield finished.pop(position)
+                position += 1
+        todo = [i for i in range(position, len(entries)) if i not in finished]
+        chunk = 1
 
 
 @dataclass(frozen=True)
@@ -492,10 +579,35 @@ class PipelineResult:
     errors: tuple[EntryError, ...]
 
 
+class _IccGrid:
+    """The ICC grid as outcomes arrive: each feature key's machine and expert
+    values, one per recording in arrival order, in two ``array('d')``, with
+    NaN for None, which ``build_report`` drops alike."""
+
+    def __init__(self) -> None:
+        self.columns: dict[str, tuple[array, array]] = {}
+
+    def add(self, key: str, machine: float | None, expert: float | None) -> None:
+        columns = self.columns.get(key)
+        if columns is None:
+            columns = self.columns[key] = (array("d"), array("d"))
+        columns[0].append(math.nan if machine is None else machine)
+        columns[1].append(math.nan if expert is None else expert)
+
+    def pairs(self) -> dict[str, Iterator[tuple[float, float]]]:
+        """Each key's (machine, expert) pairs, made as ``build_report`` reads them."""
+        return {key: zip(*columns) for key, columns in self.columns.items()}
+
+
 def run_pipeline(
     manifest: CorpusManifest, cfg: RunConfig, agreement: bool = True
 ) -> PipelineResult:
     """Process every manifest entry and merge in manifest order.
+
+    Each outcome is folded into the result as it arrives and then dropped:
+    the parent keeps the feature rows, reliability rows and errors the
+    reports need, running counts, and the ICC grid's values, never the
+    outcomes themselves.
 
     ``agreement=False`` skips alignment and the agreement statistics, for
     callers that report features only: the result's features, corpus
@@ -504,38 +616,46 @@ def run_pipeline(
     """
     stages = ("meta", "machine", "machine_features", "expert", "expert_features")
     stages += ("align", "reliability") if agreement else ()
-    outcomes = list(process_recordings(manifest.entries, cfg, stages))
-
-    done = [outcome for outcome in outcomes if outcome.features]
-    errors = tuple(error for outcome in outcomes for error in outcome.errors)
-    rows = [outcome.reliability for outcome in done if outcome.reliability is not None]
-    feature_pairs: dict[str, list[tuple[float | None, float | None]]] = {}
+    features: list[FeatureSummary] = []
+    errors: list[EntryError] = []
+    rows: list[RecordingReliability] = []
+    grid = _IccGrid()
     pooled: dict[str, list[tuple[FeatureSummary, float]]] = {"machine": []}
-    for outcome in done:
-        minutes = outcome.duration_minutes
-        if outcome.reliability is not None:
-            # the machine rows, then the expert rows, each in ROLES order
-            half = len(outcome.features) // 2
-            for machine, expert in zip(outcome.features[:half], outcome.features[half:]):
-                expert_values = icc_feature_values(expert, minutes)
-                for name, value in icc_feature_values(machine, minutes).items():
-                    key = f"{machine.role.value}_{name}"
-                    feature_pairs.setdefault(key, []).append((value, expert_values[name]))
-        for summary in outcome.features:
-            pooled.setdefault(summary.source.value, []).append((summary, minutes))
+    # ``hours`` adds as ``sequential_sum`` does: from the int 0, left to right
+    n_recordings = hours = n_machine_utterances = n_expert_utterances = 0
+    for outcome in process_recordings(manifest.entries, cfg, stages):
+        errors.extend(outcome.errors)
+        if outcome.features:
+            minutes = outcome.duration_minutes
+            n_recordings += 1
+            hours += minutes / 60.0
+            n_machine_utterances += outcome.n_machine_utterances
+            n_expert_utterances += outcome.n_expert_utterances
+            features.extend(outcome.features)
+            if outcome.reliability is not None:
+                rows.append(outcome.reliability)
+                # the machine rows, then the expert rows, each in ROLES order
+                half = len(outcome.features) // 2
+                for machine, expert in zip(outcome.features[:half], outcome.features[half:]):
+                    expert_values = icc_feature_values(expert, minutes)
+                    for name, value in icc_feature_values(machine, minutes).items():
+                        grid.add(f"{machine.role.value}_{name}", value, expert_values[name])
+            for summary in outcome.features:
+                pooled.setdefault(summary.source.value, []).append((summary, minutes))
+        del outcome  # so no outcome outlives its turn
     return PipelineResult(
         config=cfg.semantic_dict(),
         corpus=CorpusCounts(
-            n_recordings=len(done),
+            n_recordings=n_recordings,
             n_failed=len({error.recording_id for error in errors}),
-            hours=sequential_sum(outcome.duration_minutes / 60.0 for outcome in done),
-            n_machine_utterances=sum(outcome.n_machine_utterances for outcome in done),
-            n_expert_utterances=sum(outcome.n_expert_utterances for outcome in done),
+            hours=hours,
+            n_machine_utterances=n_machine_utterances,
+            n_expert_utterances=n_expert_utterances,
         ),
-        features=tuple(summary for outcome in done for summary in outcome.features),
-        reliability=build_report(rows, feature_pairs) if rows else None,
+        features=tuple(features),
+        reliability=build_report(rows, grid.pairs()) if rows else None,
         aggregate={source: _pool_source(source_rows) for source, source_rows in pooled.items()},
-        errors=errors,
+        errors=tuple(errors),
     )
 
 

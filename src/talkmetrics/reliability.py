@@ -268,21 +268,24 @@ def _pairwise_sum(values: Sequence[float]) -> float:
 
 
 def drop_incomplete_rows(
-    ratings: Sequence[Sequence[float | None]],
+    ratings: Iterable[Sequence[float | None]],
 ) -> tuple[list[tuple[float, float]], int]:
     """``ratings`` as (float, float) rows, without those holding a None or
-    NaN cell, and the count dropped. Raises ValueError for a row that is
-    not a pair."""
+    NaN cell, and the count dropped. Reads ``ratings`` once, so it may be
+    an iterator. Raises ValueError for a row that is not a pair."""
     kept = []
+    dropped = 0
     for row in ratings:
         try:
             a, b = row
         except (TypeError, ValueError):
             raise ValueError(f"ratings must be n x 2, got the row {row!r}") from None
         a, b = (math.nan if x is None else float(x) for x in (a, b))
-        if not (math.isnan(a) or math.isnan(b)):
+        if math.isnan(a) or math.isnan(b):
+            dropped += 1
+        else:
             kept.append((a, b))
-    return kept, len(ratings) - len(kept)
+    return kept, dropped
 
 
 def _all_equal(pairs: Sequence[tuple[float, float]]) -> bool:
@@ -423,16 +426,19 @@ def metric_set(
 
 def build_report(
     rows: Sequence[RecordingReliability],
-    feature_pairs: Mapping[str, Sequence[tuple[float | None, float | None]]],
+    feature_pairs: Mapping[str, Iterable[tuple[float | None, float | None]]],
 ) -> ReliabilityReport:
     """Assemble per-recording rows into overall/time-weighted metrics and ICCs.
 
     ``feature_pairs`` maps a feature name to (machine, expert) value pairs,
-    one per recording; rows with a missing side are dropped pairwise and the
-    drop count kept in the report. Each feature's entry is decided from its
-    complete rows: fewer than two give no value; all-equal ratings give 1.0
-    flagged ``zero_variance``; otherwise the value is :func:`icc_absolute`'s,
-    or None where it raises :class:`DegenerateRatings`.
+    one per recording; rows with a missing side (None or NaN) are dropped
+    pairwise and the drop count kept in the report. Each feature's pairs
+    are read once, after the previous feature's entry is made, so they may
+    come from an iterator and only one feature's complete rows are held at
+    a time. Each feature's entry is decided from its complete rows: fewer
+    than two give no value; all-equal ratings give 1.0 flagged
+    ``zero_variance``; otherwise the value is :func:`icc_absolute`'s, or
+    None where it raises :class:`DegenerateRatings`.
     """
     ordered = tuple(sorted(rows, key=lambda r: r.recording_id))
     overall = metric_set(
@@ -451,18 +457,21 @@ def build_report(
     by_metric = {f.name: [getattr(r.metrics, f.name) for r in ordered] for f in fields(MetricSet)}
     time_weighted = MetricSet(**{k: time_weighted_mean(v, durations) for k, v in by_metric.items()})
 
-    iccs: dict[str, IccEntry] = {}
-    for name, pairs in feature_pairs.items():
-        clean, dropped = drop_incomplete_rows(pairs)
-        flat = len(clean) >= 2 and _all_equal(clean)
-        value = 1.0 if flat else None
-        if len(clean) >= 2 and not flat:
-            with suppress(DegenerateRatings):
-                value = _icc(clean)
-        iccs[name] = IccEntry(value, len(clean), dropped, zero_variance=flat)
+    iccs = {name: _icc_entry(pairs) for name, pairs in feature_pairs.items()}
     return ReliabilityReport(
         rows=ordered, overall=overall, time_weighted=time_weighted, iccs=iccs
     )
+
+
+def _icc_entry(pairs: Iterable[tuple[float | None, float | None]]) -> IccEntry:
+    """One feature's entry in :func:`build_report`."""
+    clean, dropped = drop_incomplete_rows(pairs)
+    flat = len(clean) >= 2 and _all_equal(clean)
+    value = 1.0 if flat else None
+    if len(clean) >= 2 and not flat:
+        with suppress(DegenerateRatings):
+            value = _icc(clean)
+    return IccEntry(value, len(clean), dropped, zero_variance=flat)
 
 
 def recording_reliability(

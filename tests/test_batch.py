@@ -1,14 +1,18 @@
 """Corpus discovery, pipeline runs, failure isolation, and report files."""
 
 import json
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import synthetic as syn
 import talkmetrics.batch as batch_module
@@ -31,6 +35,7 @@ from talkmetrics.batch import (
 )
 from talkmetrics.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, main
 from talkmetrics.codec import decode
+from talkmetrics.reliability import build_report
 from talkmetrics.transcript import Source, Transcript
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -43,6 +48,34 @@ from talkmetrics.cli import main
 multiprocessing.set_start_method(sys.argv[1])
 sys.exit(main(sys.argv[2:]))
 """
+
+# Runs the command line named by argv[3:] with at most argv[2] bytes of
+# address space, and with ``_process_entry`` exiting the process at once,
+# as an out-of-memory kill would, for the recording argv[1] names.
+DYING_WORKER_SCRIPT = """
+import os, resource, sys
+import talkmetrics.batch as batch
+from talkmetrics.cli import main
+limit = int(sys.argv[2])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+original = batch._process_entry
+
+def dying(entry, cfg, stages):
+    if entry.recording_id == sys.argv[1]:
+        os._exit(9)
+    return original(entry, cfg, stages)
+
+batch._process_entry = dying
+sys.exit(main(sys.argv[3:]))
+"""
+
+# Cells of the ICC grid: missing, NaN, a few values that tie, and any other
+ICC_CELLS = (
+    st.none()
+    | st.just(math.nan)
+    | st.sampled_from([0.0, 1.0, -2.5])
+    | st.floats(min_value=-1e6, max_value=1e6)
+)
 
 
 def corpus_dir(tmp_path, n=3, seed=0, with_expert=True):
@@ -641,6 +674,82 @@ class TestRunPipeline:
         started = set(multiprocessing.active_children()) - before
         assert [first, *outcomes] == serial
         assert 1 <= len(started) <= 2
+
+    def test_dead_worker_fails_only_its_recording(self, tmp_path):
+        # the patch reaches the workers only as a copy of the parent's memory
+        method = multiprocessing.get_start_method()
+        if method != "fork":
+            pytest.skip(f"{method} workers import the batch module afresh, unpatched")
+        root = corpus_dir(tmp_path, n=8, seed=23)
+        clean = tmp_path / "clean"
+        assert main(["batch", "--root", str(root), "--out", str(clean)]) == EXIT_OK
+        out = tmp_path / "out"
+        argv = ["batch", "--root", str(root), "--out", str(out), "--workers", "2"]
+        path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", DYING_WORKER_SCRIPT, "rec03", str(2**30), *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_PARTIAL, proc.stderr
+        errors = json.loads((out / "errors.json").read_text())
+        assert errors == [
+            {
+                "recording_id": "rec03",
+                "stage": "ingest",
+                "message": "its worker process died (exit code 9)",
+            }
+        ]
+
+        def rows(path):
+            lines = path.read_text().splitlines()
+            return [line for line in lines if not line.startswith("rec03,")]
+
+        assert rows(out / "features.csv") == rows(clean / "features.csv")
+        results = json.loads((out / "results.json").read_text())
+        assert results["corpus"]["n_recordings"] == 7
+
+    def test_each_outcome_is_dropped_before_the_next(self, tmp_path, monkeypatch):
+        manifest = discover(root_dir=corpus_dir(tmp_path, n=4, seed=19))
+        expected = run_pipeline(manifest, RunConfig())
+        original = batch_module.process_recordings
+        yielded = []
+
+        def watched(entries, cfg, stages):
+            for outcome in original(entries, cfg, stages):
+                alive = [ref().recording_id for ref in yielded if ref() is not None]
+                assert alive == [], f"still held while {outcome.recording_id} arrives"
+                yielded.append(weakref.ref(outcome))
+                yield outcome
+
+        monkeypatch.setattr(batch_module, "process_recordings", watched)
+        assert run_pipeline(manifest, RunConfig()) == expected
+        assert len(yielded) == 4
+
+    @settings(deadline=None)
+    @given(
+        st.dictionaries(
+            st.text("ab", min_size=1, max_size=2),
+            st.lists(st.tuples(ICC_CELLS, ICC_CELLS), min_size=1, max_size=12),
+            max_size=4,
+        )
+    )
+    @example(
+        {
+            "every_row_missing": [(None, 1.0), (math.nan, None), (None, None)],
+            "one_complete_row": [(1.0, 2.0), (None, 3.0), (4.0, math.nan)],
+            "all_equal": [(2.0, 2.0), (2.0, 2.0), (None, 2.0)],
+            "nan_only": [(math.nan, math.nan)],
+        }
+    )
+    def test_icc_grid_gives_the_entries_of_pair_lists(self, pairs):
+        grid = batch_module._IccGrid()
+        for key, rows in pairs.items():
+            for machine, expert in rows:
+                grid.add(key, machine, expert)
+        assert build_report([], grid.pairs()).iccs == build_report([], pairs).iccs
 
     def test_json_round_trip(self, tmp_path):
         root = corpus_dir(tmp_path, n=2, seed=13)
