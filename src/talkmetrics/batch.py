@@ -19,10 +19,9 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import logging
-import math
 import os
 import sys
-from array import array
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -34,10 +33,10 @@ from .features import (
     DEFAULT_LD_WINDOW,
     DEFAULT_RESPONSE_WINDOW,
     FEATURE_COLUMNS,
+    ICC_FEATURES,
     MIN_LD_WINDOW,
     FeatureSummary,
     detect_responses,
-    icc_feature_values,
     ratio,
     response_proportion,
     summarize,
@@ -51,7 +50,7 @@ from .reliability import (
     recording_reliability,
     sequential_sum,
 )
-from .transcript import ROLES, RecordingMeta, SpeakerRole, Transcript
+from .transcript import ROLES, RecordingMeta, Source, SpeakerRole, Transcript
 
 log = logging.getLogger(__name__)
 
@@ -379,29 +378,6 @@ def _process_task(
     return [_process_entry(entry, cfg, stages) for entry in entries]
 
 
-def _process_alone(
-    entry: ManifestEntry, cfg: RunConfig, stages: tuple[str, ...]
-) -> RecordingOutcome:
-    """``_process_entry`` on one entry in a fresh one-worker pool, or one
-    ``ingest`` error when that worker dies, with its exit code where the
-    pool kept its worker process."""
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=1, initializer=configure_logging
-    ) as pool:
-        future = pool.submit(_process_task, [entry], cfg, stages)
-        # the pool keeps its worker processes in an undocumented attribute,
-        # gone after shutdown, so read it while the pool is open
-        processes = list((getattr(pool, "_processes", None) or {}).values())
-        try:
-            return future.result()[0]
-        except concurrent.futures.BrokenExecutor:
-            pass
-    codes = [str(process.exitcode) for process in processes if process.exitcode is not None]
-    exit_code = f" (exit code {', '.join(codes)})" if codes else ""
-    error = EntryError(entry.recording_id, "ingest", f"its worker process died{exit_code}")
-    return RecordingOutcome(entry.recording_id, errors=(error,))
-
-
 def _pool_outcomes(
     entries: Sequence[ManifestEntry],
     todo: Sequence[int],
@@ -413,31 +389,36 @@ def _pool_outcomes(
     """(i, outcome) for each ``entries[i]`` whose index is in ``todo``, in a
     pool of up to ``workers`` processes, ``chunk`` entries per task, as each
     task finishes. When a worker dies, yields those of the tasks that had
-    finished, then that of the first entry of ``todo`` that had not, run by
-    ``_process_alone``, and stops."""
+    finished and stops; an entry that had the pool to itself then gets one
+    ``ingest`` error, which says its worker died, with the worker's exit
+    code where the pool kept its worker process."""
     tasks = [todo[k : k + chunk] for k in range(0, len(todo), chunk)]
-    lost: list[Sequence[int]] = []
+    died = False
     # this attribute lookup is what loads concurrent.futures.process, and
     # with it multiprocessing, so a serial run never pays for either
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=min(workers, len(todo)), initializer=configure_logging
     ) as pool:
         futures = {}
-        try:
+        with suppress(concurrent.futures.BrokenExecutor):
             for task in tasks:
                 futures[pool.submit(_process_task, [entries[i] for i in task], cfg, stages)] = task
-        except concurrent.futures.BrokenExecutor:
-            lost = tasks[len(futures) :]
+        # the pool keeps its worker processes in an undocumented attribute,
+        # gone after shutdown, so read it while the pool is open
+        processes = list((getattr(pool, "_processes", None) or {}).values())
         for future in concurrent.futures.as_completed(futures):
             task = futures.pop(future)
             if isinstance(future.exception(), concurrent.futures.BrokenExecutor):
-                lost.append(task)
+                died = True
             else:
                 yield from zip(task, future.result())
             del future  # its outcomes, once yielded, are the caller's alone
-    if lost:
-        first = min(task[0] for task in lost)
-        yield first, _process_alone(entries[first], cfg, stages)
+    if died and len(todo) == 1:
+        recording_id = entries[todo[0]].recording_id
+        codes = [str(process.exitcode) for process in processes if process.exitcode is not None]
+        exit_code = f" (exit code {', '.join(codes)})" if codes else ""
+        error = EntryError(recording_id, "ingest", f"its worker process died{exit_code}")
+        yield todo[0], RecordingOutcome(recording_id, errors=(error,))
 
 
 def process_recordings(
@@ -476,8 +457,16 @@ def process_recordings(
             while position in finished:
                 yield finished.pop(position)
                 position += 1
-        todo = [i for i in range(position, len(entries)) if i not in finished]
+        left = [i for i in range(position, len(entries)) if i not in finished]
+        # a pool of more than one entry that leaves some has lost a worker:
+        # the first entry left, ``position``, runs alone, then the rest
+        todo = left[:1] if len(todo) > 1 else left
         chunk = 1
+
+
+# One recording's feature rows, the machine rows and then the expert rows,
+# each in ``ROLES`` order, and the recording's minutes
+_FeatureRows = tuple[tuple[FeatureSummary, ...], float]
 
 
 @dataclass(frozen=True)
@@ -512,9 +501,17 @@ class PooledSource:
     teacher_child_utterance_ratio: float | None
 
 
-def _pool_role(rows: Sequence[tuple[FeatureSummary, float]], role: SpeakerRole) -> PooledRole:
-    """Pool one role's feature rows, each with its recording's minutes."""
-    mine = [row for row in rows if row[0].role is role]
+def _pool_role(
+    recordings: Sequence[_FeatureRows], source: Source, role: SpeakerRole
+) -> PooledRole:
+    """Pool one source's and role's feature rows, each with its recording's
+    minutes."""
+    mine = [
+        (summary, minutes)
+        for summaries, minutes in recordings
+        for summary in summaries
+        if summary.source is source and summary.role is role
+    ]
     n_utterances = sum(s.n_utterances for s, _ in mine)
     n_questions = sum(s.n_questions for s, _ in mine)
     n_non_questions = sum(s.n_non_questions for s, _ in mine)
@@ -543,10 +540,10 @@ def _pool_role(rows: Sequence[tuple[FeatureSummary, float]], role: SpeakerRole) 
     )
 
 
-def _pool_source(rows: Sequence[tuple[FeatureSummary, float]]) -> PooledSource:
+def _pool_source(recordings: Sequence[_FeatureRows], source: Source) -> PooledSource:
     """Pool one source's per-recording feature rows into corpus-level features."""
-    teacher = _pool_role(rows, SpeakerRole.TEACHER)
-    child = _pool_role(rows, SpeakerRole.CHILD)
+    teacher = _pool_role(recordings, source, SpeakerRole.TEACHER)
+    child = _pool_role(recordings, source, SpeakerRole.CHILD)
     return PooledSource(teacher, child, ratio(teacher.n_utterances, child.n_utterances))
 
 
@@ -579,24 +576,15 @@ class PipelineResult:
     errors: tuple[EntryError, ...]
 
 
-class _IccGrid:
-    """The ICC grid as outcomes arrive: each feature key's machine and expert
-    values, one per recording in arrival order, in two ``array('d')``, with
-    NaN for None, which ``build_report`` drops alike."""
-
-    def __init__(self) -> None:
-        self.columns: dict[str, tuple[array, array]] = {}
-
-    def add(self, key: str, machine: float | None, expert: float | None) -> None:
-        columns = self.columns.get(key)
-        if columns is None:
-            columns = self.columns[key] = (array("d"), array("d"))
-        columns[0].append(math.nan if machine is None else machine)
-        columns[1].append(math.nan if expert is None else expert)
-
-    def pairs(self) -> dict[str, Iterator[tuple[float, float]]]:
-        """Each key's (machine, expert) pairs, made as ``build_report`` reads them."""
-        return {key: zip(*columns) for key, columns in self.columns.items()}
+def _icc_pairs(
+    rated: Sequence[_FeatureRows],
+    k: int,
+    value: Callable[[FeatureSummary, float], float | None],
+) -> Iterator[tuple[float | None, float | None]]:
+    """One ICC feature's (machine, expert) values for ``ROLES[k]``, one pair
+    per recording, made as they are read."""
+    for summaries, minutes in rated:
+        yield value(summaries[k], minutes), value(summaries[len(ROLES) + k], minutes)
 
 
 def run_pipeline(
@@ -605,9 +593,10 @@ def run_pipeline(
     """Process every manifest entry and merge in manifest order.
 
     Each outcome is folded into the result as it arrives and then dropped:
-    the parent keeps the feature rows, reliability rows and errors the
-    reports need, running counts, and the ICC grid's values, never the
-    outcomes themselves.
+    the parent keeps each recording's feature rows and minutes once, the
+    reliability rows, errors and utterance counts, never the outcomes
+    themselves. The features, hours, aggregate and ICC grid derive from
+    those rows at the end.
 
     ``agreement=False`` skips alignment and the agreement statistics, for
     callers that report features only: the result's features, corpus
@@ -616,45 +605,43 @@ def run_pipeline(
     """
     stages = ("meta", "machine", "machine_features", "expert", "expert_features")
     stages += ("align", "reliability") if agreement else ()
-    features: list[FeatureSummary] = []
-    errors: list[EntryError] = []
+    recordings: list[_FeatureRows] = []  # each recording with features
+    # those of them with a reliability row, and the rows
+    rated: list[_FeatureRows] = []
     rows: list[RecordingReliability] = []
-    grid = _IccGrid()
-    pooled: dict[str, list[tuple[FeatureSummary, float]]] = {"machine": []}
-    # ``hours`` adds as ``sequential_sum`` does: from the int 0, left to right
-    n_recordings = hours = n_machine_utterances = n_expert_utterances = 0
+    errors: list[EntryError] = []
+    n_machine_utterances = n_expert_utterances = 0
     for outcome in process_recordings(manifest.entries, cfg, stages):
         errors.extend(outcome.errors)
         if outcome.features:
-            minutes = outcome.duration_minutes
-            n_recordings += 1
-            hours += minutes / 60.0
+            recordings.append((outcome.features, outcome.duration_minutes))
             n_machine_utterances += outcome.n_machine_utterances
             n_expert_utterances += outcome.n_expert_utterances
-            features.extend(outcome.features)
             if outcome.reliability is not None:
                 rows.append(outcome.reliability)
-                # the machine rows, then the expert rows, each in ROLES order
-                half = len(outcome.features) // 2
-                for machine, expert in zip(outcome.features[:half], outcome.features[half:]):
-                    expert_values = icc_feature_values(expert, minutes)
-                    for name, value in icc_feature_values(machine, minutes).items():
-                        grid.add(f"{machine.role.value}_{name}", value, expert_values[name])
-            for summary in outcome.features:
-                pooled.setdefault(summary.source.value, []).append((summary, minutes))
+                rated.append(recordings[-1])
         del outcome  # so no outcome outlives its turn
+    features = tuple(summary for summaries, _ in recordings for summary in summaries)
+    # the machine source always, then the expert one if any row has it
+    sources = dict.fromkeys((Source.MACHINE, *(summary.source for summary in features)))
+    # each ICC key's (machine, expert) values, made as ``build_report`` reads them
+    feature_pairs = {
+        f"{role.value}_{name}": _icc_pairs(rated, k, value)
+        for k, role in enumerate(ROLES)
+        for name, value in ICC_FEATURES.items()
+    }
     return PipelineResult(
         config=cfg.semantic_dict(),
         corpus=CorpusCounts(
-            n_recordings=n_recordings,
+            n_recordings=len(recordings),
             n_failed=len({error.recording_id for error in errors}),
-            hours=hours,
+            hours=sequential_sum(minutes / 60.0 for _, minutes in recordings),
             n_machine_utterances=n_machine_utterances,
             n_expert_utterances=n_expert_utterances,
         ),
-        features=tuple(features),
-        reliability=build_report(rows, grid.pairs()) if rows else None,
-        aggregate={source: _pool_source(source_rows) for source, source_rows in pooled.items()},
+        features=features,
+        reliability=build_report(rows, feature_pairs) if rows else None,
+        aggregate={source.value: _pool_source(recordings, source) for source in sources},
         errors=tuple(errors),
     )
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .transcript import Source, SpeakerRole, Transcript, is_question
 
@@ -181,26 +181,23 @@ def summarize(
     )
 
 
-def icc_feature_values(
-    summary: FeatureSummary, duration_minutes: float
-) -> dict[str, float | None]:
-    """Per-recording feature vector for the between-rater ICC grid.
-
-    Counts become rates per minute so recordings of different lengths
-    compare; proportions and MLUs pass through. ``duration_minutes`` is a
-    ``RecordingMeta``'s, which is never under ``MIN_DURATION_MINUTES``.
-    """
-    n_responded = summary.n_responded_questions + summary.n_responded_non_questions
-    return {
-        "questions_per_minute": summary.n_questions / duration_minutes,
-        "non_questions_per_minute": summary.n_non_questions / duration_minutes,
-        "responses_per_minute": summary.n_responses_given / duration_minutes,
-        "response_proportion": response_proportion(n_responded, summary.n_utterances),
-        "mlu_overall": summary.mlu_overall,
-        "mlu_question": summary.mlu_question,
-        "mlu_non_question": summary.mlu_non_question,
-        "words_per_minute": summary.words_per_minute,
-        "pct_questions": summary.pct_questions,
-        "lexical_diversity_per_minute": summary.lexical_diversity_per_minute,
-        "lexical_diversity_pooled": summary.lexical_diversity_pooled,
-    }
+# The per-recording feature vector of the between-rater ICC grid: each
+# feature's value from one summary and its recording's minutes, a
+# ``RecordingMeta``'s, which are never under ``MIN_DURATION_MINUTES``. Counts
+# become rates per minute so recordings of different lengths compare;
+# proportions and MLUs pass through.
+ICC_FEATURES: dict[str, Callable[[FeatureSummary, float], float | None]] = {
+    "questions_per_minute": lambda s, minutes: s.n_questions / minutes,
+    "non_questions_per_minute": lambda s, minutes: s.n_non_questions / minutes,
+    "responses_per_minute": lambda s, minutes: s.n_responses_given / minutes,
+    "response_proportion": lambda s, minutes: response_proportion(
+        s.n_responded_questions + s.n_responded_non_questions, s.n_utterances
+    ),
+    "mlu_overall": lambda s, minutes: s.mlu_overall,
+    "mlu_question": lambda s, minutes: s.mlu_question,
+    "mlu_non_question": lambda s, minutes: s.mlu_non_question,
+    "words_per_minute": lambda s, minutes: s.words_per_minute,
+    "pct_questions": lambda s, minutes: s.pct_questions,
+    "lexical_diversity_per_minute": lambda s, minutes: s.lexical_diversity_per_minute,
+    "lexical_diversity_pooled": lambda s, minutes: s.lexical_diversity_pooled,
+}

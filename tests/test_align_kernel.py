@@ -8,9 +8,12 @@ score; it must return exactly the same ``(matched, score)``, compared with
 """
 
 import math
+import os
+import pickle
 import random
+import subprocess
 import sys
-import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,8 @@ from hypothesis import strategies as st
 import synthetic as syn
 from talkmetrics.align import AlignConfig, _distances, _dp, _lanes, _trace_back, pair_score
 from talkmetrics.transcript import levenshtein
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 WORDS = ("the", "cat", "sat", "on", "mat", "how", "is", "weather", "sunny", "dog")
 
@@ -282,15 +287,42 @@ def test_small_instances_equal_reference(machine, expert, weight, gap):
     assert_same_as_reference(machine, expert, config)
 
 
+# Runs ``_dp`` on the pickled (machine, expert) pair read from stdin and prints
+# how far the process's peak resident set rose above its resident set just
+# before the call, in KiB. A fresh interpreter keeps every other test's
+# allocations out of the reading, and the current resident set, not the peak
+# so far, is the base, so no earlier transient peak can hide growth. The peak
+# is ``VmHWM``, the high-water mark of this process image alone: ``ru_maxrss``
+# keeps the launching process's peak across ``exec``.
+MEMORY_SCRIPT = """
+import pickle, sys
+from talkmetrics.align import AlignConfig, _dp
+
+def status(key):
+    with open("/proc/self/status") as lines:
+        return next(int(line.split()[1]) for line in lines if line.startswith(key + ":"))
+
+machine, expert = pickle.load(sys.stdin.buffer)
+_dp(machine[:2], expert[:2], AlignConfig())
+resident = status("VmRSS")
+_dp(machine, expert, AlignConfig())
+print(status("VmHWM") - resident)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 def test_memory_is_one_byte_per_cell_and_a_fixed_budget():
     """Backpointers take one byte per cell; everything else fits a fixed
     8 MiB, which no n × m table of floats (18 MB here) would."""
     machine, expert = jittered_pair(random.Random(1500), 1500)
     n, m = len(machine), len(expert)
-    tracemalloc.start()
-    try:
-        _dp(machine, expert, AlignConfig())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < (n + 1) * (m + 1) + 8 * 2**20
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_SCRIPT],
+        input=pickle.dumps((machine, expert)),
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        check=True,
+        timeout=120,
+    )
+    assert int(proc.stdout) * 1024 < (n + 1) * (m + 1) + 8 * 2**20

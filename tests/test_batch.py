@@ -1,7 +1,6 @@
 """Corpus discovery, pipeline runs, failure isolation, and report files."""
 
 import json
-import math
 import multiprocessing
 import os
 import subprocess
@@ -11,8 +10,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import synthetic as syn
 import talkmetrics.batch as batch_module
@@ -35,8 +32,9 @@ from talkmetrics.batch import (
 )
 from talkmetrics.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, main
 from talkmetrics.codec import decode
+from talkmetrics.features import ICC_FEATURES
 from talkmetrics.reliability import build_report
-from talkmetrics.transcript import Source, Transcript
+from talkmetrics.transcript import ROLES, Source, Transcript
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -68,14 +66,6 @@ def dying(entry, cfg, stages):
 batch._process_entry = dying
 sys.exit(main(sys.argv[3:]))
 """
-
-# Cells of the ICC grid: missing, NaN, a few values that tie, and any other
-ICC_CELLS = (
-    st.none()
-    | st.just(math.nan)
-    | st.sampled_from([0.0, 1.0, -2.5])
-    | st.floats(min_value=-1e6, max_value=1e6)
-)
 
 
 def corpus_dir(tmp_path, n=3, seed=0, with_expert=True):
@@ -675,7 +665,10 @@ class TestRunPipeline:
         assert [first, *outcomes] == serial
         assert 1 <= len(started) <= 2
 
-    def test_dead_worker_fails_only_its_recording(self, tmp_path):
+    # the killer first, in the middle, and last, where the pool it breaks
+    # may be left with its entry alone
+    @pytest.mark.parametrize("killer", ["rec00", "rec03", "rec07"])
+    def test_dead_worker_fails_only_its_recording(self, tmp_path, killer):
         # the patch reaches the workers only as a copy of the parent's memory
         method = multiprocessing.get_start_method()
         if method != "fork":
@@ -687,7 +680,7 @@ class TestRunPipeline:
         argv = ["batch", "--root", str(root), "--out", str(out), "--workers", "2"]
         path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
-            [sys.executable, "-c", DYING_WORKER_SCRIPT, "rec03", str(2**30), *argv],
+            [sys.executable, "-c", DYING_WORKER_SCRIPT, killer, str(2**30), *argv],
             env={**os.environ, "PYTHONPATH": path},
             capture_output=True,
             text=True,
@@ -697,7 +690,7 @@ class TestRunPipeline:
         errors = json.loads((out / "errors.json").read_text())
         assert errors == [
             {
-                "recording_id": "rec03",
+                "recording_id": killer,
                 "stage": "ingest",
                 "message": "its worker process died (exit code 9)",
             }
@@ -705,7 +698,7 @@ class TestRunPipeline:
 
         def rows(path):
             lines = path.read_text().splitlines()
-            return [line for line in lines if not line.startswith("rec03,")]
+            return [line for line in lines if not line.startswith(f"{killer},")]
 
         assert rows(out / "features.csv") == rows(clean / "features.csv")
         results = json.loads((out / "results.json").read_text())
@@ -728,28 +721,33 @@ class TestRunPipeline:
         assert run_pipeline(manifest, RunConfig()) == expected
         assert len(yielded) == 4
 
-    @settings(deadline=None)
-    @given(
-        st.dictionaries(
-            st.text("ab", min_size=1, max_size=2),
-            st.lists(st.tuples(ICC_CELLS, ICC_CELLS), min_size=1, max_size=12),
-            max_size=4,
-        )
-    )
-    @example(
-        {
-            "every_row_missing": [(None, 1.0), (math.nan, None), (None, None)],
-            "one_complete_row": [(1.0, 2.0), (None, 3.0), (4.0, math.nan)],
-            "all_equal": [(2.0, 2.0), (2.0, 2.0), (None, 2.0)],
-            "nan_only": [(math.nan, math.nan)],
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_icc_grid_is_the_rated_recordings_feature_values(self, tmp_path, parallelism):
+        # two expert tables fail and one is missing, so the rated recordings
+        # are a strict subset of those with features
+        root = corpus_dir(tmp_path, n=7, seed=29)
+        for name in ("rec01", "rec04"):
+            (root / f"{name}.expert.tsv").write_text("bad header\n", encoding="utf-8")
+        (root / "rec05.expert.tsv").unlink()
+        result = run_pipeline(discover(root_dir=root), RunConfig(parallelism=parallelism))
+        report = result.reliability
+        rated = [(row.recording_id, row.duration_minutes) for row in report.rows]
+        assert [rid for rid, _ in rated] == ["rec00", "rec02", "rec03", "rec06"]
+        assert result.corpus.n_recordings == 7
+        rows = {(s.recording_id, s.source, s.role): s for s in result.features}
+        pairs = {
+            f"{role.value}_{name}": [
+                (
+                    value(rows[rid, Source.MACHINE, role], minutes),
+                    value(rows[rid, Source.EXPERT, role], minutes),
+                )
+                for rid, minutes in rated
+            ]
+            for role in ROLES
+            for name, value in ICC_FEATURES.items()
         }
-    )
-    def test_icc_grid_gives_the_entries_of_pair_lists(self, pairs):
-        grid = batch_module._IccGrid()
-        for key, rows in pairs.items():
-            for machine, expert in rows:
-                grid.add(key, machine, expert)
-        assert build_report([], grid.pairs()).iccs == build_report([], pairs).iccs
+        assert report == build_report(report.rows, pairs)
+        assert any(entry.value is not None for entry in report.iccs.values())
 
     def test_json_round_trip(self, tmp_path):
         root = corpus_dir(tmp_path, n=2, seed=13)

@@ -16,10 +16,10 @@ import synthetic as syn
 from talkmetrics.codec import decode, field_values
 from talkmetrics.features import (
     FEATURE_COLUMNS,
+    ICC_FEATURES,
     MIN_LD_WINDOW,
     FeatureSummary,
     detect_responses,
-    icc_feature_values,
     ratio,
     response_proportion,
     summarize,
@@ -493,10 +493,15 @@ class TestSummarize:
 # --- rate grid for between-rater comparison ----------------------------------
 
 
-class TestIccFeatureValues:
+def icc_values(summary, duration_minutes):
+    """Each ICC feature's value for one summary."""
+    return {name: value(summary, duration_minutes) for name, value in ICC_FEATURES.items()}
+
+
+class TestIccFeatures:
     def test_counts_become_rates(self, weather_machine):
         summary = summarize(weather_machine, SpeakerRole.TEACHER, detect_responses(weather_machine))
-        values = icc_feature_values(summary, duration_minutes=2.0)
+        values = icc_values(summary, duration_minutes=2.0)
         assert values["questions_per_minute"] == pytest.approx(1.5)
         assert values["non_questions_per_minute"] == pytest.approx(1.0)
         assert values["responses_per_minute"] == pytest.approx(1.5)
@@ -505,8 +510,7 @@ class TestIccFeatureValues:
 
     def test_covers_declared_features(self, weather_machine):
         summary = summarize(weather_machine, SpeakerRole.CHILD, detect_responses(weather_machine))
-        values = icc_feature_values(summary, duration_minutes=1.0)
-        assert list(values) == [
+        assert list(icc_values(summary, duration_minutes=1.0)) == [
             "questions_per_minute",
             "non_questions_per_minute",
             "responses_per_minute",
@@ -564,8 +568,8 @@ def test_feature_values_finite_for_every_accepted_duration(duration, ld_window, 
     links = detect_responses(transcript)
     for role in ROLES:
         summary = summarize(transcript, role, links, ld_window=ld_window)
-        icc_values = icc_feature_values(summary, duration)
-        values = [*field_values(summary), *icc_values.values()]
+        icc = icc_values(summary, duration)
+        values = [*field_values(summary), *icc.values()]
         floats = [value for value in values if isinstance(value, float)]
         assert all(map(math.isfinite, floats)), (summary, floats)
         assert summary.n_responded_questions <= summary.n_questions, summary
@@ -576,6 +580,6 @@ def test_feature_values_finite_for_every_accepted_duration(duration, ld_window, 
             summary.prop_responded_questions,
             summary.prop_responded_non_questions,
             summary.pct_questions,
-            icc_values["response_proportion"],
+            icc["response_proportion"],
         )
         assert all(p is None or 0.0 <= p <= 1.0 for p in proportions), (summary, proportions)

@@ -220,6 +220,28 @@ def last_name(node: ast.expr) -> str | None:
     return node.attr if isinstance(node, ast.Attribute) else None
 
 
+def test_one_place_starts_a_pool():
+    """The package builds a ``ProcessPoolExecutor`` in one place, in
+    ``batch._pool_outcomes``, so how worker processes start and what they
+    run first is decided there alone."""
+
+    def calls(tree: ast.AST) -> list[int]:
+        return [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and last_name(node.func) == "ProcessPoolExecutor"
+        ]
+
+    trees = parsed_modules()
+    found = {name: calls(tree) for name, tree in trees.items() if calls(tree)}
+    home = next(
+        node
+        for node in trees["batch"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_pool_outcomes"
+    )
+    assert len(calls(home)) == 1 and found == {"batch": calls(home)}, found
+
+
 def test_no_dead_exception_class():
     """Every exception or warning class of the package is raised, or given
     to ``warnings.warn`` as its category, somewhere in the package, or is a
