@@ -7,7 +7,9 @@ Two routes produce the same structure:
   result is always a monotone matching.
 * :func:`align_by_time` recovers a matching from scratch with dynamic
   programming over the two time-ordered utterance lists, scoring candidate
-  pairs by a blend of text similarity and temporal overlap.
+  pairs by a blend of text similarity and temporal overlap. Each DP column
+  takes its word distances from ``transcript``'s kernel, the one that
+  :func:`transcript.levenshtein` runs for a single pair.
 
 Either way the result is an :class:`AlignedCorpus`: the two transcripts
 and the matched (machine index, expert index) pairs; every utterance
@@ -26,7 +28,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import TalkmetricsError
-from .transcript import Transcript, Utterance, levenshtein
+from .transcript import Transcript, Utterance, lane_distances, levenshtein, pack_lanes
 
 
 class NotLinked(TalkmetricsError):
@@ -207,100 +209,6 @@ def _trace_back(moves: bytearray, n: int, m: int) -> list[tuple[int, int]]:
     return matched
 
 
-def _lane_width(words: int) -> int:
-    """Bits per lane for a machine row of ``words`` words: one per word and
-    a spare top bit that stops the lane's carry; 16 up to 15 words, else the
-    next multiple of 64 past ``words``."""
-    return 16 if words < 16 else 64 * (words // 64 + 1)
-
-
-# per lane width: (rows, width, match, mask, first), as _lanes describes
-_LaneGroups = list[tuple[list[int], int, dict[str, int], int, int]]
-
-
-def _lanes(machine: Sequence[Utterance], vocabulary: set[str]) -> _LaneGroups:
-    """The machine rows with words, packed for :func:`_distances`: one
-    ``(rows, width, match, mask, first)`` per lane width. Lane ``k`` of a
-    group holds row ``rows[k]`` in bits ``k * width`` up, one bit per word;
-    ``match`` gives each word of ``vocabulary`` the bits where it occurs,
-    ``mask`` every row's word bits and ``first`` every lane's lowest bit.
-    """
-    groups: dict[int, list[int]] = {}
-    for i, utt in enumerate(machine):
-        if utt.tokens:
-            groups.setdefault(_lane_width(len(utt.tokens)), []).append(i)
-    lanes = []
-    for width, rows in groups.items():
-        match: dict[str, int] = {}
-        mask = 0
-        for lane, i in enumerate(rows):
-            tokens = machine[i].tokens
-            mask |= ((1 << len(tokens)) - 1) << lane * width
-            for bit, token in enumerate(tokens, lane * width):
-                if token in vocabulary:
-                    match[token] = match.get(token, 0) | 1 << bit
-        first = int.from_bytes(b"\x01".ljust(width // 8, b"\x00") * len(rows), "little")
-        lanes.append((rows, width, match, mask, first))
-    return lanes
-
-
-def _distances(lanes: _LaneGroups, tokens: Sequence[str], n: int) -> list[int]:
-    """Word edit distance from each of the ``n`` machine rows packed in
-    ``lanes`` to ``tokens``, in machine order; a row with no words is
-    ``len(tokens)`` away.
-
-    Hyyrö's bit-vector form of Myers' algorithm runs once per word of
-    ``tokens`` with every row of a lane group as a pattern at once
-    (Hyyrö, Fredriksson and Navarro pack patterns this way). Everything is
-    masked to the rows' word bits after ``~``, which sets the bits above, and
-    after ``pv``'s shift, so no carry or shift leaves a lane: ``ph`` keeps
-    one stray bit above its row, which ``& xv`` and the ``~ … & mask`` it
-    feeds both drop. A row's distance is ``len(tokens)`` plus its last
-    column's vertical steps, ``pv``'s bits less ``mv``'s, counted by SWAR
-    masks in 16-bit lanes and by ``int.bit_count`` in wider ones.
-    """
-    count = len(tokens)
-    distances = [count] * n
-    for rows, width, match, mask, first in lanes:
-        pv, mv = mask, 0
-        for token in tokens:
-            eq = match.get(token, 0)
-            xv = eq | mv
-            xh = (((eq & pv) + pv) ^ pv) | eq
-            ph = mv | ~(xh | pv) & mask
-            mh = pv & xh
-            ph = ph << 1 | first
-            pv = (mh << 1 | ~(xv | ph)) & mask
-            mv = ph & xv
-        if width == 16:
-            # each lane's low byte ends up as 16 + pv's bit count - mv's
-            steps = _lane_bits(pv, first) + (first << 4) - _lane_bits(mv, first)
-            low_bytes = steps.to_bytes(2 * len(rows), "little")[::2]
-            for i, step in zip(rows, low_bytes):
-                distances[i] = count - 16 + step
-        else:
-            size = width // 8
-            pv_bytes = pv.to_bytes(size * len(rows), "little")
-            mv_bytes = mv.to_bytes(size * len(rows), "little")
-            for lane, i in enumerate(rows):
-                lane_bytes = slice(lane * size, lane * size + size)
-                distances[i] = (
-                    count
-                    + int.from_bytes(pv_bytes[lane_bytes], "little").bit_count()
-                    - int.from_bytes(mv_bytes[lane_bytes], "little").bit_count()
-                )
-    return distances
-
-
-def _lane_bits(x: int, first: int) -> int:
-    """The bit count of each 16-bit lane of ``x``, in that lane; ``first``
-    has each lane's lowest bit set."""
-    x -= x >> 1 & first * 0x5555
-    x = (x & first * 0x3333) + (x >> 2 & first * 0x3333)
-    x = (x + (x >> 4)) & first * 0x0F0F
-    return (x + (x >> 8)) & first * 0x00FF
-
-
 def _dp(
     machine: Sequence[Utterance], expert: Sequence[Utterance], config: AlignConfig
 ) -> tuple[list[tuple[int, int]], float]:
@@ -308,7 +216,7 @@ def _dp(
 
     Maximizes sum of pair scores minus gap_penalty per unmatched utterance;
     :func:`align_by_time` has refused a gap_penalty that would overflow.
-    The DP walks one expert column at a time: :func:`_distances` gives the
+    The DP walks one expert column at a time: :func:`lane_distances` gives the
     column's word distances to every machine row, then each cell runs
     :func:`pair_score`'s float operations inline, in the same order. A
     match wins unless skipping the machine utterance scores strictly more,
@@ -320,7 +228,8 @@ def _dp(
     w_time = 1.0 - w_text
     width = m + 1
     moves = bytearray((n + 1) * width)
-    lanes = _lanes(machine, {token for utt in expert for token in utt.tokens})
+    vocabulary = {token for utt in expert for token in utt.tokens}
+    lanes = pack_lanes([utt.tokens for utt in machine], vocabulary)
     onsets = [utt.onset for utt in machine]
     offsets = [utt.offset for utt in machine]
     lengths = [utt.offset - utt.onset for utt in machine]
@@ -333,7 +242,7 @@ def _dp(
         current = [best]
         column_moves = bytearray()
         cells = zip(
-            onsets, offsets, lengths, words, _distances(lanes, utt_e.tokens, n),
+            onsets, offsets, lengths, words, lane_distances(lanes, utt_e.tokens, n),
             previous, previous[1:],
         )
         for on, off, length, count, distance, diagonal, left in cells:

@@ -207,7 +207,12 @@ def _cmd_align(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             print(f"{entry.recording_id}: FAIL {outcome.errors[0].message}", file=sys.stderr)
             continue
         corpus = outcome.alignment
-        write_alignment_jsonl(corpus, args.out / f"{entry.recording_id}.alignment.jsonl")
+        try:
+            write_alignment_jsonl(corpus, args.out / f"{entry.recording_id}.alignment.jsonl")
+        except OSError as exc:  # such as a name the filesystem refuses
+            n_failed += 1
+            print(f"{entry.recording_id}: FAIL cannot write its audit: {exc}", file=sys.stderr)
+            continue
         print(
             f"{entry.recording_id}: {len(corpus.matched)} pairs,"
             f" {len(corpus.machine) - len(corpus.matched)} machine-only,"

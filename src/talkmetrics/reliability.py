@@ -1,11 +1,12 @@
 """Agreement statistics between machine and expert transcripts.
 
-Covers word error rate (over :func:`transcript.levenshtein`), the 2x2
-teacher/child cross-classification of aligned pairs and its metrics
-(accuracy, support-weighted F1, Cohen's kappa), time-weighted aggregation
-across recordings, and the two-way absolute-agreement single-measure
-intraclass correlation (ICC) with recordings as units and machine/expert as
-the two raters.
+Covers word error rate (over :func:`transcript.levenshtein`, the word edit
+distance whose kernel the alignment DP also runs), the 2x2 teacher/child
+cross-classification of aligned pairs and its metrics (accuracy,
+support-weighted F1, Cohen's kappa), time-weighted aggregation across
+recordings, and the two-way absolute-agreement single-measure intraclass
+correlation (ICC) with recordings as units and machine/expert as the two
+raters.
 
 Conventions, fixed once here so every report uses the same rules:
 

@@ -12,7 +12,9 @@ word counts are reproducible:
   question marks. Any ``?`` anywhere in the utterance marks it a question.
   ``features.summarize`` reads it.
 * ``levenshtein`` is the word-level edit distance that alignment scores and
-  word error rates share.
+  word error rates share. It is one row of the bit-parallel kernel
+  (``pack_lanes`` and ``lane_distances``) that the alignment DP runs over
+  many rows at once, so the package computes the distance one way.
 
 All types are immutable after construction and all functions are pure, so
 values can be shared freely across threads and worker processes.
@@ -125,35 +127,110 @@ def is_question(raw_text: str) -> bool:
     return "?" in raw_text
 
 
+def _lane_width(words: int) -> int:
+    """Bits per lane for a row of ``words`` words: one per word and a spare
+    top bit that stops the lane's carry; 16 up to 15 words, else the next
+    multiple of 64 past ``words``."""
+    return 16 if words < 16 else 64 * (words // 64 + 1)
+
+
+# per lane width: (rows, width, match, mask, first), as pack_lanes describes
+_LaneGroups = list[tuple[list[int], int, dict[str, int], int, int]]
+
+
+def pack_lanes(token_rows: Sequence[Sequence[str]], vocabulary: set[str]) -> _LaneGroups:
+    """The token rows with words, packed for :func:`lane_distances`: one
+    ``(rows, width, match, mask, first)`` per lane width. Lane ``k`` of a
+    group holds ``token_rows[rows[k]]`` in bits ``k * width`` up, one bit
+    per word; ``match`` gives each word of ``vocabulary`` the bits where it
+    occurs, ``mask`` every row's word bits and ``first`` every lane's lowest
+    bit.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, tokens in enumerate(token_rows):
+        if tokens:
+            groups.setdefault(_lane_width(len(tokens)), []).append(i)
+    lanes = []
+    for width, rows in groups.items():
+        match: dict[str, int] = {}
+        mask = 0
+        for lane, i in enumerate(rows):
+            tokens = token_rows[i]
+            mask |= ((1 << len(tokens)) - 1) << lane * width
+            for bit, token in enumerate(tokens, lane * width):
+                if token in vocabulary:
+                    match[token] = match.get(token, 0) | 1 << bit
+        first = int.from_bytes(b"\x01".ljust(width // 8, b"\x00") * len(rows), "little")
+        lanes.append((rows, width, match, mask, first))
+    return lanes
+
+
+def lane_distances(lanes: _LaneGroups, tokens: Sequence[str], n: int) -> list[int]:
+    """Word edit distance from each of the ``n`` rows packed in ``lanes`` to
+    ``tokens``, in row order; a row with no words is ``len(tokens)`` away.
+
+    Hyyrö's bit-vector form of Myers' algorithm runs once per word of
+    ``tokens`` with every row of a lane group as a pattern at once
+    (Hyyrö, Fredriksson and Navarro pack patterns this way). Everything is
+    masked to the rows' word bits after ``~``, which sets the bits above, and
+    after ``pv``'s shift, so no carry or shift leaves a lane: ``ph`` keeps
+    one stray bit above its row, which ``& xv`` and the ``~ … & mask`` it
+    feeds both drop. A row's distance is ``len(tokens)`` plus its last
+    column's vertical steps, ``pv``'s bits less ``mv``'s, counted by SWAR
+    masks in 16-bit lanes and by ``int.bit_count`` in wider ones.
+    """
+    count = len(tokens)
+    distances = [count] * n
+    for rows, width, match, mask, first in lanes:
+        pv, mv = mask, 0
+        for token in tokens:
+            eq = match.get(token, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | ~(xh | pv) & mask
+            mh = pv & xh
+            ph = ph << 1 | first
+            pv = (mh << 1 | ~(xv | ph)) & mask
+            mv = ph & xv
+        if width == 16:
+            # each lane's low byte ends up as 16 + pv's bit count - mv's
+            steps = _lane_bits(pv, first) + (first << 4) - _lane_bits(mv, first)
+            low_bytes = steps.to_bytes(2 * len(rows), "little")[::2]
+            for i, step in zip(rows, low_bytes):
+                distances[i] = count - 16 + step
+        else:
+            size = width // 8
+            pv_bytes = pv.to_bytes(size * len(rows), "little")
+            mv_bytes = mv.to_bytes(size * len(rows), "little")
+            for lane, i in enumerate(rows):
+                lane_bytes = slice(lane * size, lane * size + size)
+                distances[i] = (
+                    count
+                    + int.from_bytes(pv_bytes[lane_bytes], "little").bit_count()
+                    - int.from_bytes(mv_bytes[lane_bytes], "little").bit_count()
+                )
+    return distances
+
+
+def _lane_bits(x: int, first: int) -> int:
+    """The bit count of each 16-bit lane of ``x``, in that lane; ``first``
+    has each lane's lowest bit set."""
+    x -= x >> 1 & first * 0x5555
+    x = (x & first * 0x3333) + (x >> 2 & first * 0x3333)
+    x = (x + (x >> 4)) & first * 0x0F0F
+    return (x + (x >> 8)) & first * 0x00FF
+
+
 def levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
     """Minimum insertions + deletions + substitutions (unit costs) turning
-    token list ``a`` into ``b``. Symmetric; 0 iff the lists are equal."""
+    token list ``a`` into ``b``. Symmetric; 0 iff the lists are equal.
+
+    One row of :func:`lane_distances`: ``a`` is the packed row, ``b`` the
+    text it runs over, so this and the alignment DP share one kernel.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, word_a in enumerate(a, 1):
-        current = [i]
-        append = current.append
-        prev_diag = previous[0]
-        for j, word_b in enumerate(b, 1):
-            prev_j = previous[j]
-            cost = prev_diag if word_a == word_b else prev_diag + 1
-            up = prev_j + 1
-            if up < cost:
-                cost = up
-            left = current[j - 1] + 1
-            if left < cost:
-                cost = left
-            append(cost)
-            prev_diag = prev_j
-        previous = current
-    return previous[-1]
+    return lane_distances(pack_lanes([a], set(b)), b, 1)[0]
 
 
 @dataclass(frozen=True, slots=True)

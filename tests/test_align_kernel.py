@@ -1,10 +1,16 @@
-"""The time-alignment DP against a cell-by-cell reference.
+"""The time-alignment DP against a cell-by-cell reference, and the word
+edit distance kernel against a full-table one.
 
 ``plain_dp``, the reference, is the straightforward form of the DP: one
 :func:`pair_score` call per cell. The kernel ``_dp`` computes word distances
 bit-parallel, many machine rows to a Python integer, and inlines the pair
 score; it must return exactly the same ``(matched, score)``, compared with
 ``==``, not approximately, so that every report keeps its bytes.
+
+``pair_score`` reaches the bit-parallel kernel too, through ``levenshtein``,
+so ``plain_dp`` checks the DP's arithmetic and tie rules, not its distances.
+Those are checked against ``table_dp``, the textbook table of every prefix
+pair, which shares no code with the package.
 """
 
 import math
@@ -16,16 +22,30 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synthetic as syn
-from talkmetrics.align import AlignConfig, _distances, _dp, _lanes, _trace_back, pair_score
-from talkmetrics.transcript import levenshtein
+from talkmetrics.align import AlignConfig, _dp, _trace_back, pair_score
+from talkmetrics.transcript import lane_distances, levenshtein, pack_lanes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 WORDS = ("the", "cat", "sat", "on", "mat", "how", "is", "weather", "sunny", "dog")
+
+
+def table_dp(a, b):
+    """Word edit distance from the full (len(a) + 1) x (len(b) + 1) table."""
+    table = [[i + j if i == 0 or j == 0 else 0 for j in range(len(b) + 1)]
+             for i in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            table[i][j] = min(
+                table[i - 1][j] + 1,
+                table[i][j - 1] + 1,
+                table[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
+            )
+    return table[len(a)][len(b)]
 
 
 def plain_dp(machine, expert, config):
@@ -162,10 +182,12 @@ def test_rows_at_the_lane_width_edges(machine_lengths, expert_lengths):
     rng.shuffle(lengths)
     machine = lane_edge_utterances(rng, 24, lengths, "machine")
     expert = lane_edge_utterances(rng, 12, expert_lengths, "expert")
-    lanes = _lanes(machine, {token for utt in expert for token in utt.tokens})
+    lanes = pack_lanes(
+        [utt.tokens for utt in machine], {token for utt in expert for token in utt.tokens}
+    )
     for utt_e in expert:
-        assert _distances(lanes, utt_e.tokens, len(machine)) == [
-            levenshtein(utt_m.tokens, utt_e.tokens) for utt_m in machine
+        assert lane_distances(lanes, utt_e.tokens, len(machine)) == [
+            table_dp(utt_m.tokens, utt_e.tokens) for utt_m in machine
         ]
     assert_same_as_reference(machine, expert, AlignConfig())
 
@@ -257,13 +279,34 @@ TEXTS = LENGTHS.flatmap(
 
 @settings(max_examples=150, deadline=None)
 @given(machine=st.lists(TEXTS, max_size=12), expert=TEXTS)
-def test_distances_equal_levenshtein(machine, expert):
-    machine = [syn.utt(i, 0.0, 1.0, " ".join(words)) for i, words in enumerate(machine)]
+def test_distances_equal_table_dp(machine, expert):
+    rows = [tuple(words) for words in machine]
     tokens = tuple(expert)
-    lanes = _lanes(machine, set(tokens))
-    assert _distances(lanes, tokens, len(machine)) == [
-        levenshtein(utt.tokens, tokens) for utt in machine
+    assert lane_distances(pack_lanes(rows, set(tokens)), tokens, len(rows)) == [
+        table_dp(row, tokens) for row in rows
     ]
+
+
+@settings(max_examples=150, deadline=None)
+@example(a=[], b=[], as_tuple=False)
+@example(a=[], b=["the"] * 128, as_tuple=False)
+@example(a=["the", "cat"] * 64, b=[], as_tuple=True)
+@example(a=["cat"] * 15, b=["cat"] * 16, as_tuple=False)
+@example(a=["the"] * 63, b=["the", "cat"] * 32, as_tuple=True)
+@example(a=["cat"] * 127, b=["the"] * 128, as_tuple=False)
+@example(a=["the", "on"] * 64, b=["the", "on"] * 64, as_tuple=True)
+@given(a=TEXTS, b=TEXTS, as_tuple=st.booleans())
+def test_levenshtein_equals_table_dp_on_long_rows(a, b, as_tuple):
+    """``levenshtein`` packs ``a`` as one row of the lane kernel, so rows of
+    15 and 16, 63 and 64, 127 and 128 words try each lane width's edge; a
+    list against a tuple of the same words is still 0 apart."""
+    if as_tuple:
+        b = tuple(b)
+    want = table_dp(a, b)
+    assert levenshtein(a, b) == want
+    assert levenshtein(b, a) == want
+
+
 SIDES = st.lists(st.tuples(TIMES, TIMES, TEXTS), max_size=9)
 
 

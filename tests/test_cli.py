@@ -1067,6 +1067,30 @@ class TestAnyBytes:
         assert (out / "good.alignment.jsonl").is_file()
         assert not (out / "bad.alignment.jsonl").exists()
 
+    def test_align_survives_an_audit_name_the_filesystem_refuses(self, tmp_path, capsys):
+        """A stem of NAME_MAX - 14 characters fills ``<stem>.machine.jsonl``
+        to the limit, so discovery accepts it, but ``<stem>.alignment.jsonl``
+        is two bytes over: that one audit fails and the others are written."""
+        try:
+            name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+        except (AttributeError, OSError, ValueError):
+            pytest.skip("the filesystem reports no NAME_MAX")
+        if not 14 < name_max < 4096:
+            pytest.skip(f"NAME_MAX {name_max} is no usable limit")
+        long_id = "r" * (name_max - 14)
+        root = tmp_path / "data"
+        for recording_id in ("a", long_id, "z"):
+            syn.write_weather_recording(root, recording_id)
+        out = tmp_path / "out"
+        code = main(["align", "--root", str(root), "--out", str(out)])
+        assert code == EXIT_PARTIAL
+        captured = capsys.readouterr()
+        assert f"{long_id}: FAIL cannot write its audit:" in captured.err
+        assert "a: 10 pairs" in captured.out and "z: 10 pairs" in captured.out
+        assert sorted(path.name for path in out.iterdir()) == [
+            "a.alignment.jsonl", "z.alignment.jsonl"
+        ]
+
 
 class TestMetaIdMismatch:
     @pytest.fixture()

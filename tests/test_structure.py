@@ -242,6 +242,50 @@ def test_one_place_starts_a_pool():
     assert len(calls(home)) == 1 and found == {"batch": calls(home)}, found
 
 
+def is_myers_step(node: ast.AST) -> bool:
+    """True for ``((eq & pv) + pv) ^ pv`` with any names (either order
+    inside the ``&``): the carry step of the bit-parallel edit distance."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitXor)):
+        return False
+    add, pv = node.left, ast.dump(node.right)
+    if not (isinstance(add, ast.BinOp) and isinstance(add.op, ast.Add)):
+        return False
+    both = add.left
+    return (
+        ast.dump(add.right) == pv
+        and isinstance(both, ast.BinOp)
+        and isinstance(both.op, ast.BitAnd)
+        and pv in (ast.dump(both.left), ast.dump(both.right))
+    )
+
+
+def test_one_word_edit_distance_recurrence():
+    """The bit-parallel edit distance step appears in one function of the
+    package, in ``transcript``, and ``levenshtein`` reaches it, so word
+    error rates, text similarity and the alignment DP share one
+    recurrence."""
+    trees = parsed_modules()
+    homes = [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        for sub in ast.walk(node)
+        if is_myers_step(sub)
+    ]
+    assert len(homes) == 1 and homes[0][0] == "transcript", homes
+    functions = {
+        node.name: node for node in trees["transcript"].body if isinstance(node, ast.FunctionDef)
+    }
+    reached, frontier = set(), ["levenshtein"]
+    while frontier:
+        name = frontier.pop()
+        if name not in reached:
+            reached.add(name)
+            frontier += [called for called in read_names(functions[name]) if called in functions]
+    assert homes[0][1] in reached, f"levenshtein does not reach {homes[0][1]}"
+
+
 def test_no_dead_exception_class():
     """Every exception or warning class of the package is raised, or given
     to ``warnings.warn`` as its category, somewhere in the package, or is a
